@@ -18,8 +18,8 @@ import numpy as np
 from . import datapipe as dp
 from . import harness as hz
 from .attention import AttentionKind, MsaConfig
-from .backbones import (CNN_FAMILIES, DEFAULT_LEVEL, PUBLISHED_TABLES, LevelTable,
-                        ModelConfig, attention_param_count,
+from .backbones import (CNN_FAMILIES, DEFAULT_LEVEL, FRACTIONS, PUBLISHED_TABLES,
+                        LevelTable, ModelConfig, attention_param_count,
                         attention_placement, build_model,
                         computed_level_table, feature_param_count,
                         level_trend, module_channels, select_level)
@@ -100,8 +100,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _opt(parser, flag, key, typ, help_text):
-    parser.add_argument(flag, dest=key, type=typ, default=None,
+def _opt(parser, flag, key, typ, help_text, choices=None):
+    parser.add_argument(flag, dest=key, type=typ, default=None, choices=choices,
                         help=f"{help_text} [config key: {key}, default: {CONFIG_KEYS[key]}]")
 
 
@@ -130,7 +130,11 @@ def _model_config(args, task: str) -> ModelConfig:
 
 def _load_or_generate(args) -> dp.SignalDataset:
     if args.dataset:
-        return dp.decode_dataset(Path(args.dataset).read_bytes())
+        try:
+            data = Path(args.dataset).read_bytes()
+        except OSError as exc:
+            raise _fail(f"cannot read dataset {args.dataset}: {exc}")
+        return dp.decode_dataset(data)
     if args.synth_cases and args.synth_cases > 0:
         task = _resolve_task(args.task or "classification")
         return dp.generate_synthetic(
@@ -422,6 +426,9 @@ def cmd_sweep(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------
 
+_FRACTION_LIST = "/".join(map(str, FRACTIONS))
+
+
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     _opt(p, "--dataset", "dataset", str, "PSD1 dataset file")
     _opt(p, "--task", "task", str, "expected task (classification/cls, regression/reg)")
@@ -440,7 +447,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     _opt(p, "--family", "family", str, "backbone family (vgg/resnet/inception/msa_only)")
     _opt(p, "--level", "level", int, "backbone truncation level")
     _opt(p, "--attention", "attention", str, "attention kind (none/se/nl/cbam/msa)")
-    _opt(p, "--fraction", "fraction", int, "attention fraction percent (0/25/50/75/100)")
+    _opt(p, "--fraction", "fraction", int, f"attention fraction percent ({_FRACTION_LIST})",
+         choices=FRACTIONS)
     _opt(p, "--msa-d-model", "msa_d_model", int, "MSA token width")
     _opt(p, "--msa-heads", "msa_heads", int, "MSA head count")
     _opt(p, "--msa-ff", "msa_ff", int, "MSA feed-forward width")
@@ -483,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="vgg, resnet, or inception")
     p.add_argument("--attention", default="none",
                    help="include attention parameters of this kind (default: none)")
-    p.add_argument("--fraction", type=int, default=100,
-                   help="attention fraction percent (default: 100)")
+    p.add_argument("--fraction", type=int, default=100, choices=FRACTIONS,
+                   help=f"attention fraction percent ({_FRACTION_LIST}; default: 100)")
     p.add_argument("--table", choices=("published", "computed"), default="published",
                    help="feature-count source for the selection rule (default: published)")
     p.set_defaults(func=cmd_count_params)

@@ -3,8 +3,10 @@
 Every differentiable value is a :class:`Tensor` wrapping a float ndarray.
 Operations record their parents and a closure that scatters the incoming
 gradient back to them; ``Tensor.backward()`` replays those closures in
-reverse topological order.  Math is plain single-threaded numpy, so a given
-seed replays bitwise-identically.
+reverse topological order.  Math is plain numpy.  The BLAS-backed ops
+(matmul, the conv GEMM) may run on several threads, and how their sums are
+split depends on the thread count, so a given seed replays bit for bit for a
+fixed BLAS thread count.  The benchmark prints that count.
 """
 
 from __future__ import annotations
@@ -340,14 +342,18 @@ def relu(a: Tensor) -> Tensor:
     return out._record((a,), "relu", backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x), branching on the sign so that no exp overflows."""
     y = np.empty_like(x)
     pos = x >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
+    return y
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = Tensor(_stable_sigmoid(a.data))
 
     def backward(g):
         if a.requires_grad:
@@ -373,12 +379,7 @@ def softplus(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            s = np.empty_like(x)
-            pos = x >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            s[~pos] = ex / (1.0 + ex)
-            a._accumulate(g * s)
+            a._accumulate(g * _stable_sigmoid(x))
 
     return out._record((a,), "softplus", backward)
 
@@ -583,6 +584,22 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     return out._record(parents, "conv1d", backward)
 
 
+def _pool_taps(length: int, window: int, stride: int, pad_left: int,
+               out_len: int) -> list[tuple[int, int, slice]]:
+    """For each window tap k that reads the input at all: the outputs
+    [lo, hi) whose tap k falls inside the unpadded input, and the strided
+    slice of the length axis that those taps read, in ascending k."""
+    taps = []
+    for k in range(window):
+        first = k - pad_left  # input index of tap k in window 0
+        lo = max(0, -(first // stride))
+        hi = min(out_len, (length - 1 - first) // stride + 1)
+        if lo < hi:
+            start = lo * stride + first
+            taps.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return taps
+
+
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
            padding: str = "valid") -> Tensor:
     """Windowed max/avg pooling over the length axis (no padding by default).
@@ -600,43 +617,58 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
     if padding == "same":
         if kind != "max":
             raise ValueError("padding='same' is only supported for max pooling")
-        pad_left, pad_right = _conv_padding(L, window, stride, "same")
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)),
-                    constant_values=-np.inf)
+        pad_left, _ = _conv_padding(L, window, stride, "same")
     elif padding == "valid":
-        pad_left = pad_right = 0
+        pad_left = 0
         if window > L:
             raise ShapeError(f"pool window {window} exceeds input length {L}")
-        xp = x.data
     else:
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    Lp = L + pad_left + pad_right
-    out_len = (Lp - window) // stride + 1
-    windows = _window_view(xp, out_len, window, stride)
+    out_len = conv_output_length(L, window, stride, padding)
+    taps = _pool_taps(L, window, stride, pad_left, out_len)
 
     if kind == "max":
-        idx = np.argmax(windows, axis=3)  # first occurrence wins ties
-        out = Tensor(np.take_along_axis(windows, idx[..., None], axis=3).squeeze(3))
+        # Padding reads as -inf, so the running maximum starts there.  It is
+        # np.maximum's second operand: ties return the second operand, so the
+        # earliest tap wins, as with argmax (this keeps the sign of tied zeros).
+        y = np.full((B, C, out_len), -np.inf, dtype=x.dtype)
+        for lo, hi, sl in taps:
+            np.maximum(x.data[:, :, sl], y[:, :, lo:hi], out=y[:, :, lo:hi])
+        out = Tensor(y)
 
         def backward(g):
             if x.requires_grad:
-                gxp = np.zeros((B, C, Lp), dtype=g.dtype)
-                pos = idx + np.arange(out_len)[None, None, :] * stride
-                np.add.at(gxp.reshape(B * C, Lp),
-                          (np.repeat(np.arange(B * C), out_len), pos.reshape(-1)),
-                          g.reshape(-1))
-                x._accumulate(gxp[:, :, pad_left:pad_left + L])
+                # The first tap equal to the maximum takes the gradient (ties
+                # are common after ReLU).  A window that starts in the left
+                # padding and has maximum -inf gives it to the padding, that
+                # is, drops it.
+                claimed = np.zeros(y.shape, dtype=bool)
+                n_padded = -(-pad_left // stride)
+                claimed[:, :, :n_padded] = y[:, :, :n_padded] == -np.inf
+                hits = []
+                for lo, hi, sl in taps:
+                    hit = x.data[:, :, sl] == y[:, :, lo:hi]
+                    hit &= ~claimed[:, :, lo:hi]
+                    claimed[:, :, lo:hi] |= hit
+                    hits.append(hit)
+                # Taps are added in descending k: each input position then
+                # sums its windows in ascending window order, the order
+                # np.add.at over an argmax index would use, so overlapping
+                # windows give the same bits.
+                gx = np.zeros((B, C, L), dtype=g.dtype)
+                for (lo, hi, sl), hit in zip(reversed(taps), reversed(hits)):
+                    gx[:, :, sl] += g[:, :, lo:hi] * hit
+                x._accumulate(gx)
     else:
-        out = Tensor(windows.mean(axis=3))
+        out = Tensor(_window_view(x.data, out_len, window, stride).mean(axis=3))
 
         def backward(g):
             if x.requires_grad:
-                gxp = np.zeros((B, C, Lp), dtype=g.dtype)
+                gx = np.zeros((B, C, L), dtype=g.dtype)
                 gw = g / window
-                span = (out_len - 1) * stride + 1
-                for k in range(window):
-                    gxp[:, :, k:k + span:stride] += gw
-                x._accumulate(gxp[:, :, pad_left:pad_left + L])
+                for _, _, sl in taps:
+                    gx[:, :, sl] += gw
+                x._accumulate(gx)
 
     return out._record((x,), f"pool_{kind}", backward)
 

@@ -1,8 +1,9 @@
 """Training loop, evaluation metrics, convergence timing, and seeded sweeps.
 
-Runs are deterministic: given the same seed, dataset, and single-threaded
-math, loss histories repeat bitwise.  Sweeps therefore reproduce their
-report CSV byte-for-byte; wall-clock timings are kept out of the CSV (a
+Runs are deterministic: given the same seed, dataset, and BLAS thread count,
+loss histories repeat bitwise (BLAS sums may differ in the last bits between
+thread counts; the benchmark prints the count).  Sweeps therefore reproduce
+their report CSV byte-for-byte; wall-clock timings are kept out of the CSV (a
 virtual clock that advances one second per epoch is the default there) and
 live in the per-run JSON-lines log instead.
 """

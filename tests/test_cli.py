@@ -234,6 +234,29 @@ def test_evaluate_missing_weights(tmp_path):
                      "--synth-cases", "2"]) == 2
 
 
+def test_train_missing_dataset_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no.psd1"
+    args = ["train", "--dataset", str(missing), "--out-dir", str(tmp_path / "x")]
+    assert cli.main(args) == 2
+    assert f"cannot read dataset {missing}" in capsys.readouterr().err
+
+
+def test_evaluate_missing_dataset_exits_2(trained, tmp_path, capsys):
+    missing = tmp_path / "no.psd1"
+    assert cli.main(["evaluate", "--weights", str(trained / "weights.npz"),
+                     "--dataset", str(missing)]) == 2
+    assert f"cannot read dataset {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["train", "--synth-cases", "2"],
+                                     ["count-params", "--family", "resnet"]])
+def test_fraction_outside_supported_set_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--fraction", "25"])
+    assert exc.value.code == 2
+    assert "invalid choice: 25" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------

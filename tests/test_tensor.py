@@ -317,16 +317,62 @@ def naive_pool1d(x, kind, window, stride, padding="valid"):
     return y
 
 
+def naive_max_pool1d_grad(x, window, stride, padding, g):
+    """Input gradient of max pooling: each window sends its output gradient
+    to the first position holding its maximum (padding included, where the
+    gradient is dropped), windows visited in order."""
+    B, C, L = x.shape
+    left = 0
+    if padding == "same":
+        out_len = -(-L // stride)
+        total = max((out_len - 1) * stride + window - L, 0)
+        left = total // 2
+        x = np.pad(x, ((0, 0), (0, 0), (left, total - left)),
+                   constant_values=-np.inf)
+    gxp = np.zeros(x.shape, dtype=g.dtype)
+    for bi in range(B):
+        for c in range(C):
+            for t in range(g.shape[2]):
+                seg = x[bi, c, t * stride:t * stride + window]
+                first = next(j for j in range(window) if seg[j] == seg.max())
+                gxp[bi, c, t * stride + first] += g[bi, c, t]
+    return gxp[:, :, left:left + L]
+
+
 @pytest.mark.parametrize("kind,window,stride,padding", [
     ("max", 2, 2, "valid"), ("avg", 2, 2, "valid"), ("max", 3, 2, "same"),
-    ("max", 3, 1, "valid"), ("avg", 5, 3, "valid"),
+    ("max", 3, 1, "valid"), ("avg", 5, 3, "valid"), ("max", 3, 1, "same"),
 ])
 def test_pool1d_matches_naive(kind, window, stride, padding):
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 3, 17))
-    got = T.pool1d(Tensor(x), kind, window, stride, padding=padding)
-    npt.assert_allclose(got.data, naive_pool1d(x, kind, window, stride, padding),
-                        rtol=1e-12)
+    for length in (16, 17):
+        x = rng.normal(size=(2, 3, length))
+        got = T.pool1d(Tensor(x), kind, window, stride, padding=padding)
+        npt.assert_allclose(got.data, naive_pool1d(x, kind, window, stride, padding),
+                            rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,stride,padding", [
+    (2, 2, "valid"), (3, 1, "valid"), (3, 1, "same"), (3, 2, "same"),
+    (5, 2, "same"), (5, 3, "valid"),
+])
+def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtype):
+    # ReLU-clamped, rounded inputs tie often; the -inf runs make windows whose
+    # maximum is -inf, some of which start in the padding.
+    T.set_default_dtype(dtype)
+    rng = np.random.default_rng(4)
+    for length in (16, 17):
+        x = np.maximum(rng.normal(size=(3, 4, length)).round(1), 0.0).astype(dtype)
+        x[0, 0, :3] = -np.inf
+        x[1, 2, -3:] = -np.inf
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        y = T.pool1d(xt, "max", window, stride, padding=padding)
+        g = rng.normal(size=y.shape).astype(dtype)
+        y.backward(g)
+        assert y.dtype == xt.grad.dtype == dtype
+        npt.assert_array_equal(y.data, naive_pool1d(x, "max", window, stride, padding))
+        npt.assert_array_equal(xt.grad, naive_max_pool1d_grad(x, window, stride, padding, g))
 
 
 def test_pool1d_same_padding_rejected_for_avg():
@@ -349,6 +395,18 @@ def test_pool1d_grad_check(kind, seed):
 
     def f():
         return T.reduce_sum(T.pool1d(x, kind, 3, 2) * probe)
+
+    assert grad_check(f, [x]) < 1e-4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_max_pool_same_stride_1_grad_check(seed):
+    rng = np.random.default_rng(seed)
+    x = nn.Parameter(rng.permutation(36).reshape(2, 2, 9) * 0.1)  # no ties
+    probe = Tensor(rng.normal(size=(2, 2, 9)))
+
+    def f():
+        return T.reduce_sum(T.pool1d(x, "max", 3, 1, padding="same") * probe)
 
     assert grad_check(f, [x]) < 1e-4
 
