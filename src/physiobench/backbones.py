@@ -536,15 +536,11 @@ PUBLISHED_TABLES = MappingProxyType({
 })
 
 
-def computed_level_table(family: str, attention: AttentionKind = AttentionKind.NONE,
-                         fraction: int = 0) -> LevelTable:
-    """Level table from this package's own models (closed-form counts)."""
+def computed_level_table(family: str) -> LevelTable:
+    """Level table from this package's own feature extractors: closed-form
+    backbone counts without head or attention, as in the published tables."""
     if family not in CNN_FAMILIES:
         raise ValueError(f"level tables exist for CNN families only, got {family!r}")
-    counts = {}
-    for level in range(1, MAX_LEVEL[family] + 1):
-        cfg = ModelConfig(family=family, level=level, attention=attention,
-                          fraction=fraction)
-        counts[level] = model_param_count(cfg)
-    default = counts[MAX_LEVEL[family]]
-    return _table(family, counts, default)
+    counts = {level: feature_param_count(family, level)
+              for level in range(1, MAX_LEVEL[family] + 1)}
+    return _table(family, counts, counts[MAX_LEVEL[family]])

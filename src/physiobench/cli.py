@@ -52,10 +52,6 @@ class CliError(Exception):
     """Config or usage problem; maps to exit code 2."""
 
 
-def _fail(msg: str) -> "CliError":
-    return CliError(msg)
-
-
 # ---------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------
@@ -66,17 +62,17 @@ def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _fail(f"cannot read config {path}: {exc}")
+        raise CliError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _fail(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
-            raise _fail(f"{path}:{lineno}: unknown config key {key!r}")
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             if key in _INT_KEYS:
                 values[key] = int(value)
@@ -85,7 +81,7 @@ def load_config(path: str) -> dict:
             else:
                 values[key] = value
         except ValueError:
-            raise _fail(f"{path}:{lineno}: bad value for {key}: {value!r}")
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
 
 
@@ -112,7 +108,7 @@ def _opt(parser, flag, key, typ, help_text, choices=None):
 def _resolve_task(value: str) -> str:
     task = TASK_ALIASES.get(value)
     if task is None:
-        raise _fail(f"unknown task {value!r} (use classification/cls or regression/reg)")
+        raise CliError(f"unknown task {value!r} (use classification/cls or regression/reg)")
     return task
 
 
@@ -133,7 +129,7 @@ def _load_or_generate(args) -> dp.SignalDataset:
         try:
             data = Path(args.dataset).read_bytes()
         except OSError as exc:
-            raise _fail(f"cannot read dataset {args.dataset}: {exc}")
+            raise CliError(f"cannot read dataset {args.dataset}: {exc}")
         return dp.decode_dataset(data)
     if args.synth_cases and args.synth_cases > 0:
         task = _resolve_task(args.task or "classification")
@@ -141,7 +137,7 @@ def _load_or_generate(args) -> dp.SignalDataset:
             n_cases=args.synth_cases, samples_per_case=args.synth_samples_per_case,
             task=task, seed=args.synth_seed, difficulty=args.synth_difficulty,
             prevalence=args.synth_prevalence)
-    raise _fail("no input data: pass --dataset FILE or --synth-cases N")
+    raise CliError("no input data: pass --dataset FILE or --synth-cases N")
 
 
 def _bundle(args) -> tuple[hz.ArrayBundle, str]:
@@ -153,7 +149,7 @@ def _bundle(args) -> tuple[hz.ArrayBundle, str]:
 
 def _set_dtype(name: str) -> None:
     if name not in ("float32", "float64"):
-        raise _fail(f"dtype must be float32 or float64, got {name!r}")
+        raise CliError(f"dtype must be float32 or float64, got {name!r}")
     T.set_default_dtype(np.float32 if name == "float32" else np.float64)
 
 
@@ -172,9 +168,9 @@ def _write(path: Path, data) -> None:
 def cmd_gen_synthetic(args) -> int:
     task = _resolve_task(args.task)
     if args.cases <= 0:
-        raise _fail("--cases must be positive")
+        raise CliError("--cases must be positive")
     if args.samples_per_case <= 0:
-        raise _fail("--samples-per-case must be positive")
+        raise CliError("--samples-per-case must be positive")
     ds = dp.generate_synthetic(n_cases=args.cases,
                                samples_per_case=args.samples_per_case,
                                task=task, seed=args.seed,
@@ -184,7 +180,7 @@ def cmd_gen_synthetic(args) -> int:
     try:
         _write(out, dp.encode_dataset(ds))
     except OSError as exc:
-        raise _fail(f"cannot write {out}: {exc}")
+        raise CliError(f"cannot write {out}: {exc}")
     manifest = dict(ds.meta)
     manifest["n_records"] = len(ds.records)
     manifest["format"] = "psd1"
@@ -197,7 +193,7 @@ def cmd_preprocess(args) -> int:
     try:
         ds = dp.decode_dataset(Path(args.infile).read_bytes())
     except OSError as exc:
-        raise _fail(f"cannot read {args.infile}: {exc}")
+        raise CliError(f"cannot read {args.infile}: {exc}")
     kept, drops = [], {}
     for rec in ds.records:
         decision = dp.filter_segment(rec.ecg, rec.ppg)
@@ -216,7 +212,7 @@ def cmd_preprocess(args) -> int:
     try:
         _write(out, dp.encode_dataset(out_ds))
     except OSError as exc:
-        raise _fail(f"cannot write {out}: {exc}")
+        raise CliError(f"cannot write {out}: {exc}")
     manifest = {"task": ds.task, "n_in": len(ds.records), "n_kept": len(kept)}
     manifest.update({f"dropped_{k}": v for k, v in sorted(drops.items())})
     _write(out.with_suffix(out.suffix + ".manifest"), dp.format_manifest(manifest))
@@ -228,14 +224,14 @@ def cmd_preprocess(args) -> int:
 def _planning_table(family: str, source: str) -> LevelTable:
     if source == "published":
         if family not in PUBLISHED_TABLES:
-            raise _fail(f"no published level table for family {family!r}")
+            raise CliError(f"no published level table for family {family!r}")
         return PUBLISHED_TABLES[family]
     return computed_level_table(family)
 
 
 def cmd_count_params(args) -> int:
     if args.family not in CNN_FAMILIES:
-        raise _fail(f"--family must be one of {CNN_FAMILIES}, got {args.family!r}")
+        raise CliError(f"--family must be one of {CNN_FAMILIES}, got {args.family!r}")
     table = _planning_table(args.family, args.table)
     kind = AttentionKind(args.attention)
     chosen = select_level(table)
@@ -269,13 +265,13 @@ def cmd_select_level(args) -> int:
         try:
             counts = [int(c) for c in args.counts.split(",")]
         except ValueError:
-            raise _fail(f"--counts must be comma-separated integers: {args.counts!r}")
+            raise CliError(f"--counts must be comma-separated integers: {args.counts!r}")
         default = args.default if args.default is not None else counts[-1]
         table = LevelTable("custom", tuple(enumerate(counts, start=1)), default)
     elif args.family:
         table = _planning_table(args.family, args.table)
     else:
-        raise _fail("pass --family or --counts")
+        raise CliError("pass --family or --counts")
     print(select_level(table))
     return 0
 
@@ -313,7 +309,7 @@ def cmd_train(args) -> int:
     _set_dtype(args.dtype)
     bundle, task = _bundle(args)
     if args.task and _resolve_task(args.task) != task:
-        raise _fail(f"--task {args.task} does not match dataset task {task}")
+        raise CliError(f"--task {args.task} does not match dataset task {task}")
     cfg = _model_config(args, task)
     spec = hz.TrainSpec.for_config(cfg, epochs=args.epochs, seed=args.seed,
                                    lr0=args.lr0, batch_size=args.batch_size,
@@ -356,10 +352,10 @@ def cmd_evaluate(args) -> int:
     try:
         cfg, state, (demo_mean, demo_std) = _load_weights(Path(args.weights))
     except OSError as exc:
-        raise _fail(f"cannot read weights {args.weights}: {exc}")
+        raise CliError(f"cannot read weights {args.weights}: {exc}")
     ds = _load_or_generate(args)
     if cfg.task != ds.task:
-        raise _fail(f"weights are for task {cfg.task}, dataset is {ds.task}")
+        raise CliError(f"weights are for task {cfg.task}, dataset is {ds.task}")
     x, demo, y = ds.arrays()
     demo = dp.apply_demo_stats(demo, demo_mean, demo_std)
     model = build_model(cfg, rng=0)
@@ -391,13 +387,13 @@ def cmd_sweep(args) -> int:
     elif args.matrix == "msa-grid":
         entries = hz.msa_grid_entries(task=task)
     else:
-        raise _fail(f"--matrix must be paper13 or msa-grid, got {args.matrix!r}")
+        raise CliError(f"--matrix must be paper13 or msa-grid, got {args.matrix!r}")
 
     if args.families:
         wanted = set(args.families.split(","))
         known = set(CNN_FAMILIES) | {"msa_only"}
         if not wanted <= known:
-            raise _fail(f"unknown families: {sorted(wanted - known)}")
+            raise CliError(f"unknown families: {sorted(wanted - known)}")
         entries = [e for e in entries if e.family in wanted]
     if args.max_entries is not None:
         entries = entries[:args.max_entries]

@@ -120,8 +120,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One pass, and never an alias: add hands one array to both parents.
+            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None,
                  free_graph: bool = True) -> None:
@@ -424,7 +426,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims).copy())
+            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims))
 
     return out._record((a,), "sum", backward)
 
@@ -534,6 +536,35 @@ def _window_view(x: np.ndarray, out_len: int, window: int, stride: int) -> np.nd
                       strides=(sb, sc, sl * stride, sl), writeable=False)
 
 
+def _window_taps(length: int, window: int, stride: int, pad_left: int,
+                 out_len: int) -> list[tuple[int, int, int, slice]]:
+    """For each window tap k that reads the input at all: k, the outputs
+    [lo, hi) whose tap k falls inside the unpadded input, and the strided
+    slice of the length axis that those taps read, in ascending k."""
+    taps = []
+    for k in range(window):
+        first = k - pad_left  # input index of tap k in window 0
+        lo = max(0, -(first // stride))
+        hi = min(out_len, (length - 1 - first) // stride + 1)
+        if lo < hi:
+            start = lo * stride + first
+            taps.append((k, lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return taps
+
+
+def _im2col(x: np.ndarray, kernel: int, stride: int, pad_left: int,
+            pad_right: int, out_len: int) -> np.ndarray:
+    """Channel-major columns [B, Cin*K, out_len]: row ci*K + k is tap k of
+    channel ci at every output position, one strided run of ``x``.  For a
+    pointwise kernel (K=1, stride 1) the run is the whole row, so the columns
+    are ``x`` itself, not a copy."""
+    b, c, _ = x.shape
+    if pad_left or pad_right:
+        x = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+    windows = _window_view(x, out_len, kernel, stride).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(windows).reshape(b, c * kernel, out_len)
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: str = "valid") -> Tensor:
     """Cross-correlation of [B,Cin,L] with [Cout,Cin,K] kernels."""
@@ -553,51 +584,46 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout={Cout}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right))) if (pad_left or pad_right) else x.data
     out_len = (L + pad_left + pad_right - K) // stride + 1
-    windows = _window_view(xp, out_len, K, stride)
-    # [B, out_len, Cin*K] @ [Cin*K, Cout] -> one GEMM per call
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * out_len, Cin * K)
-    w2 = kernel.data.reshape(Cout, Cin * K).T
-    y = cols @ w2
-    y = y.reshape(B, out_len, Cout).transpose(0, 2, 1)
+    w2 = kernel.data.reshape(Cout, Cin * K)
+    # [Cout, Cin*K] @ [B, Cin*K, out_len] -> [B, Cout, out_len]: one GEMM per sample
+    y = np.matmul(w2, _im2col(x.data, K, stride, pad_left, pad_right, out_len))
     if bias is not None:
-        y = y + bias.data[None, :, None]
-    out = Tensor(np.ascontiguousarray(y))
+        y += bias.data[:, None]
+    out = Tensor(y)
 
     def backward(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * out_len, Cout)
+        taps = _window_taps(L, K, stride, pad_left, out_len)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         if kernel.requires_grad:
-            gw = cols.T @ gmat  # [Cin*K, Cout]
-            kernel._accumulate(np.ascontiguousarray(gw.T).reshape(Cout, Cin, K))
+            # per tap k, one batched GEMM over the strided run of x it read,
+            # so no columns are rebuilt (or held since the forward)
+            gw = np.zeros(kernel.shape, dtype=g.dtype)
+            for k, lo, hi, sl in taps:
+                x_k = x.data[:, :, sl].transpose(0, 2, 1)  # [B, hi-lo, Cin]
+                gw[:, :, k] = np.matmul(g[:, :, lo:hi], x_k).sum(axis=0)
+            kernel._accumulate(gw)
         if x.requires_grad:
-            gcols = (gmat @ w2.T).reshape(B, out_len, Cin, K).transpose(0, 2, 1, 3)
-            gxp = np.zeros((B, Cin, L + pad_left + pad_right), dtype=g.dtype)
-            span = (out_len - 1) * stride + 1
-            for k in range(K):
-                gxp[:, :, k:k + span:stride] += gcols[:, :, :, k]
-            x._accumulate(gxp[:, :, pad_left:pad_left + L])
+            if stride == 1 and (K == 1 or Cout <= Cin):
+                # transposed convolution: g, padded to L + K - 1, correlated
+                # with the flipped kernel in one GEMM.  Its columns
+                # [B, Cout*K, L] are no larger than col2im's, and are g itself
+                # for a pointwise kernel.
+                wf = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
+                gcols = _im2col(g, K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
+                gx = np.matmul(wf, gcols)
+            else:
+                # col2im: one GEMM to [B, Cin*K, out_len] columns, then tap k
+                # of every window adds back into the input it read
+                gcols = np.matmul(w2.T, g).reshape(B, Cin, K, out_len)
+                gx = np.zeros((B, Cin, L), dtype=gcols.dtype)
+                for k, lo, hi, sl in taps:
+                    gx[:, :, sl] += gcols[:, :, k, lo:hi]
+            x._accumulate(gx)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return out._record(parents, "conv1d", backward)
-
-
-def _pool_taps(length: int, window: int, stride: int, pad_left: int,
-               out_len: int) -> list[tuple[int, int, slice]]:
-    """For each window tap k that reads the input at all: the outputs
-    [lo, hi) whose tap k falls inside the unpadded input, and the strided
-    slice of the length axis that those taps read, in ascending k."""
-    taps = []
-    for k in range(window):
-        first = k - pad_left  # input index of tap k in window 0
-        lo = max(0, -(first // stride))
-        hi = min(out_len, (length - 1 - first) // stride + 1)
-        if lo < hi:
-            start = lo * stride + first
-            taps.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
-    return taps
 
 
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
@@ -625,14 +651,14 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
     else:
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
     out_len = conv_output_length(L, window, stride, padding)
-    taps = _pool_taps(L, window, stride, pad_left, out_len)
+    taps = _window_taps(L, window, stride, pad_left, out_len)
 
     if kind == "max":
         # Padding reads as -inf, so the running maximum starts there.  It is
         # np.maximum's second operand: ties return the second operand, so the
         # earliest tap wins, as with argmax (this keeps the sign of tied zeros).
         y = np.full((B, C, out_len), -np.inf, dtype=x.dtype)
-        for lo, hi, sl in taps:
+        for _, lo, hi, sl in taps:
             np.maximum(x.data[:, :, sl], y[:, :, lo:hi], out=y[:, :, lo:hi])
         out = Tensor(y)
 
@@ -646,7 +672,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 n_padded = -(-pad_left // stride)
                 claimed[:, :, :n_padded] = y[:, :, :n_padded] == -np.inf
                 hits = []
-                for lo, hi, sl in taps:
+                for _, lo, hi, sl in taps:
                     hit = x.data[:, :, sl] == y[:, :, lo:hi]
                     hit &= ~claimed[:, :, lo:hi]
                     claimed[:, :, lo:hi] |= hit
@@ -656,7 +682,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 # np.add.at over an argmax index would use, so overlapping
                 # windows give the same bits.
                 gx = np.zeros((B, C, L), dtype=g.dtype)
-                for (lo, hi, sl), hit in zip(reversed(taps), reversed(hits)):
+                for (_, lo, hi, sl), hit in zip(reversed(taps), reversed(hits)):
                     gx[:, :, sl] += g[:, :, lo:hi] * hit
                 x._accumulate(gx)
     else:
@@ -666,7 +692,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
             if x.requires_grad:
                 gx = np.zeros((B, C, L), dtype=g.dtype)
                 gw = g / window
-                for _, _, sl in taps:
+                for *_, sl in taps:
                     gx[:, :, sl] += gw
                 x._accumulate(gx)
 
@@ -711,37 +737,48 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if x.ndim != 3:
         raise ShapeError(f"batchnorm1d expects [B,C,L], got {x.shape}")
     B, C, L = x.shape
+    n = B * L
     if training:
-        n = B * L
         if n < 2:
             raise ValueError(f"batchnorm1d train mode needs B*L >= 2, got {n}")
         mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        xc = x.data - mu[:, None]
+        var = np.einsum("bcl,bcl->c", xc, xc) / n
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        mu = running_mean
+        # a copy: a train-mode call before this node's backward moves the buffer
+        mu = running_mean.copy()
         var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None]) * invstd[None, :, None]
-    out = Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None])
+    scale = gamma.data * invstd
+    if training:
+        y = xc * scale[:, None]
+        y += beta.data[:, None]
+    else:
+        y = x.data * scale[:, None]
+        y += (beta.data - mu * scale)[:, None]
+    out = Tensor(y)
 
     def backward(g):
+        centred = xc if training else x.data - mu[:, None]
+        sum_g = g.sum(axis=(0, 2))
+        sum_gxc = np.einsum("bcl,bcl->c", g, centred)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2)))
+            gamma._accumulate(sum_gxc * invstd)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2)))
+            beta._accumulate(sum_g)
         if x.requires_grad:
-            gxhat = g * gamma.data[None, :, None]
             if training:
-                n = B * L
-                s1 = gxhat.sum(axis=(0, 2), keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-                gx = (invstd[None, :, None] / n) * (n * gxhat - s1 - xhat * s2)
+                # scale * (g - sum_g/n - xc * invstd^2 * sum_gxc/n), in one buffer
+                gx = xc * (invstd * invstd * sum_gxc / n)[:, None]
+                gx += (sum_g / n)[:, None]
+                np.subtract(g, gx, out=gx)
+                gx *= scale[:, None]
             else:
-                gx = gxhat * invstd[None, :, None]
+                gx = g * scale[:, None]
             x._accumulate(gx)
 
     return out._record((x, gamma, beta), "batchnorm1d", backward)

@@ -302,6 +302,12 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
     """
     if (spec.loss == "bce") != (bundle.task == "classification"):
         raise ValueError(f"loss {spec.loss!r} does not fit task {bundle.task!r}")
+    if bundle.task == "classification":
+        n_pos = int(np.sum(bundle.y_test == 1))
+        if n_pos in (0, len(bundle.y_test)):
+            raise ValueError(
+                f"AUROC needs both classes in the test split; got {n_pos} "
+                f"positives, {len(bundle.y_test) - n_pos} negatives")
     metric_name = "auroc" if bundle.task == "classification" else "mape"
     loss_fn = bce_with_logits if spec.loss == "bce" else rmse_loss
     opt = make_optimizer(spec, model.parameters())
@@ -562,19 +568,3 @@ def report_to_jsonl(report: SweepReport) -> str:
                 "test_prevalence": run.test_prevalence,
             }, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-class LinearBaseline(nn.Module):
-    """Affine readout on the flattened waveform plus demographics — the
-    simplest model that can exploit the planted synthetic feature."""
-
-    def __init__(self, rng: np.random.Generator, in_channels: int = 2,
-                 length: int = 2000, demographics_dim: int = 4):
-        super().__init__()
-        self.dense = nn.Dense(rng, in_channels * length + demographics_dim, 1)
-
-    def forward(self, x, demo):
-        x = x if isinstance(x, Tensor) else Tensor(x, dtype=self.dense.weight.dtype)
-        demo = demo if isinstance(demo, Tensor) else Tensor(demo, dtype=x.dtype)
-        flat = x.reshape(x.shape[0], x.shape[1] * x.shape[2])
-        return self.dense(T.concat([flat, demo], axis=1))

@@ -332,12 +332,18 @@ def test_level_table_validation():
 
 @pytest.mark.parametrize("family", bb.CNN_FAMILIES)
 def test_computed_table_matches_closed_form(family):
+    # feature-extractor counts, the quantity the default/5 rule is stated on
     table = bb.computed_level_table(family)
     assert table.family == family
     for level, count in table.counts:
-        cfg = bb.ModelConfig(family=family, level=level)
-        assert count == bb.model_param_count(cfg)
+        assert count == bb.feature_param_count(family, level)
     assert table.default_count == dict(table.counts)[bb.MAX_LEVEL[family]]
+
+
+@pytest.mark.parametrize("family", ["resnet", "inception"])
+def test_computed_table_reproduces_published_feature_counts(family):
+    # the published VGG rungs include their dense heads; these two do not
+    assert bb.computed_level_table(family).counts == bb.PUBLISHED_TABLES[family].counts
 
 
 def test_computed_table_rejects_msa():

@@ -118,6 +118,14 @@ def test_count_params_attention_column_exceeds_base(capsys):
     assert all(int(r[2]) > int(r[1]) for r in rows)
 
 
+def test_count_params_computed_table_lists_feature_params(capsys):
+    # ResNet level 1: stem conv + BN and one basic block, no head (92,053 with it)
+    assert cli.main(["count-params", "--family", "resnet", "--table", "computed"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "level  feature_params"
+    assert lines[2].split() == ["1", "26048"]
+
+
 def test_count_params_rejects_msa_family():
     assert cli.main(["count-params", "--family", "msa_only"]) == 2
 

@@ -1,5 +1,6 @@
 """Metrics, optimizers, the training loop, and seeded sweep reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,22 @@ from physiobench.core import tensor as T
 from physiobench.datapipe import generate_synthetic, split_by_case
 
 TINY_MSA = ModelConfig("msa_only", 1, AttentionKind.MSA, 0, msa=MsaConfig(16, 2, 32, 1))
+
+
+class LinearBaseline(nn.Module):
+    """Affine readout on the flattened waveform plus demographics: the
+    simplest model that can exploit the planted synthetic feature."""
+
+    def __init__(self, rng: np.random.Generator, in_channels: int = 2,
+                 length: int = 2000, demographics_dim: int = 4):
+        super().__init__()
+        self.dense = nn.Dense(rng, in_channels * length + demographics_dim, 1)
+
+    def forward(self, x, demo):
+        x = x if isinstance(x, T.Tensor) else T.Tensor(x, dtype=self.dense.weight.dtype)
+        demo = demo if isinstance(demo, T.Tensor) else T.Tensor(demo, dtype=x.dtype)
+        flat = x.reshape(x.shape[0], x.shape[1] * x.shape[2])
+        return self.dense(T.concat([flat, demo], axis=1))
 
 
 # ---------------------------------------------------------------------
@@ -205,7 +222,7 @@ def test_prepare_rejects_task_mismatch():
 
 
 def test_predict_batching_and_mode_restore(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(0))
+    model = LinearBaseline(np.random.default_rng(0))
     model.train(True)
     small = hn.predict(model, cls_bundle.x_test, cls_bundle.demo_test, batch_size=7)
     big = hn.predict(model, cls_bundle.x_test, cls_bundle.demo_test, batch_size=512)
@@ -215,7 +232,7 @@ def test_predict_batching_and_mode_restore(cls_bundle):
 
 
 def test_linear_baseline_param_count():
-    model = hn.LinearBaseline(np.random.default_rng(0))
+    model = LinearBaseline(np.random.default_rng(0))
     assert model.num_params() == 2 * 2000 + 4 + 1
 
 
@@ -232,15 +249,31 @@ def _linear_spec(**kw):
 
 
 def test_train_rejects_loss_task_mismatch(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(0))
+    model = LinearBaseline(np.random.default_rng(0))
     with pytest.raises(ValueError, match="does not fit"):
         hn.train(model, cls_bundle, _linear_spec(loss="rmse"))
+
+
+class _CountingBaseline(LinearBaseline):
+    calls = 0
+
+    def forward(self, x, demo):
+        self.calls += 1
+        return super().forward(x, demo)
+
+
+def test_train_rejects_one_class_test_split_before_any_forward(cls_bundle):
+    one_class = dataclasses.replace(cls_bundle, y_test=np.ones_like(cls_bundle.y_test))
+    model = _CountingBaseline(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="AUROC needs both classes"):
+        hn.train(model, one_class, _linear_spec())
+    assert model.calls == 0
 
 
 def test_train_is_bitwise_deterministic(cls_bundle):
     runs = []
     for _ in range(2):
-        model = hn.LinearBaseline(np.random.default_rng(42))
+        model = LinearBaseline(np.random.default_rng(42))
         runs.append(hn.train(model, cls_bundle, _linear_spec(seed=11)))
     a, b = runs
     assert a.losses == b.losses
@@ -249,12 +282,12 @@ def test_train_is_bitwise_deterministic(cls_bundle):
 
 
 def test_train_reduces_loss(cls_bundle, reg_bundle):
-    cls_model = hn.LinearBaseline(np.random.default_rng(1))
+    cls_model = LinearBaseline(np.random.default_rng(1))
     res = hn.train(cls_model, cls_bundle, _linear_spec(epochs=4, lr0=1e-2))
     assert res.losses[-1] < res.losses[0]
     assert res.metric_name == "auroc"
     assert res.test_prevalence == pytest.approx(float(cls_bundle.y_test.mean()))
-    reg_model = hn.LinearBaseline(np.random.default_rng(1))
+    reg_model = LinearBaseline(np.random.default_rng(1))
     res = hn.train(reg_model, reg_bundle, _linear_spec(loss="rmse", epochs=4, lr0=1e-2))
     assert res.losses[-1] < res.losses[0]
     assert res.metric_name == "mape"
@@ -262,7 +295,7 @@ def test_train_reduces_loss(cls_bundle, reg_bundle):
 
 
 def test_train_zero_epochs_evaluates_only(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(0))
+    model = LinearBaseline(np.random.default_rng(0))
     res = hn.train(model, cls_bundle, _linear_spec(epochs=0))
     assert res.epochs_run == 0 and res.losses == [] and res.metrics == []
     assert 0.0 <= res.final_metric <= 1.0
@@ -271,7 +304,7 @@ def test_train_zero_epochs_evaluates_only(cls_bundle):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_train_aborts_on_nonfinite_loss(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(0))
+    model = LinearBaseline(np.random.default_rng(0))
     model.dense.weight.data[...] = 1e308  # forces an overflow on batch one
     res = hn.train(model, cls_bundle, _linear_spec())
     assert res.aborted and "non-finite loss at epoch 1" in res.abort_reason
@@ -279,7 +312,7 @@ def test_train_aborts_on_nonfinite_loss(cls_bundle):
 
 
 def test_train_stop_threshold_classification(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(3))
+    model = LinearBaseline(np.random.default_rng(3))
     res = hn.train(model, cls_bundle, _linear_spec(epochs=30, lr0=1e-2),
                    stop_threshold=0.8)
     assert res.epochs_run < 30
@@ -288,7 +321,7 @@ def test_train_stop_threshold_classification(cls_bundle):
 
 
 def test_train_records_convergence_clock(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(3))
+    model = LinearBaseline(np.random.default_rng(3))
     res = hn.train(model, cls_bundle, _linear_spec(epochs=30, lr0=1e-2),
                    stop_threshold=0.9)
     crossing = next(i for i, m in enumerate(res.metrics) if m >= hn.CONVERGE_AUROC)
@@ -296,7 +329,7 @@ def test_train_records_convergence_clock(cls_bundle):
 
 
 def test_train_wall_clock_is_monotone(cls_bundle):
-    model = hn.LinearBaseline(np.random.default_rng(0))
+    model = LinearBaseline(np.random.default_rng(0))
     res = hn.train(model, cls_bundle, _linear_spec(epochs=2, time_mode="wall"))
     assert res.epoch_seconds[0] > 0
     assert res.epoch_seconds[1] > res.epoch_seconds[0]

@@ -1,6 +1,8 @@
 """Tensor engine: forward oracles against naive numpy, gradients against
 central differences."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -52,6 +54,25 @@ def test_backward_frees_interior_nodes_but_keeps_leaf_grads():
     y.backward()
     npt.assert_allclose(x.grad, 2.0)
     assert y._parents == () and y._backward is None
+
+
+def test_first_gradient_is_a_private_copy():
+    # add hands one gradient array to both parents; reduce_sum hands a
+    # read-only broadcast view
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.ones(3), requires_grad=True)
+    y = (a + b) + T.reduce_sum(c)
+    g = np.full(3, 2.0)
+    y.backward(g)
+    g[:] = 7.0
+    npt.assert_array_equal(a.grad, 2.0)
+    npt.assert_array_equal(b.grad, 2.0)
+    npt.assert_array_equal(c.grad, 6.0)
+    a.grad[:] = -1.0
+    c.grad += 1.0
+    npt.assert_array_equal(b.grad, 2.0)
+    npt.assert_array_equal(c.grad, 7.0)
 
 
 # ---------------------------------------------------------------------
@@ -268,6 +289,76 @@ def test_conv1d_matches_naive(stride, padding, bias):
     npt.assert_allclose(got.data, want, rtol=1e-10, atol=1e-12)
 
 
+def naive_conv1d_grads(x, w, stride, padding, g):
+    """Input, weight and bias gradients of naive_conv1d for upstream g."""
+    B, Cin, L = x.shape
+    Cout, _, K = w.shape
+    left = 0
+    if padding == "same":
+        total = max((g.shape[2] - 1) * stride + K - L, 0)
+        left = total // 2
+        x = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
+    gxp = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for bi in range(B):
+        for co in range(Cout):
+            for t in range(g.shape[2]):
+                span = slice(t * stride, t * stride + K)
+                gxp[bi, :, span] += g[bi, co, t] * w[co]
+                gw[co] += g[bi, co, t] * x[bi, :, span]
+    return gxp[:, :, left:left + L], gw, g.sum(axis=(0, 2))
+
+
+# (kernel, stride, padding): K=1 stride 1 is the path whose columns are x itself
+CONV_KERNEL_CASES = [(1, 1, "same"), (1, 2, "same"), (3, 1, "same"),
+                     (5, 1, "same"), (7, 2, "same"), (3, 2, "valid")]
+
+
+# the input gradient is a transposed convolution when Cout <= Cin, else col2im
+@pytest.mark.parametrize("cin,cout", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("kernel,stride,padding", CONV_KERNEL_CASES)
+def test_conv1d_kernel_sizes_match_naive_with_gradients(kernel, stride, padding, cin, cout):
+    rng = np.random.default_rng(kernel * 10 + stride)
+    for length in (3, 16, 17):  # at L=3, the K=7 edge taps read only padding
+        x = rng.normal(size=(2, cin, length))
+        w = rng.normal(size=(cout, cin, kernel))
+        b = rng.normal(size=cout)
+        xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+        y = T.conv1d(xt, wt, bt, stride=stride, padding=padding)
+        npt.assert_allclose(y.data, naive_conv1d(x, w, b, stride, padding),
+                            rtol=1e-10, atol=1e-12)
+        g = rng.normal(size=y.shape)
+        y.backward(g)
+        for got, want in zip((xt.grad, wt.grad, bt.grad),
+                             naive_conv1d_grads(x, w, stride, padding, g)):
+            npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_conv1d_pointwise_columns_are_the_input():
+    x = np.ones((2, 3, 8))
+    assert np.shares_memory(T._im2col(x, 1, 1, 0, 0, 8), x)
+    assert not np.shares_memory(T._im2col(x, 1, 2, 0, 0, 4), x)
+
+
+def test_float32_conv1d_agrees_with_float64(float32_mode):
+    rng = np.random.default_rng(5)
+    for (kernel, stride, padding), (cin, cout) in itertools.product(
+            CONV_KERNEL_CASES, [(4, 5), (5, 4)]):
+        x = rng.normal(size=(3, cin, 33))
+        w = rng.normal(size=(cout, cin, kernel))
+        b = rng.normal(size=cout)
+        ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        y = T.conv1d(*ts, stride=stride, padding=padding)
+        g = rng.normal(size=y.shape)
+        y.backward(g.astype(np.float32))
+        assert y.dtype == np.float32
+        assert all(t.dtype == t.grad.dtype == np.float32 for t in ts)
+        npt.assert_allclose(y.data, naive_conv1d(x, w, b, stride, padding),
+                            rtol=1e-5, atol=1e-5)
+        for t, want in zip(ts, naive_conv1d_grads(x, w, stride, padding, g)):
+            npt.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-5)
+
+
 def test_conv_output_length_closed_form():
     assert T.conv_output_length(2000, 7, 2, "same") == 1000
     assert T.conv_output_length(2000, 20, 10, "valid") == 199
@@ -480,6 +571,102 @@ def test_batchnorm_grad_check(seed):
         return T.reduce_sum(out * probe)
 
     assert grad_check(f, [x, gamma, beta]) < 1e-4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batchnorm_eval_grad_check(seed):
+    rng = np.random.default_rng(seed)
+    x = _param(rng, 3, 2, 5)
+    gamma = nn.Parameter(rng.uniform(0.5, 1.5, size=2))
+    beta = _param(rng, 2)
+    rm, rv = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+    probe = Tensor(rng.normal(size=(3, 2, 5)))
+
+    def f():
+        out = T.batchnorm1d(x, gamma, beta, rm, rv, training=False)
+        return T.reduce_sum(out * probe)
+
+    assert grad_check(f, [x, gamma, beta]) < 1e-4
+
+
+def test_batchnorm_eval_backward_uses_forward_time_statistics():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 2, 5))
+    rm, rv = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+    want = ((x - rm[:, None]) / np.sqrt(rv[:, None] + 1e-5)).sum(axis=(0, 2))
+    gamma = Tensor(np.ones(2), requires_grad=True)
+    y = T.batchnorm1d(Tensor(x), gamma, Tensor(np.zeros(2)), rm, rv, training=False)
+    # a train-mode call moves the shared running buffers before the backward
+    T.batchnorm1d(Tensor(x + 5.0), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
+                  training=True)
+    T.reduce_sum(y).backward()
+    npt.assert_allclose(gamma.grad, want, rtol=1e-12)
+
+
+def naive_batchnorm_train(x, gamma, beta, rm, rv, g, momentum=0.9, eps=1e-5):
+    """Output, (x, gamma, beta) gradients and updated running stats, one
+    channel at a time."""
+    y, gx = np.empty_like(x), np.empty_like(x)
+    ggamma, gbeta = np.empty_like(gamma), np.empty_like(beta)
+    rm, rv = rm.copy(), rv.copy()
+    for c in range(x.shape[1]):
+        xs, gs = x[:, c], g[:, c]
+        n = xs.size
+        mu = xs.sum() / n
+        var = ((xs - mu) ** 2).sum() / n
+        xhat = (xs - mu) / np.sqrt(var + eps)
+        y[:, c] = gamma[c] * xhat + beta[c]
+        ggamma[c] = (gs * xhat).sum()
+        gbeta[c] = gs.sum()
+        dxhat = gs * gamma[c]
+        gx[:, c] = (dxhat - dxhat.mean() - xhat * (dxhat * xhat).mean()) / np.sqrt(var + eps)
+        rm[c] = momentum * rm[c] + (1 - momentum) * mu
+        rv[c] = momentum * rv[c] + (1 - momentum) * var
+    return y, (gx, ggamma, gbeta), (rm, rv)
+
+
+def test_batchnorm_train_matches_naive():
+    rng = np.random.default_rng(12)
+    x = rng.normal(loc=2.0, scale=3.0, size=(4, 3, 9))
+    gamma, beta = rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)
+    rm0, rv0 = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    g = rng.normal(size=x.shape)
+    ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+    rm, rv = rm0.copy(), rv0.copy()
+    y = T.batchnorm1d(*ts, rm, rv, training=True)
+    y.backward(g)
+    want_y, want_grads, (want_rm, want_rv) = naive_batchnorm_train(x, gamma, beta, rm0, rv0, g)
+    npt.assert_allclose(y.data, want_y, rtol=1e-10, atol=1e-12)
+    for t, want in zip(ts, want_grads):
+        npt.assert_allclose(t.grad, want, rtol=1e-10, atol=1e-12)
+    npt.assert_allclose(rm, want_rm, rtol=1e-12)
+    npt.assert_allclose(rv, want_rv, rtol=1e-12)
+
+
+def test_float32_batchnorm_agrees_with_float64(float32_mode):
+    rng = np.random.default_rng(13)
+    x = rng.normal(loc=2.0, scale=3.0, size=(8, 4, 50))
+    gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
+    rm0, rv0 = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+    g = rng.normal(size=x.shape)
+    ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+    rm, rv = rm0.astype(np.float32), rv0.astype(np.float32)
+    y = T.batchnorm1d(*ts, rm, rv, training=True)
+    y.backward(g.astype(np.float32))
+    assert y.dtype == np.float32
+    assert all(t.dtype == t.grad.dtype == np.float32 for t in ts)
+    want_y, want_grads, (want_rm, want_rv) = naive_batchnorm_train(x, gamma, beta, rm0, rv0, g)
+    npt.assert_allclose(y.data, want_y, rtol=1e-5, atol=1e-5)
+    for t, want in zip(ts, want_grads):
+        npt.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-4)
+    npt.assert_allclose(rm, want_rm, rtol=1e-5, atol=1e-6)
+    npt.assert_allclose(rv, want_rv, rtol=1e-5)
+    # eval mode: x * scale + shift from the running buffers
+    out = T.batchnorm1d(ts[0], ts[1], ts[2], rm, rv, training=False)
+    assert out.dtype == np.float32
+    scale = gamma / np.sqrt(rv.astype(np.float64) + 1e-5)
+    want = x * scale[:, None] + (beta - rm.astype(np.float64) * scale)[:, None]
+    npt.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
 
 
 def test_layer_norm_normalizes_last_axis():
