@@ -12,6 +12,10 @@ The fourth mechanism is a stand-alone transformer encoder over tokens
 [B,L,d]: :class:`MsaLayer` / :class:`MsaEncoder`, configured by
 :class:`MsaConfig` whose hyperparameter domain matches the benchmark's grid
 search (see :func:`msa_grid`).
+
+NL and MSA share one primitive, :func:`physiobench.core.tensor.attention`,
+which builds the [B,(H,)L,L] weights once and differentiates them
+analytically; neither block chains matmul and softmax itself.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ MSA_D_MODEL_CHOICES = (16, 32, 64)
 MSA_N_HEADS_CHOICES = (2, 4, 6, 8)
 MSA_D_FF_CHOICES = (32, 64, 128)
 MSA_N_LAYERS_CHOICES = (1, 2, 3)
+
+SE_RATIO = 16       # SE bottleneck C -> C/16
+CBAM_RATIO = 16     # CBAM channel-MLP bottleneck
+CBAM_KERNEL = 7     # CBAM spatial conv width
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class SEBlock(nn.Module):
     """
 
     def __init__(self, rng: np.random.Generator, channels: int,
-                 reduction_ratio: int = 16):
+                 reduction_ratio: int = SE_RATIO):
         super().__init__()
         if reduction_ratio < 1:
             raise ValueError(f"reduction_ratio must be >= 1, got {reduction_ratio}")
@@ -132,9 +140,10 @@ class NLBlock(nn.Module):
 
     theta/phi/g are 1x1 convs to C/2 channels; attention is
     softmax(theta^T phi) rows over positions (or a 1/L dot-product
-    normalizer when ``normalizer='dot'``); the attended g is projected back
-    to C channels by a final 1x1 conv, zero-initialized by default so the
-    freshly built block is the exact identity.
+    normalizer when ``normalizer='dot'``), computed by ``T.attention`` with
+    scale 1 (softmax) or scale 1/L and no softmax (dot); the attended g is
+    projected back to C channels by a final 1x1 conv, zero-initialized by
+    default so the freshly built block is the exact identity.
     """
 
     def __init__(self, rng: np.random.Generator, channels: int,
@@ -158,19 +167,17 @@ class NLBlock(nn.Module):
         self.last_attention: np.ndarray | None = None
 
     def forward(self, x: Tensor) -> Tensor:
-        B, C, L = x.shape
+        L = x.shape[2]
         theta = T.transpose(self.theta(x), 0, 2, 1)         # [B,L,E]
-        phi = self.phi(x)                                   # [B,E,L]
-        scores = T.matmul(theta, phi)                       # [B,L,L]
-        if self.normalizer == "softmax":
-            attn = T.softmax(scores, axis=-1)
-        else:
-            attn = scores * (1.0 / L)
-        if self.record_attention:
-            self.last_attention = attn.data.copy()
+        phi = T.transpose(self.phi(x), 0, 2, 1)             # [B,L,E]
         g = T.transpose(self.g(x), 0, 2, 1)                 # [B,L,E]
-        y = T.transpose(T.matmul(attn, g), 0, 2, 1)         # [B,E,L]
-        return x + self.proj(y)
+        if self.normalizer == "softmax":
+            y, attn = T.attention(theta, phi, g, 1.0)
+        else:
+            y, attn = T.attention(theta, phi, g, 1.0 / L, softmax=False)
+        if self.record_attention:
+            self.last_attention = attn
+        return x + self.proj(T.transpose(y, 0, 2, 1))
 
 
 class CBAMBlock(nn.Module):
@@ -183,7 +190,7 @@ class CBAMBlock(nn.Module):
     """
 
     def __init__(self, rng: np.random.Generator, channels: int,
-                 reduction_ratio: int = 16, spatial_kernel: int = 7):
+                 reduction_ratio: int = CBAM_RATIO, spatial_kernel: int = CBAM_KERNEL):
         super().__init__()
         if reduction_ratio < 1 or reduction_ratio > channels:
             raise ValueError(
@@ -230,7 +237,8 @@ def sinusoidal_encoding(length: int, d_model: int) -> np.ndarray:
 
 class MsaLayer(nn.Module):
     """One encoder layer: multi-head attention and feed-forward sublayers,
-    each wrapped as layer_norm(residual + sublayer(x))."""
+    each wrapped as layer_norm(residual + sublayer(x)).  The heads attend
+    through ``T.attention`` with scale 1/sqrt(d_k)."""
 
     def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int,
                  d_ff: int, record_attention: bool = False):
@@ -259,11 +267,10 @@ class MsaLayer(nn.Module):
         q = self._split_heads(self.wq(x), B, L)              # [B,H,L,dk]
         k = self._split_heads(self.wk(x), B, L)
         v = self._split_heads(self.wv(x), B, L)
-        scores = T.matmul(q, T.transpose(k, 0, 1, 3, 2)) * (1.0 / math.sqrt(self.d_k))
-        attn = T.softmax(scores, axis=-1)                    # [B,H,L,L]
+        ctx, attn = T.attention(q, k, v, 1.0 / math.sqrt(self.d_k))  # attn [B,H,L,L]
         if self.record_attention:
-            self.last_attention = attn.data.copy()
-        ctx = T.transpose(T.matmul(attn, v), 0, 2, 1, 3).reshape(B, L, d)
+            self.last_attention = attn
+        ctx = T.transpose(ctx, 0, 2, 1, 3).reshape(B, L, d)
         x = self.ln1(x + self.wo(ctx))
         h = self.ff2(T.relu(self.ff1(x)))
         return self.ln2(x + h)
@@ -273,13 +280,12 @@ class MsaEncoder(nn.Module):
     """Stack of identical MsaLayers with optional sinusoidal positions."""
 
     def __init__(self, rng: np.random.Generator, cfg: MsaConfig,
-                 positional: bool = True, record_attention: bool = False):
+                 positional: bool = True):
         super().__init__()
         self.cfg = cfg
         self.positional = positional
         self.layers = nn.ModuleList([
-            MsaLayer(rng, cfg.d_model, cfg.n_heads, cfg.d_ff,
-                     record_attention=record_attention)
+            MsaLayer(rng, cfg.d_model, cfg.n_heads, cfg.d_ff)
             for _ in range(cfg.n_layers)
         ])
         self._pe_cache: dict[int, np.ndarray] = {}
@@ -297,15 +303,14 @@ class MsaEncoder(nn.Module):
         return tokens
 
 
-def make_attention(rng: np.random.Generator, kind: AttentionKind, channels: int,
-                   se_ratio: int = 16, cbam_ratio: int = 16,
-                   cbam_kernel: int = 7) -> nn.Module:
+def make_attention(rng: np.random.Generator, kind: AttentionKind,
+                   channels: int) -> nn.Module:
     """Construct a feature-map attention block for the given channel width."""
     kind = AttentionKind(kind)
     if kind == AttentionKind.SE:
-        return SEBlock(rng, channels, se_ratio)
+        return SEBlock(rng, channels)
     if kind == AttentionKind.NL:
         return NLBlock(rng, channels)
     if kind == AttentionKind.CBAM:
-        return CBAMBlock(rng, channels, cbam_ratio, cbam_kernel)
+        return CBAMBlock(rng, channels)
     raise ValueError(f"no feature-map block for attention kind {kind.value!r}")

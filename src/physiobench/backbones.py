@@ -34,7 +34,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .attention import AttentionKind, MsaConfig, MsaEncoder, make_attention
+from .attention import (CBAM_KERNEL, CBAM_RATIO, SE_RATIO, AttentionKind,
+                        MsaConfig, MsaEncoder, make_attention)
 from .core import nn
 from .core import tensor as T
 from .core.tensor import Tensor
@@ -49,6 +50,10 @@ TASKS = ("classification", "regression")
 IN_CHANNELS = 2
 SEGMENT_LEN = 2000
 DEMOGRAPHICS_DIM = 4
+
+# msa_only stem: a stride-10, width-20 conv turns 2000 samples into 199 tokens
+MSA_STEM_KERNEL = 20
+MSA_STEM_STRIDE = 10
 
 # (out_channels, n_convs) per VGG stage; every conv k3/s1/same + relu,
 # stage ends with max pool w2/s2.
@@ -120,15 +125,6 @@ class ModelConfig:
     fraction: int = 0
     msa: MsaConfig | None = None
     task: str = "classification"
-    demographics_dim: int = DEMOGRAPHICS_DIM
-    in_channels: int = IN_CHANNELS
-    length: int = SEGMENT_LEN
-    se_ratio: int = 16
-    cbam_ratio: int = 16
-    cbam_kernel: int = 7
-    msa_stem_kernel: int = 20
-    msa_stem_stride: int = 10
-    msa_positional: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -270,18 +266,18 @@ class BuiltModel(nn.Module):
         blocks: list[nn.Module] = []
         if cfg.family == "vgg":
             self.stem = None
-            c = cfg.in_channels
+            c = IN_CHANNELS
             for out_ch, n_convs in VGG_STAGES[:cfg.level]:
                 blocks.append(VggStage(rng, c, out_ch, n_convs))
                 c = out_ch
         elif cfg.family == "resnet":
-            self.stem = ResNetStem(rng, cfg.in_channels)
+            self.stem = ResNetStem(rng, IN_CHANNELS)
             c = 64
             for out_ch, stride in RESNET_BLOCKS[:cfg.level]:
                 blocks.append(ResNetBlock(rng, c, out_ch, stride))
                 c = out_ch
         else:  # inception
-            self.stem = InceptionStem(rng, cfg.in_channels)
+            self.stem = InceptionStem(rng, IN_CHANNELS)
             c = INCEPTION_STEM_OUT
             for spec in INCEPTION_MODULES[:cfg.level]:
                 blocks.append(InceptionModule(rng, c, spec))
@@ -293,36 +289,33 @@ class BuiltModel(nn.Module):
         attn: list[nn.Module] = []
         for i, ch in enumerate(chans, start=1):
             if i in self.attention_indices:
-                attn.append(make_attention(rng, cfg.attention, ch,
-                                           se_ratio=cfg.se_ratio,
-                                           cbam_ratio=cfg.cbam_ratio,
-                                           cbam_kernel=cfg.cbam_kernel))
+                attn.append(make_attention(rng, cfg.attention, ch))
             else:
                 attn.append(Identity())
         self.attn = nn.ModuleList(attn)
 
         if cfg.family == "vgg":
-            flat = chans[-1] * vgg_out_length(cfg.level, cfg.length)
+            flat = chans[-1] * vgg_out_length(cfg.level)
             self.head_fc1 = nn.Dense(rng, flat, VGG_FC_WIDTH, init="kaiming")
-            self.head_fc2 = nn.Dense(rng, VGG_FC_WIDTH + cfg.demographics_dim,
+            self.head_fc2 = nn.Dense(rng, VGG_FC_WIDTH + DEMOGRAPHICS_DIM,
                                      VGG_FC_WIDTH, init="kaiming")
             self.head_out = nn.Dense(rng, VGG_FC_WIDTH, 1)
         else:
             self.head_fc1 = nn.Dense(rng, chans[-1], GAP_FC_WIDTH, init="kaiming")
             self.head_fc2 = None
-            self.head_out = nn.Dense(rng, GAP_FC_WIDTH + cfg.demographics_dim, 1)
+            self.head_out = nn.Dense(rng, GAP_FC_WIDTH + DEMOGRAPHICS_DIM, 1)
 
     def _build_msa(self, cfg: ModelConfig, rng) -> None:
         d = cfg.msa.d_model
-        self.stem = nn.Conv1d(rng, cfg.in_channels, d, cfg.msa_stem_kernel,
-                              stride=cfg.msa_stem_stride, padding="valid",
+        self.stem = nn.Conv1d(rng, IN_CHANNELS, d, MSA_STEM_KERNEL,
+                              stride=MSA_STEM_STRIDE, padding="valid",
                               init="xavier")
-        self.encoder = MsaEncoder(rng, cfg.msa, positional=cfg.msa_positional)
+        self.encoder = MsaEncoder(rng, cfg.msa)
         self.blocks = nn.ModuleList([])
         self.attn = nn.ModuleList([])
         self.head_fc1 = nn.Dense(rng, d, d, init="kaiming")
         self.head_fc2 = None
-        self.head_out = nn.Dense(rng, d + cfg.demographics_dim, 1)
+        self.head_out = nn.Dense(rng, d + DEMOGRAPHICS_DIM, 1)
 
     # -- execution --------------------------------------------------------
     def _as_input(self, value, name: str, want_ndim: int) -> Tensor:
@@ -369,11 +362,6 @@ def build_model(cfg: ModelConfig, rng=0) -> BuiltModel:
     return BuiltModel(cfg, np.random.default_rng(rng))
 
 
-def count_params(model: nn.Module) -> int:
-    """Trainable parameter total (batchnorm running buffers are not parameters)."""
-    return sum(p.size for p in model.parameters() if p.requires_grad)
-
-
 # ---------------------------------------------------------------------
 # closed-form parameter accounting (no arrays materialized)
 # ---------------------------------------------------------------------
@@ -390,19 +378,18 @@ def _bn_p(c: int) -> int:
     return 2 * c
 
 
-def attention_param_count(kind: AttentionKind, channels: int, se_ratio: int = 16,
-                          cbam_ratio: int = 16, cbam_kernel: int = 7) -> int:
+def attention_param_count(kind: AttentionKind, channels: int) -> int:
     kind = AttentionKind(kind)
     if kind == AttentionKind.SE:
-        mid = channels // se_ratio
+        mid = channels // SE_RATIO
         return _dense_p(channels, mid) + _dense_p(mid, channels)
     if kind == AttentionKind.NL:
         embed = channels // 2
         return 3 * _conv_p(channels, embed, 1) + _conv_p(embed, channels, 1)
     if kind == AttentionKind.CBAM:
-        mid = channels // cbam_ratio
+        mid = channels // CBAM_RATIO
         return (_dense_p(channels, mid) + _dense_p(mid, channels)
-                + _conv_p(2, 1, cbam_kernel))
+                + _conv_p(2, 1, CBAM_KERNEL))
     raise ValueError(f"no feature-map parameter count for kind {kind.value!r}")
 
 
@@ -411,17 +398,17 @@ def msa_layer_param_count(d_model: int, d_ff: int) -> int:
             + _dense_p(d_model, d_ff) + _dense_p(d_ff, d_model))
 
 
-def feature_param_count(family: str, level: int, in_channels: int = IN_CHANNELS) -> int:
+def feature_param_count(family: str, level: int) -> int:
     """Backbone-only (attention-free, headless) trainable parameter count."""
     total = 0
     if family == "vgg":
-        c = in_channels
+        c = IN_CHANNELS
         for out_ch, n_convs in VGG_STAGES[:level]:
             for _ in range(n_convs):
                 total += _conv_p(c, out_ch, 3)
                 c = out_ch
     elif family == "resnet":
-        total += _conv_p(in_channels, 64, 7) + _bn_p(64)
+        total += _conv_p(IN_CHANNELS, 64, 7) + _bn_p(64)
         c = 64
         for out_ch, stride in RESNET_BLOCKS[:level]:
             total += _conv_p(c, out_ch, 3) + _bn_p(out_ch)
@@ -430,7 +417,7 @@ def feature_param_count(family: str, level: int, in_channels: int = IN_CHANNELS)
                 total += _conv_p(c, out_ch, 1) + _bn_p(out_ch)
             c = out_ch
     elif family == "inception":
-        total += _conv_p(in_channels, 64, 7) + _conv_p(64, INCEPTION_STEM_OUT, 3)
+        total += _conv_p(IN_CHANNELS, 64, 7) + _conv_p(64, INCEPTION_STEM_OUT, 3)
         c = INCEPTION_STEM_OUT
         for b1, r3, o3, r5, o5, pp in INCEPTION_MODULES[:level]:
             total += (_conv_p(c, b1, 1) + _conv_p(c, r3, 1) + _conv_p(r3, o3, 3)
@@ -445,22 +432,21 @@ def model_param_count(cfg: ModelConfig) -> int:
     """Closed-form trainable parameter total for a full config."""
     if cfg.family == "msa_only":
         d = cfg.msa.d_model
-        return (_conv_p(cfg.in_channels, d, cfg.msa_stem_kernel)
+        return (_conv_p(IN_CHANNELS, d, MSA_STEM_KERNEL)
                 + cfg.msa.n_layers * msa_layer_param_count(d, cfg.msa.d_ff)
-                + _dense_p(d, d) + _dense_p(d + cfg.demographics_dim, 1))
-    total = feature_param_count(cfg.family, cfg.level, cfg.in_channels)
+                + _dense_p(d, d) + _dense_p(d + DEMOGRAPHICS_DIM, 1))
+    total = feature_param_count(cfg.family, cfg.level)
     chans = module_channels(cfg.family, cfg.level)
     for i in attention_placement(cfg.level, cfg.fraction):
-        total += attention_param_count(cfg.attention, chans[i - 1],
-                                       cfg.se_ratio, cfg.cbam_ratio, cfg.cbam_kernel)
+        total += attention_param_count(cfg.attention, chans[i - 1])
     if cfg.family == "vgg":
-        flat = chans[-1] * vgg_out_length(cfg.level, cfg.length)
+        flat = chans[-1] * vgg_out_length(cfg.level)
         total += (_dense_p(flat, VGG_FC_WIDTH)
-                  + _dense_p(VGG_FC_WIDTH + cfg.demographics_dim, VGG_FC_WIDTH)
+                  + _dense_p(VGG_FC_WIDTH + DEMOGRAPHICS_DIM, VGG_FC_WIDTH)
                   + _dense_p(VGG_FC_WIDTH, 1))
     else:
         total += (_dense_p(chans[-1], GAP_FC_WIDTH)
-                  + _dense_p(GAP_FC_WIDTH + cfg.demographics_dim, 1))
+                  + _dense_p(GAP_FC_WIDTH + DEMOGRAPHICS_DIM, 1))
     return total
 
 

@@ -39,7 +39,7 @@ CONFIG_KEYS = {
     "epochs": 20, "seed": 0, "batch_size": 128, "lr0": 1e-3,
     "time_mode": "virtual", "dtype": "float32",
     "matrix": "paper13", "seeds": 5, "base_seed": 0,
-    "out_dir": "physiobench-out", "workers": None,
+    "out_dir": "physiobench-out", "workers": 1,
 }
 _INT_KEYS = {"level", "fraction", "msa_d_model", "msa_heads", "msa_ff",
              "msa_layers", "synth_cases", "synth_samples_per_case",

@@ -402,6 +402,51 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out._record((a,), "softmax", backward)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              softmax: bool = True) -> tuple[Tensor, np.ndarray]:
+    """Dot-product attention over the last two axes, with one weights array.
+
+    q is [..., Lq, D], k is [..., Lk, D] and v is [..., Lk, Dv], with equal
+    leading axes.  The weights P [..., Lq, Lk] are ``softmax(scale * q kᵀ)``
+    along the last axis, or just ``scale * q kᵀ`` when ``softmax`` is False.
+    Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor, and P itself, which
+    the backward reads and never writes.
+    """
+    if not (q.ndim >= 2 and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+            and q.ndim == k.ndim == v.ndim):
+        raise ShapeError(
+            f"attention leading axes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention q and k widths disagree: q {q.shape}, k {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention k and v lengths disagree: k {k.shape}, v {v.shape}")
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= scale
+    if softmax:
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(np.matmul(p, v.data))
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(np.matmul(np.swapaxes(p, -1, -2), g))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(g, np.swapaxes(v.data, -1, -2))      # dP
+            if softmax:
+                # rowsum(dP * P) equals rowsum(g * out), which needs no
+                # [..., Lq, Lk] temporary
+                ds -= np.einsum("...ij,...ij->...i", g, out.data)[..., None]
+                ds *= p
+            ds *= scale
+            if q.requires_grad:
+                q._accumulate(np.matmul(ds, k.data))
+            if k.requires_grad:
+                k._accumulate(np.matmul(np.swapaxes(ds, -1, -2), q.data))
+
+    return out._record((q, k, v), "attention", backward), p
+
+
 # ---------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------

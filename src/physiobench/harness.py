@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ from .datapipe import SignalDataset, apply_demo_stats, demo_stats
 
 CONVERGE_AUROC = 0.7    # classification convergence threshold (reach or exceed)
 CONVERGE_MAPE = 27.0    # regression convergence threshold (reach or fall below)
-WORKERS_ENV = "PHYSIOBENCH_WORKERS"
 CSV_HEADER = ("family,attention,fraction,level,seed_count,"
               "metric_mean,metric_std,conv_time_mean_s,aborted")
 
@@ -98,12 +96,24 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
+            # p -= lr * (m/c1) / (sqrt(v/c2) + eps), evaluated in that order
+            # in two scratch buffers
             g = p.grad
+            a, b = np.empty_like(p.data), np.empty_like(p.data)
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            b *= self.lr
+            b /= a
+            p.data -= b
 
 
 class RMSProp:
@@ -116,10 +126,18 @@ class RMSProp:
 
     def step(self) -> None:
         for p, v in zip(self.params, self._v):
+            # p -= lr * g / (sqrt(v) + eps), in two scratch buffers
             g = p.grad
+            a, b = np.empty_like(p.data), np.empty_like(p.data)
+            np.multiply(g, 1.0 - self.rho, out=a)
+            a *= g
             v *= self.rho
-            v += (1.0 - self.rho) * g * g
-            p.data -= self.lr * g / (np.sqrt(v) + self.eps)
+            v += a
+            np.sqrt(v, out=a)
+            a += self.eps
+            np.multiply(g, self.lr, out=b)
+            b /= a
+            p.data -= b
 
 
 def make_optimizer(spec: TrainSpec, params) -> Adam | RMSProp:
@@ -473,7 +491,7 @@ def _pool_job(args):
 def run_sweep(entries, bundle: ArrayBundle, epochs: int, base_seed: int = 0,
               seeds: list[int] | None = None, time_mode: str = "virtual",
               lr0: float = 1e-3, batch_size: int = 128,
-              workers: int | None = None) -> SweepReport:
+              workers: int = 1) -> SweepReport:
     """Train every entry across 5 seeds (base_seed+0..4 unless ``seeds`` is
     given) and aggregate mean / sample std / convergence times.
 
@@ -485,8 +503,6 @@ def run_sweep(entries, bundle: ArrayBundle, epochs: int, base_seed: int = 0,
                entries_from_configs([e])[0] for e in entries]
     if seeds is None:
         seeds = [base_seed + i for i in range(5)]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
 
     jobs = [(i, seed) for i, e in enumerate(entries) if e.error is None
             for seed in seeds]

@@ -247,6 +247,26 @@ def test_msa_layer_grad_check(seed):
                       layer.parameters()) < 1e-4
 
 
+@pytest.mark.parametrize("block", ["nl-softmax", "nl-dot", "msa"])
+def test_recorded_attention_is_unchanged_by_backward(block):
+    # the blocks keep T.attention's weights array itself, not a copy
+    rng = np.random.default_rng(13)
+    if block == "msa":
+        blk = MsaLayer(rng, 8, 2, 16, record_attention=True)
+        x = Tensor(rng.normal(size=(2, 6, 8)), requires_grad=True)
+    else:
+        blk = NLBlock(rng, 4, zero_init=False, normalizer=block[3:],
+                      record_attention=True)
+        x = Tensor(rng.normal(size=(2, 4, 7)), requires_grad=True)
+    out = blk(x)
+    recorded = blk.last_attention
+    before = recorded.copy()
+    T.reduce_sum(out * Tensor(rng.normal(size=out.shape))).backward()
+    assert blk.last_attention is recorded
+    npt.assert_array_equal(recorded, before)
+    assert np.abs(x.grad).max() > 0
+
+
 def test_sinusoidal_encoding_closed_form():
     pe = sinusoidal_encoding(5, 6)
     assert pe.shape == (5, 6)

@@ -137,8 +137,7 @@ def test_built_count_equals_closed_form(family, level, kind, fraction, float32_m
     cfg = bb.ModelConfig(family=family, level=level,
                          attention=AttentionKind(kind), fraction=fraction)
     model = bb.build_model(cfg, rng=0)
-    assert bb.count_params(model) == bb.model_param_count(cfg)
-    assert bb.count_params(model) == model.num_params(trainable_only=True)
+    assert model.num_params(trainable_only=True) == bb.model_param_count(cfg)
 
 
 @pytest.mark.parametrize("d_model,n_heads,d_ff,n_layers",
@@ -147,7 +146,7 @@ def test_built_msa_count_equals_closed_form(d_model, n_heads, d_ff, n_layers):
     cfg = bb.ModelConfig(family="msa_only", level=1, attention=AttentionKind.MSA,
                          msa=MsaConfig(d_model, n_heads, d_ff, n_layers))
     model = bb.build_model(cfg, rng=0)
-    assert bb.count_params(model) == bb.model_param_count(cfg)
+    assert model.num_params(trainable_only=True) == bb.model_param_count(cfg)
 
 
 def test_feature_params_excludes_head():
@@ -158,7 +157,7 @@ def test_feature_params_excludes_head():
     for i in bb.attention_placement(6, 50):
         expected += bb.attention_param_count(AttentionKind.SE, chans[i - 1])
     assert model.feature_params() == expected
-    assert model.feature_params() < bb.count_params(model)
+    assert model.feature_params() < model.num_params(trainable_only=True)
 
 
 def test_attention_slots_follow_placement():

@@ -289,6 +289,12 @@ def test_sweep_family_filter(capsys):
                      "--families", "densenet"]) == 2
 
 
+def test_sweep_help_prints_the_workers_default(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    assert "[config key: workers, default: 1]" in " ".join(capsys.readouterr().out.split())
+
+
 def _sweep_args(out_dir, extra=()):
     return (["sweep", "--matrix", "paper13", "--families", "msa_only"]
             + TINY_MSA_FLAGS[2:]  # family is fixed by the filter

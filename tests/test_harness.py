@@ -109,6 +109,34 @@ def test_rmsprop_step_hand_math():
     assert p.data[0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_optimizer_steps_match_the_plain_formulas_bit_for_bit(dtype):
+    # reference: each update as one numpy expression, one temporary per operation
+    rng = np.random.default_rng(17)
+    shape = (3, 5, 7)
+    adam_p = nn.Parameter(rng.normal(size=shape), dtype=dtype)
+    rms_p = nn.Parameter(adam_p.data.copy(), dtype=dtype)
+    adam, rms = hn.Adam([adam_p], lr=3e-3), hn.RMSProp([rms_p], lr=3e-3)
+    p1, m, v = adam_p.data.copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)
+    p2, r = rms_p.data.copy(), np.zeros(shape, dtype)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        g = (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+        adam_p.grad[...] = g
+        rms_p.grad[...] = g
+        adam.step()
+        rms.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        p1 -= 3e-3 * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        r = 0.9 * r + (1.0 - 0.9) * g * g
+        p2 -= 3e-3 * g / (np.sqrt(r) + 1e-7)
+        for got, want in ((adam_p.data, p1), (adam._m[0], m), (adam._v[0], v),
+                          (rms_p.data, p2), (rms._v[0], r)):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_optimizers_skip_frozen():
     p = _param_with_grad(1.0, 0.5)
     p.freeze()

@@ -196,6 +196,76 @@ def test_softmax_grad_check(seed):
 
 
 # ---------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------
+
+# (q, k, v) shapes: NL-shaped [B,L,E] with Lq = Lk and Lq != Lk, MSA-shaped
+# [B,H,L,dk] with Lq != Lk and a value width unlike the key width
+ATTENTION_SHAPES = [((2, 6, 3), (2, 6, 3), (2, 6, 3)),
+                    ((2, 5, 3), (2, 7, 3), (2, 7, 4)),
+                    ((2, 2, 4, 3), (2, 2, 6, 3), (2, 2, 6, 5))]
+
+
+def naive_attention(q, k, v, scale, softmax):
+    s = np.einsum("...id,...jd->...ij", q, k) * scale
+    if softmax:
+        s = np.exp(s - s.max(axis=-1, keepdims=True))
+        s /= s.sum(axis=-1, keepdims=True)
+    return np.einsum("...ij,...jd->...id", s, v), s
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("softmax", [True, False])
+def test_attention_grad_check(softmax, seed):
+    rng = np.random.default_rng(seed)
+    for shapes in ATTENTION_SHAPES:
+        q, k, v = (_param(rng, *s) for s in shapes)
+        scale = 0.7 if softmax else 1.0 / shapes[1][-2]
+        probe = Tensor(rng.normal(size=shapes[0][:-1] + shapes[2][-1:]))
+        f = lambda: T.reduce_sum(T.attention(q, k, v, scale, softmax=softmax)[0] * probe)
+        assert grad_check(f, [q, k, v]) < 1e-4, shapes
+
+
+@pytest.mark.parametrize("softmax", [True, False])
+def test_float32_attention_agrees_with_float64(softmax):
+    rng = np.random.default_rng(6)
+    for shapes in ATTENTION_SHAPES:
+        arrays = [rng.normal(size=s) for s in shapes]
+        g = rng.normal(size=shapes[0][:-1] + shapes[2][-1:])
+        scale = 0.7 if softmax else 1.0 / shapes[1][-2]
+        results = []
+        for dtype in (np.float64, np.float32):
+            T.set_default_dtype(dtype)
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            out, weights = T.attention(*ts, scale, softmax=softmax)
+            out.backward(g.astype(dtype))
+            assert out.dtype == weights.dtype == dtype
+            assert all(t.grad.dtype == dtype for t in ts)
+            results.append([out.data, weights] + [t.grad for t in ts])
+        want_out, want_weights = naive_attention(*arrays, scale, softmax)
+        npt.assert_allclose(results[0][0], want_out, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(results[0][1], want_weights, rtol=1e-12, atol=1e-12)
+        for got, want in zip(results[1], results[0]):
+            npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+def test_attention_shape_errors():
+    def t(*shape):
+        return Tensor(np.zeros(shape))
+
+    with pytest.raises(ShapeError):     # q and k widths
+        T.attention(t(2, 5, 3), t(2, 5, 4), t(2, 5, 4), 1.0)
+    with pytest.raises(ShapeError):     # k and v lengths
+        T.attention(t(2, 5, 3), t(2, 6, 3), t(2, 5, 3), 1.0)
+    with pytest.raises(ShapeError):     # leading axes
+        T.attention(t(2, 2, 5, 3), t(2, 3, 5, 3), t(2, 3, 5, 3), 1.0)
+    with pytest.raises(ShapeError):     # rank
+        T.attention(t(2, 5, 3), t(1, 2, 5, 3), t(1, 2, 5, 3), 1.0)
+    with pytest.raises(ShapeError):     # no length axis
+        T.attention(t(3), t(3), t(3), 1.0)
+
+
+# ---------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------
 
