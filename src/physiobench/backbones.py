@@ -169,7 +169,7 @@ class VggStage(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         for conv in self.convs:
-            x = T.relu(conv(x))
+            x = conv(x, relu=True)
         return T.pool1d(x, "max", 2, 2)
 
 
@@ -180,7 +180,7 @@ class ResNetStem(nn.Module):
         self.bn = nn.BatchNorm1d(64)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = T.relu(self.bn(self.conv(x)))
+        x = self.bn(self.conv(x), relu=True)
         return T.pool1d(x, "max", 3, 2, padding="same")
 
 
@@ -199,7 +199,7 @@ class ResNetBlock(nn.Module):
             self.down_bn = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = T.relu(self.bn1(self.conv1(x)))
+        out = self.bn1(self.conv1(x), relu=True)
         out = self.bn2(self.conv2(out))
         skip = x if self.down_conv is None else self.down_bn(self.down_conv(x))
         return T.relu(out + skip)
@@ -212,9 +212,9 @@ class InceptionStem(nn.Module):
         self.conv2 = nn.Conv1d(rng, 64, INCEPTION_STEM_OUT, 3)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = T.relu(self.conv1(x))
+        x = self.conv1(x, relu=True)
         x = T.pool1d(x, "max", 3, 2, padding="same")
-        x = T.relu(self.conv2(x))
+        x = self.conv2(x, relu=True)
         return T.pool1d(x, "max", 3, 2, padding="same")
 
 
@@ -230,10 +230,10 @@ class InceptionModule(nn.Module):
         self.conv_pp = nn.Conv1d(rng, in_ch, pp, 1)
 
     def forward(self, x: Tensor) -> Tensor:
-        b1 = T.relu(self.conv_b1(x))
-        b3 = T.relu(self.conv_o3(T.relu(self.conv_r3(x))))
-        b5 = T.relu(self.conv_o5(T.relu(self.conv_r5(x))))
-        bp = T.relu(self.conv_pp(T.pool1d(x, "max", 3, 1, padding="same")))
+        b1 = self.conv_b1(x, relu=True)
+        b3 = self.conv_o3(self.conv_r3(x, relu=True), relu=True)
+        b5 = self.conv_o5(self.conv_r5(x, relu=True), relu=True)
+        bp = self.conv_pp(T.pool1d(x, "max", 3, 1, padding="same"), relu=True)
         return T.concat([b1, b3, b5, bp], axis=1)
 
 

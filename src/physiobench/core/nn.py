@@ -149,18 +149,35 @@ class ModuleList:
 # initializers
 # ---------------------------------------------------------------------
 
+_INIT_BLOCK = 1 << 20  # float64 draws per block
+
+
+def _uniform(rng: np.random.Generator, bound: float,
+             shape: tuple[int, ...]) -> np.ndarray:
+    """U(-bound, bound) in the default dtype, drawn block by block.
+
+    The values are those of ``rng.uniform(-bound, bound, size=shape)`` cast
+    to the default dtype (consecutive draws continue one stream), but only
+    one block of float64 draws exists at a time.
+    """
+    out = np.empty(shape, dtype=T.default_dtype())
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _INIT_BLOCK):
+        block = flat[start:start + _INIT_BLOCK]
+        block[...] = rng.uniform(-bound, bound, size=block.size)
+    return out
+
+
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],
                     fan_in: int) -> np.ndarray:
     """He-uniform: U(-sqrt(6/fan_in), +sqrt(6/fan_in)), suited to relu nets."""
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return _uniform(rng, math.sqrt(6.0 / fan_in), shape)
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
                    fan_in: int, fan_out: int) -> np.ndarray:
     """Glorot-uniform: U(-sqrt(6/(fan_in+fan_out)), +...)."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return _uniform(rng, math.sqrt(6.0 / (fan_in + fan_out)), shape)
 
 
 # ---------------------------------------------------------------------
@@ -188,9 +205,9 @@ class Conv1d(Module):
         self.weight = Parameter(w)
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias,
-                        stride=self.stride, padding=self.padding)
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        return T.conv1d(x, self.weight, self.bias, stride=self.stride,
+                        padding=self.padding, relu=relu)
 
 
 class Dense(Module):
@@ -229,11 +246,11 @@ class BatchNorm1d(Module):
         self.register_buffer("running_var",
                              np.ones(channels, dtype=self.gamma.data.dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         return T.batchnorm1d(x, self.gamma, self.beta,
                              self.running_mean, self.running_var,
                              training=self.training,
-                             momentum=self.momentum, eps=self.eps)
+                             momentum=self.momentum, eps=self.eps, relu=relu)
 
 
 class LayerNorm(Module):

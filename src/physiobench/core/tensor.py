@@ -119,30 +119,48 @@ class Tensor:
         return self
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` in; a first gradient is a private C-contiguous copy
+        (``grad`` may be a view, a slice or a broadcast)."""
         if self.grad is None:
-            # One pass, and never an alias: add hands one array to both parents.
             self.grad = np.array(grad, dtype=self.data.dtype, order="C")
         else:
             self.grad += grad
 
-    def backward(self, grad: np.ndarray | None = None,
-                 free_graph: bool = True) -> None:
+    def _take(self, buf: np.ndarray) -> None:
+        """Add ``buf`` in, keeping it as the first gradient without a copy.
+
+        ``buf`` must be an array that nothing else references: a fresh
+        backward result, or an interior node's own gradient, which backward
+        drops once that node's closure has run.  Anything else goes through
+        ``_accumulate``.
+        """
+        if (self.grad is None and buf.dtype == self.data.dtype
+                and buf.flags.c_contiguous):
+            self.grad = buf
+        else:
+            self._accumulate(buf)
+
+    def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode accumulation from this tensor.
 
-        With ``free_graph`` (the default) each interior node is released as
-        soon as its gradient has been scattered: closures capture their
-        output tensors, so without this the graph forms reference cycles
-        that persist until the cyclic collector runs — unacceptable when a
-        single batch graph holds hundreds of megabytes.
+        The incoming gradient (ones by default) is copied, so the caller's
+        array is never written.  Nodes are popped off the reverse
+        topological order as their closures run, and every interior node
+        drops its parents, closure and gradient right after: a node's
+        forward arrays are then freed while backward is still running, and
+        a gradient buffer that a closure handed to a parent (or masked in
+        place) is never visible through an interior node's ``.grad``.
+        Leaves keep their gradients.
         """
         if grad is None:
             grad = np.ones_like(self.data)
         order = topo_order(self)
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-            if free_graph and node._parents:
+            if node._parents:
                 node._parents = ()
                 node._backward = None
                 node.grad = None
@@ -244,10 +262,16 @@ def add(a: Tensor, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        # g goes to the first parent shaped like it; the other gets a copy
+        handed = False
+        for p in (a, b):
+            if not p.requires_grad:
+                continue
+            if not handed and p.shape == g.shape:
+                p._take(g)
+                handed = True
+            else:
+                p._accumulate(_unbroadcast(g, p.shape))
 
     return out._record((a, b), "add", backward)
 
@@ -258,10 +282,14 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g):
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            if a.shape == g.shape and a.dtype == g.dtype == b.dtype:
+                a._take(np.multiply(g, b.data, out=g))   # g's last read
+            else:
+                a._take(_unbroadcast(g * b.data, a.shape))
+        if gb is not None:
+            b._take(gb)
 
     return out._record((a, b), "mul", backward)
 
@@ -339,7 +367,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
+            a._take(np.multiply(g, a.data > 0, out=g))
 
     return out._record((a,), "relu", backward)
 
@@ -483,7 +511,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims) / count)
+            a._take(_expand_reduced(g, a.shape, axes, keepdims) / count)
 
     return out._record((a,), "mean", backward)
 
@@ -516,7 +544,7 @@ def reshape(a: Tensor, *shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+            a._take(g.reshape(a.shape))
 
     return out._record((a,), "reshape", backward)
 
@@ -611,8 +639,14 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, pad_left: int,
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: str = "valid") -> Tensor:
-    """Cross-correlation of [B,Cin,L] with [Cout,Cin,K] kernels."""
+           stride: int = 1, padding: str = "valid", relu: bool = False) -> Tensor:
+    """Cross-correlation of [B,Cin,L] with [Cout,Cin,K] kernels.
+
+    ``relu=True`` applies a ReLU to the output in place: the same values and
+    gradients as ``relu(conv1d(...))``, with one array on the tape instead of
+    two (its backward masks the incoming gradient with ``out > 0``, which
+    equals the pre-activation's ``> 0``).
+    """
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeError(f"conv1d expects 3D input and kernel, got {x.shape} and {kernel.shape}")
     B, Cin, L = x.shape
@@ -635,20 +669,31 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     y = np.matmul(w2, _im2col(x.data, K, stride, pad_left, pad_right, out_len))
     if bias is not None:
         y += bias.data[:, None]
+    if relu:
+        np.maximum(y, 0, out=y)
     out = Tensor(y)
 
     def backward(g):
+        if relu:
+            np.multiply(g, y > 0, out=g)
         taps = _window_taps(L, K, stride, pad_left, out_len)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         if kernel.requires_grad:
-            # per tap k, one batched GEMM over the strided run of x it read,
-            # so no columns are rebuilt (or held since the forward)
+            # per tap k, one GEMM per sample over the strided run of x that
+            # tap read (no columns are rebuilt or held since the forward),
+            # summed over B in ascending order as .sum(axis=0) would
             gw = np.zeros(kernel.shape, dtype=g.dtype)
+            acc = np.zeros((Cout, Cin), dtype=np.result_type(g, x.data))
+            part = np.empty_like(acc)
             for k, lo, hi, sl in taps:
                 x_k = x.data[:, :, sl].transpose(0, 2, 1)  # [B, hi-lo, Cin]
-                gw[:, :, k] = np.matmul(g[:, :, lo:hi], x_k).sum(axis=0)
-            kernel._accumulate(gw)
+                for b in range(B):
+                    np.matmul(g[b, :, lo:hi], x_k[b], out=part if b else acc)
+                    if b:
+                        acc += part
+                gw[:, :, k] = acc
+            kernel._take(gw)
         if x.requires_grad:
             if stride == 1 and (K == 1 or Cout <= Cin):
                 # transposed convolution: g, padded to L + K - 1, correlated
@@ -665,7 +710,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                 gx = np.zeros((B, Cin, L), dtype=gcols.dtype)
                 for k, lo, hi, sl in taps:
                     gx[:, :, sl] += gcols[:, :, k, lo:hi]
-            x._accumulate(gx)
+            x._take(gx)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return out._record(parents, "conv1d", backward)
@@ -729,7 +774,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 gx = np.zeros((B, C, L), dtype=g.dtype)
                 for (_, lo, hi, sl), hit in zip(reversed(taps), reversed(hits)):
                     gx[:, :, sl] += g[:, :, lo:hi] * hit
-                x._accumulate(gx)
+                x._take(gx)
     else:
         out = Tensor(_window_view(x.data, out_len, window, stride).mean(axis=3))
 
@@ -739,7 +784,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 gw = g / window
                 for *_, sl in taps:
                     gx[:, :, sl] += gw
-                x._accumulate(gx)
+                x._take(gx)
 
     return out._record((x,), f"pool_{kind}", backward)
 
@@ -772,12 +817,14 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, momentum: float = 0.9, eps: float = 1e-5) -> Tensor:
+                training: bool, momentum: float = 0.9, eps: float = 1e-5,
+                relu: bool = False) -> Tensor:
     """Per-channel batch normalization over [B,C,L].
 
     Train mode normalizes by batch statistics (biased variance) and updates
     the running buffers in place: new = momentum*old + (1-momentum)*batch.
-    Eval mode normalizes by the running buffers.
+    Eval mode normalizes by the running buffers.  ``relu=True`` applies a
+    ReLU to the output in place, as in :func:`conv1d`.
     """
     if x.ndim != 3:
         raise ShapeError(f"batchnorm1d expects [B,C,L], got {x.shape}")
@@ -805,9 +852,13 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         y = x.data * scale[:, None]
         y += (beta.data - mu * scale)[:, None]
+    if relu:
+        np.maximum(y, 0, out=y)
     out = Tensor(y)
 
     def backward(g):
+        if relu:
+            np.multiply(g, y > 0, out=g)
         centred = xc if training else x.data - mu[:, None]
         sum_g = g.sum(axis=(0, 2))
         sum_gxc = np.einsum("bcl,bcl->c", g, centred)
@@ -824,7 +875,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                 gx *= scale[:, None]
             else:
                 gx = g * scale[:, None]
-            x._accumulate(gx)
+            x._take(gx)
 
     return out._record((x, gamma, beta), "batchnorm1d", backward)
 

@@ -194,3 +194,33 @@ def test_layer_norm_module_forward():
     x = rng.normal(size=(3, 6)) * 2 + 5
     out = layer(Tensor(x))
     npt.assert_allclose(out.data.mean(-1), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_initializers_draw_blockwise_into_the_default_dtype(dtype):
+    T.set_default_dtype(dtype)
+    shape = (nn._INIT_BLOCK // 1000 + 7, 1000)   # more than one block
+    fan_in, fan_out = 50, 80
+    cases = [(lambda r: nn.kaiming_uniform(r, shape, fan_in), np.sqrt(6.0 / fan_in)),
+             (lambda r: nn.xavier_uniform(r, shape, fan_in, fan_out),
+              np.sqrt(6.0 / (fan_in + fan_out)))]
+    for init, bound in cases:
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        w = init(rng)
+        want = ref.uniform(-bound, bound, size=shape).astype(dtype)
+        assert w.dtype == dtype and w.shape == shape
+        assert w.tobytes() == want.tobytes()
+        assert rng.uniform() == ref.uniform()   # the next layer draws the same
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_conv_and_batchnorm_modules_pass_the_relu_flag(training):
+    rng = np.random.default_rng(6)
+    conv = nn.Conv1d(rng, 3, 4, 3)
+    bn = nn.BatchNorm1d(4).train(training)
+    x = Tensor(rng.normal(size=(2, 3, 10)))
+    fused = bn(conv(x, relu=True), relu=True)
+    bn.running_mean[...] = 0.0
+    bn.running_var[...] = 1.0
+    plain = T.relu(bn(T.relu(conv(x))))
+    assert fused.data.tobytes() == plain.data.tobytes()

@@ -2,6 +2,7 @@
 central differences."""
 
 import itertools
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -772,3 +773,174 @@ def test_float32_conv_chain_keeps_dtype(float32_mode):
     out = T.relu(T.conv1d(x, w, None, stride=2, padding="same"))
     assert out.dtype == np.float32
     assert T.softmax(out, axis=-1).dtype == np.float32
+
+
+# ---------------------------------------------------------------------
+# fused ReLU post-op and the lean tape
+# ---------------------------------------------------------------------
+
+def _use_default_dtype(request, dtype):
+    if dtype == np.float32:
+        request.getfixturevalue("float32_mode")
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# the transposed-convolution and col2im input gradients, pointwise and strided
+FUSED_CONV_CASES = [(1, 1, "same", 4, 3), (3, 1, "same", 4, 3),
+                    (3, 1, "same", 3, 4), (5, 2, "same", 3, 4), (3, 2, "valid", 4, 4)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,padding,cin,cout", FUSED_CONV_CASES)
+@pytest.mark.parametrize("bias", [True, False])
+def test_fused_relu_conv1d_is_relu_of_conv1d_bit_for_bit(
+        request, dtype, kernel, stride, padding, cin, cout, bias):
+    _use_default_dtype(request, dtype)
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + cin)
+    # small integers (and some -0.0 inputs): many outputs are exactly zero
+    x = rng.integers(-1, 2, size=(3, cin, 17)).astype(dtype)
+    x[0, 0, :4] = -0.0
+    w = rng.integers(-1, 2, size=(cout, cin, kernel)).astype(dtype)
+    b = rng.integers(-1, 2, size=cout).astype(dtype)
+    runs = []
+    for fused in (True, False):
+        ts = [Tensor(v, requires_grad=True) for v in ((x, w, b) if bias else (x, w))]
+        args = ts if bias else ts + [None]
+        if fused:
+            y = T.conv1d(*args, stride=stride, padding=padding, relu=True)
+        else:
+            y = T.relu(T.conv1d(*args, stride=stride, padding=padding))
+        g = np.random.default_rng(1).normal(size=y.shape).astype(dtype)
+        y.backward(g)
+        runs.append([y.data] + [t.grad for t in ts])
+    assert (runs[1][0] == 0).any() and (runs[1][0] > 0).any()
+    for got, want in zip(*runs):
+        _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+def test_fused_relu_batchnorm1d_is_relu_of_batchnorm1d_bit_for_bit(request, dtype, training):
+    _use_default_dtype(request, dtype)
+    rng = np.random.default_rng(21)
+    # each channel holds -1, 0 and 1 equally often, so its batch mean is
+    # exactly 0 and the zeros normalise to exactly 0
+    x = rng.permuted(np.tile(np.array([-1.0, 0.0, 1.0]), (4, 3, 4)), axis=2).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, size=3).astype(dtype)
+    beta = np.array([0.0, 0.0, 0.25], dtype=dtype)
+    runs = []
+    for fused in (True, False):
+        ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        rm, rv = np.zeros(3, dtype=dtype), np.full(3, 0.5, dtype=dtype)
+        if fused:
+            y = T.batchnorm1d(*ts, rm, rv, training=training, relu=True)
+        else:
+            y = T.relu(T.batchnorm1d(*ts, rm, rv, training=training))
+        g = np.random.default_rng(2).normal(size=y.shape).astype(dtype)
+        y.backward(g)
+        runs.append([y.data, rm, rv] + [t.grad for t in ts])
+    assert (runs[1][0] == 0).any() and (runs[1][0] > 0).any()
+    for got, want in zip(*runs):
+        _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_relu_grad_check_off_the_kink(seed):
+    rng = np.random.default_rng(seed)
+    x = _param(rng, 2, 3, 11)
+    w = _param(rng, 4, 3, 3)
+    b = _param(rng, 4)
+    gamma = nn.Parameter(rng.uniform(0.5, 1.5, size=4))
+    beta = _param(rng, 4)
+    probe = Tensor(rng.normal(size=(2, 4, 6)))
+    rm, rv = np.zeros(4), np.ones(4)
+    pre = T.conv1d(x, w, b, stride=2, padding="same")
+    pre_bn = T.batchnorm1d(T.relu(pre), gamma, beta, rm.copy(), rv.copy(), training=True)
+    # a central difference is only valid away from the ReLU kink
+    assert np.abs(pre.data).min() > 1e-3 and np.abs(pre_bn.data).min() > 1e-3
+
+    def f():
+        h = T.conv1d(x, w, b, stride=2, padding="same", relu=True)
+        h = T.batchnorm1d(h, gamma, beta, rm.copy(), rv.copy(), training=True, relu=True)
+        return T.reduce_sum(h * probe)
+
+    assert grad_check(f, [x, w, b, gamma, beta]) < 1e-4
+
+
+def test_conv1d_weight_gradient_sums_samples_as_a_batched_sum():
+    # one GEMM per sample, added in ascending b, gives the bits of the
+    # batched GEMM summed over axis 0
+    rng = np.random.default_rng(8)
+    for dtype in (np.float32, np.float64):
+        T.set_default_dtype(dtype)
+        x = rng.normal(size=(5, 6, 40)).astype(dtype)
+        w = rng.normal(size=(7, 6, 3)).astype(dtype)
+        wt = Tensor(w, requires_grad=True)
+        y = T.conv1d(Tensor(x), wt, stride=2, padding="same")
+        g = rng.normal(size=y.shape).astype(dtype)
+        y.backward(g)
+        want = np.zeros(w.shape, dtype=dtype)
+        for k, lo, hi, sl in T._window_taps(40, 3, 2, 0, y.shape[2]):
+            want[:, :, k] = np.matmul(g[:, :, lo:hi], x[:, :, sl].transpose(0, 2, 1)).sum(axis=0)
+        _assert_same_bytes(wt.grad, want)
+
+
+def test_backward_hands_over_gradients_without_sharing_them():
+    # add and mul hand g to one parent; reshape hands a view; relu and the
+    # fused conv ReLU mask g in place
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+    s = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    h = T.conv1d(x, w, padding="same", relu=True) + s
+    h = T.relu(h * s) * c
+    out = T.reshape(h, 2, 32) + T.reshape(s * s, 2, 32) + T.reshape(s + s, 2, 32)
+    g = rng.normal(size=(2, 32))
+    g_saved = g.copy()
+    out.backward(g)
+    npt.assert_array_equal(g, g_saved)
+    # s reaches out four ways: + s, * s, s * s and s + s
+    sd, cd = s.data, c.data
+    pre = T.conv1d(Tensor(x.data), Tensor(w.data), padding="same", relu=True).data + sd
+    gh = g.reshape(2, 4, 8)
+    mask = pre * sd > 0
+    want_s = gh * cd * mask * (pre + sd) + 2 * gh * sd + 2 * gh
+    npt.assert_allclose(s.grad, want_s, rtol=1e-12, atol=1e-12)
+    leaves = (x, w, s, c)
+    for i, a in enumerate(leaves):
+        assert not np.shares_memory(a.grad, g)
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+    for a in leaves:
+        saved = [t.grad.copy() for t in leaves]
+        a.grad += 1.0
+        for t, before in zip(leaves, saved):
+            if t is not a:
+                npt.assert_array_equal(t.grad, before)
+
+
+def test_backward_frees_forward_arrays_as_it_goes():
+    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+    a = x * 2.0
+    b = T.relu(a)
+    c = b * 3.0
+    root = T.reduce_sum(c)
+    refs = [weakref.ref(b.data), weakref.ref(c.data)]
+    seen = []
+    a_backward = a._backward
+
+    def last(g):
+        # a's closure runs last: b and c were processed before it
+        seen.extend(r() is None for r in refs)
+        a_backward(g)
+
+    a._backward = last
+    del a, b, c
+    root.backward()
+    assert seen == [True, True]
+    npt.assert_array_equal(x.grad, np.where(x.data > 0, 6.0, 0.0))
