@@ -85,12 +85,6 @@ class MsaConfig:
     def d_k(self) -> int:
         return self.d_model // self.n_heads
 
-    @staticmethod
-    def is_valid_combo(d_model: int, n_heads: int, d_ff: int, n_layers: int) -> bool:
-        return (d_model in MSA_D_MODEL_CHOICES and n_heads in MSA_N_HEADS_CHOICES
-                and d_ff in MSA_D_FF_CHOICES and n_layers in MSA_N_LAYERS_CHOICES
-                and d_model % n_heads == 0)
-
 
 def msa_grid() -> list[tuple[int, int, int, int]]:
     """All (d_model, n_heads, d_ff, n_layers) grid cells, 3*4*3*3 = 108.

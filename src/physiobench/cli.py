@@ -21,8 +21,8 @@ from .attention import AttentionKind, MsaConfig
 from .backbones import (CNN_FAMILIES, DEFAULT_LEVEL, FRACTIONS, PUBLISHED_TABLES,
                         LevelTable, ModelConfig, attention_param_count,
                         attention_placement, build_model,
-                        computed_level_table, feature_param_count,
-                        level_trend, module_channels, select_level)
+                        computed_level_table, level_trend, module_channels,
+                        select_level)
 from .core import tensor as T
 
 TASK_ALIASES = {"cls": "classification", "classification": "classification",
@@ -243,11 +243,10 @@ def cmd_count_params(args) -> int:
     for level, count in table.counts:
         line = f"{level:>5}  {count:>14}"
         if kind is not AttentionKind.NONE:
-            base = feature_param_count(args.family, level)
             chans = module_channels(args.family, level)
             extra = sum(attention_param_count(kind, chans[m - 1])
                         for m in attention_placement(level, args.fraction))
-            line += f"  {base + extra:>14}"
+            line += f"  {count + extra:>14}"
         if level == len(table.counts) and count == table.default_count:
             line += "  (default)"
         if level == chosen:
@@ -530,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_dtype = T.default_dtype()   # --dtype holds for this command only
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        T.set_default_dtype(saved_dtype)
 
 
 if __name__ == "__main__":

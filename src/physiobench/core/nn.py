@@ -12,12 +12,17 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor: always requires grad and keeps a grad buffer."""
+    """A trainable tensor: always requires grad and keeps a grad buffer.
+
+    Without an explicit ``dtype`` its data takes ``T.default_dtype()``, so a
+    model's dtype is the default at the time it was built.
+    """
 
     __slots__ = ("frozen",)
 
     def __init__(self, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+        super().__init__(data, requires_grad=True,
+                         dtype=T.default_dtype() if dtype is None else dtype)
         self.grad = np.zeros_like(self.data)
         self.frozen = False
 

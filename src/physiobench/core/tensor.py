@@ -26,7 +26,7 @@ class ShapeError(ValueError):
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype used when wrapping raw data (float32 or float64)."""
+    """Set :func:`default_dtype` (float32 or float64)."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
@@ -35,6 +35,7 @@ def set_default_dtype(dtype) -> None:
 
 
 def default_dtype():
+    """The dtype of Parameters and of data without a float dtype of its own."""
     return _DEFAULT_DTYPE
 
 
@@ -53,16 +54,17 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A shaped float array participating in the gradient tape.
 
-    ``data`` is always a C-contiguous float ndarray; ``grad`` is allocated
-    lazily during backward (except for Parameters, which keep a permanent
-    zero-initialised gradient buffer).
+    ``data`` is always a C-contiguous float32 or float64 ndarray.  A float32
+    or float64 array or numpy scalar keeps its dtype; Python numbers and
+    lists, and non-float arrays, take :func:`default_dtype`; an explicit
+    ``dtype`` wins over both.  Op outputs therefore follow their inputs, and
+    mixed float32/float64 operands follow numpy promotion while each
+    parent's gradient comes back in that parent's own dtype.  ``grad`` is
+    allocated lazily during backward (except for Parameters, which keep a
+    permanent zero-initialised gradient buffer).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -70,9 +72,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+        if dtype is None and not (isinstance(data, (np.ndarray, np.generic))
+                                  and data.dtype in (np.float32, np.float64)):
+            dtype = _DEFAULT_DTYPE
+        arr = np.asarray(data, dtype=dtype)
         # ascontiguousarray promotes 0-d to 1-d; reshape restores scalar shape
         self.data = np.ascontiguousarray(arr).reshape(arr.shape)
         self.grad: np.ndarray | None = None
@@ -236,10 +239,8 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _wrap(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
+def _wrap(value, dtype=None) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -257,8 +258,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
-    a = _wrap(a, _DEFAULT_DTYPE)
-    b = _wrap(b, a.dtype)
+    a = _wrap(a)
+    b = _wrap(b, a.dtype)  # a number or array operand takes a's dtype
     out = Tensor(a.data + b.data)
 
     def backward(g):
@@ -277,8 +278,8 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a = _wrap(a, _DEFAULT_DTYPE)
-    b = _wrap(b, a.dtype)
+    a = _wrap(a)
+    b = _wrap(b, a.dtype)  # a number or array operand takes a's dtype
     out = Tensor(a.data * b.data)
 
     def backward(g):

@@ -152,14 +152,12 @@ def make_optimizer(spec: TrainSpec, params) -> Adam | RMSProp:
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Binary cross-entropy directly from logits: mean(softplus(z) - y*z)."""
-    y = Tensor(np.asarray(targets, dtype=logits.dtype).reshape(logits.shape),
-               dtype=logits.dtype)
+    y = Tensor(np.asarray(targets, dtype=logits.dtype).reshape(logits.shape))
     return T.reduce_mean(T.softplus(logits) - logits * y)
 
 
 def rmse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
-    y = Tensor(np.asarray(targets, dtype=pred.dtype).reshape(pred.shape),
-               dtype=pred.dtype)
+    y = Tensor(np.asarray(targets, dtype=pred.dtype).reshape(pred.shape))
     return T.sqrt(T.reduce_mean((pred - y) ** 2.0))
 
 
@@ -332,7 +330,6 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
     rng = np.random.default_rng(spec.seed)
     clock = _Clock(spec.time_mode)
     n = len(bundle.x_train)
-    dtype = model.parameters()[0].data.dtype if model.parameters() else np.float64
 
     losses: list[float] = []
     metrics: list[float] = []
@@ -347,10 +344,9 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
         total = 0.0
         for start in range(0, n, spec.batch_size):
             idx = perm[start:start + spec.batch_size]
-            x = Tensor(bundle.x_train[idx], dtype=dtype)
-            demo = Tensor(bundle.demo_train[idx], dtype=dtype)
             model.zero_grad()
-            loss = loss_fn(model(x, demo), bundle.y_train[idx])
+            loss = loss_fn(model(bundle.x_train[idx], bundle.demo_train[idx]),
+                           bundle.y_train[idx])
             lval = loss.item()
             if not math.isfinite(lval):
                 aborted = True
@@ -488,12 +484,11 @@ def _pool_job(args):
     return row_idx, seed, result
 
 
-def run_sweep(entries, bundle: ArrayBundle, epochs: int, base_seed: int = 0,
-              seeds: list[int] | None = None, time_mode: str = "virtual",
-              lr0: float = 1e-3, batch_size: int = 128,
-              workers: int = 1) -> SweepReport:
-    """Train every entry across 5 seeds (base_seed+0..4 unless ``seeds`` is
-    given) and aggregate mean / sample std / convergence times.
+def run_sweep(entries, bundle: ArrayBundle, epochs: int, seeds: list[int],
+              time_mode: str = "virtual", lr0: float = 1e-3,
+              batch_size: int = 128, workers: int = 1) -> SweepReport:
+    """Train every entry once per seed and aggregate mean / sample std /
+    convergence times.
 
     Aborted runs and unbuildable entries are counted in the ``aborted``
     column, never dropped.  ``workers`` > 1 forks the (entry, seed) jobs;
@@ -501,8 +496,6 @@ def run_sweep(entries, bundle: ArrayBundle, epochs: int, base_seed: int = 0,
     """
     entries = [e if isinstance(e, SweepEntry) else
                entries_from_configs([e])[0] for e in entries]
-    if seeds is None:
-        seeds = [base_seed + i for i in range(5)]
 
     jobs = [(i, seed) for i, e in enumerate(entries) if e.error is None
             for seed in seeds]

@@ -6,19 +6,17 @@ from physiobench import harness as hz
 from physiobench.core import tensor as T
 
 
-@pytest.fixture(autouse=True)
-def _float64_default():
-    """Keep the engine in float64 unless a test opts out, and always restore."""
-    T.set_default_dtype(np.float64)
+@pytest.fixture
+def restore_default_dtype():
+    """For tests that set the default dtype themselves: put it back after."""
+    saved = T.default_dtype()
     yield
-    T.set_default_dtype(np.float64)
+    T.set_default_dtype(saved)
 
 
 @pytest.fixture
-def float32_mode():
+def float32_mode(restore_default_dtype):
     T.set_default_dtype(np.float32)
-    yield
-    T.set_default_dtype(np.float64)
 
 
 @pytest.fixture(scope="session")

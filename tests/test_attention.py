@@ -302,10 +302,11 @@ def test_msa_grid_enumerates_full_cross_product():
     grid = msa_grid()
     assert len(grid) == 108
     assert len(set(grid)) == 108
-    valid = [c for c in grid if MsaConfig.is_valid_combo(*c)]
+    # every grid value is in its domain, so a cell is valid when its heads divide d_model
+    valid = [c for c in grid if c[0] % c[1] == 0]
     assert len(valid) == 81
     # every invalid cell is a divisibility failure, all with 6 heads
-    invalid = [c for c in grid if not MsaConfig.is_valid_combo(*c)]
+    invalid = [c for c in grid if c[0] % c[1] != 0]
     assert len(invalid) == 27
     assert all(h == 6 for _, h, _, _ in invalid)
 

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from physiobench import cli, datapipe as dp
+from physiobench.attention import AttentionKind, make_attention
+from physiobench.backbones import PUBLISHED_TABLES, module_channels
+from physiobench.core import tensor as T
 
 TINY_MSA_FLAGS = ["--family", "msa_only", "--attention", "msa",
                   "--msa-d-model", "16", "--msa-heads", "2",
@@ -107,15 +110,22 @@ def test_count_params_vgg_decreasing(capsys):
     assert "selected level: 5" in out and "trend: decreasing" in out
 
 
-def test_count_params_attention_column_exceeds_base(capsys):
-    # published counts are feature-only, directly comparable to the column
-    assert cli.main(["count-params", "--family", "inception", "--attention", "se",
+@pytest.mark.parametrize("family", ["vgg", "resnet", "inception"])
+def test_count_params_attention_column_is_count_plus_attention(family, capsys):
+    # the column is the row's own (published, feature-only) count plus one
+    # built SE block per module at 100%
+    assert cli.main(["count-params", "--family", family, "--attention", "se",
                      "--fraction", "100"]) == 0
     out = capsys.readouterr().out
     assert "with_se@100%" in out
     rows = [l.split() for l in out.splitlines() if l.split() and l.split()[0].isdigit()]
-    assert len(rows) == 8
-    assert all(int(r[2]) > int(r[1]) for r in rows)
+    counts = PUBLISHED_TABLES[family].counts
+    assert len(rows) == len(counts)
+    rng = np.random.default_rng(0)
+    for (level, count), row in zip(counts, rows):
+        se = sum(make_attention(rng, AttentionKind.SE, c).num_params()
+                 for c in module_channels(family, level))
+        assert [int(v) for v in row[:3]] == [level, count, count + se]
 
 
 def test_count_params_computed_table_lists_feature_params(capsys):
@@ -206,6 +216,24 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("momentum=0.9\n")
     assert cli.main(_train_args(tmp_path / "x", ["--config", str(cfg)])) == 2
     assert "unknown config key 'momentum'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_commands_leave_the_default_dtype_as_they_found_it(
+        command, dtype, trained, tmp_path, capsys, restore_default_dtype):
+    # start from the other dtype, so that a leaked --dtype would show
+    before = np.float64 if dtype == "float32" else np.float32
+    T.set_default_dtype(before)
+    args = {"train": _train_args(tmp_path, ["--epochs", "1"]),
+            "evaluate": ["evaluate", "--weights", str(trained / "weights.npz")]
+                        + TINY_DATA_FLAGS,
+            "sweep": _sweep_args(tmp_path, ["--seeds", "1"])}[command]
+    assert cli.main(args + ["--dtype", dtype]) == 0
+    assert T.default_dtype() is before
+    if command == "train":   # the command itself ran in --dtype
+        with np.load(tmp_path / "weights.npz") as weights:
+            assert weights["head_out.weight"].dtype == dtype
 
 
 def test_train_rejects_bad_dtype(tmp_path):

@@ -174,7 +174,8 @@ def test_batchnorm_module_updates_running_stats_in_train_only():
 def test_batchnorm_buffers_follow_param_dtype(float32_mode):
     layer = nn.BatchNorm1d(3)
     assert layer.running_mean.dtype == np.float32
-    out = layer(Tensor(np.random.default_rng(0).normal(size=(4, 3, 5))))
+    x = np.random.default_rng(0).normal(size=(4, 3, 5)).astype(np.float32)
+    out = layer(Tensor(x))
     assert out.dtype == np.float32
 
 
@@ -197,7 +198,7 @@ def test_layer_norm_module_forward():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_initializers_draw_blockwise_into_the_default_dtype(dtype):
+def test_initializers_draw_blockwise_into_the_default_dtype(dtype, restore_default_dtype):
     T.set_default_dtype(dtype)
     shape = (nn._INIT_BLOCK // 1000 + 7, 1000)   # more than one block
     fan_in, fan_out = 50, 80

@@ -31,9 +31,16 @@ def test_scalar_tensor_keeps_zero_dim_shape():
 
 
 def test_default_dtype_switch(float32_mode):
+    # data without a float dtype of its own takes the default
     assert Tensor([1.0, 2.0]).dtype == np.float32
+    assert Tensor(2.5).dtype == np.float32
+    assert Tensor(np.arange(3)).dtype == np.float32
+    assert nn.Parameter(np.ones(3)).dtype == np.float32
+    # float arrays and numpy scalars keep theirs; an explicit dtype wins
     x = Tensor(np.ones((2, 3)))
-    assert (x * 2.0).dtype == np.float32
+    assert x.dtype == (x * 2.0).dtype == (1.0 - x).dtype == np.float64
+    assert Tensor(np.float64(2.5)).dtype == np.float64
+    assert Tensor(np.ones(3), dtype=np.float32).dtype == np.float32
 
 
 def test_int_input_coerced_to_float():
@@ -236,8 +243,7 @@ def test_float32_attention_agrees_with_float64(softmax):
         scale = 0.7 if softmax else 1.0 / shapes[1][-2]
         results = []
         for dtype in (np.float64, np.float32):
-            T.set_default_dtype(dtype)
-            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             out, weights = T.attention(*ts, scale, softmax=softmax)
             out.backward(g.astype(dtype))
             assert out.dtype == weights.dtype == dtype
@@ -411,14 +417,14 @@ def test_conv1d_pointwise_columns_are_the_input():
     assert not np.shares_memory(T._im2col(x, 1, 2, 0, 0, 4), x)
 
 
-def test_float32_conv1d_agrees_with_float64(float32_mode):
+def test_float32_conv1d_agrees_with_float64():
     rng = np.random.default_rng(5)
     for (kernel, stride, padding), (cin, cout) in itertools.product(
             CONV_KERNEL_CASES, [(4, 5), (5, 4)]):
         x = rng.normal(size=(3, cin, 33))
         w = rng.normal(size=(cout, cin, kernel))
         b = rng.normal(size=cout)
-        ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        ts = [Tensor(v.astype(np.float32), requires_grad=True) for v in (x, w, b)]
         y = T.conv1d(*ts, stride=stride, padding=padding)
         g = rng.normal(size=y.shape)
         y.backward(g.astype(np.float32))
@@ -522,7 +528,6 @@ def test_pool1d_matches_naive(kind, window, stride, padding):
 def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtype):
     # ReLU-clamped, rounded inputs tie often; the -inf runs make windows whose
     # maximum is -inf, some of which start in the padding.
-    T.set_default_dtype(dtype)
     rng = np.random.default_rng(4)
     for length in (16, 17):
         x = np.maximum(rng.normal(size=(3, 4, length)).round(1), 0.0).astype(dtype)
@@ -714,13 +719,13 @@ def test_batchnorm_train_matches_naive():
     npt.assert_allclose(rv, want_rv, rtol=1e-12)
 
 
-def test_float32_batchnorm_agrees_with_float64(float32_mode):
+def test_float32_batchnorm_agrees_with_float64():
     rng = np.random.default_rng(13)
     x = rng.normal(loc=2.0, scale=3.0, size=(8, 4, 50))
     gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
     rm0, rv0 = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
     g = rng.normal(size=x.shape)
-    ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+    ts = [Tensor(v.astype(np.float32), requires_grad=True) for v in (x, gamma, beta)]
     rm, rv = rm0.astype(np.float32), rv0.astype(np.float32)
     y = T.batchnorm1d(*ts, rm, rv, training=True)
     y.backward(g.astype(np.float32))
@@ -763,26 +768,113 @@ def test_layer_norm_grad_check(seed):
 
 
 # ---------------------------------------------------------------------
-# float32 pipeline stays float32
+# dtype follows the data
 # ---------------------------------------------------------------------
 
-def test_float32_conv_chain_keeps_dtype(float32_mode):
+def _f32_running_stats():
+    return np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)
+
+
+# name: (leaf shapes, output as a function of the leaves)
+DTYPE_CASES = {
+    "add-sub": ([(2, 3, 4), (3, 1)], lambda a, b: 1.0 - (a + b) - 0.5),
+    "mul-div-pow": ([(2, 3, 4), (4,)], lambda a, b: -(a * b * 2.0) / b + 2.0 / a ** 2.0),
+    "exp-log-sqrt": ([(2, 3)], lambda a: T.exp(T.log(T.sqrt(a)))),
+    "nonlinearities": ([(2, 3)], lambda a: T.relu(a) + T.sigmoid(a) + T.tanh(a)
+                       + T.softplus(a) + T.softmax(a, axis=0)),
+    "matmul": ([(2, 3, 4), (4, 5)], T.matmul),
+    "dense": ([(2, 4), (4, 5), (5,)], T.dense),
+    "attention-softmax": ([(2, 5, 3), (2, 6, 3), (2, 6, 4)],
+                          lambda q, k, v: T.attention(q, k, v, 0.5)[0]),
+    "attention-dot": ([(2, 2, 5, 3), (2, 2, 6, 3), (2, 2, 6, 4)],
+                      lambda q, k, v: T.attention(q, k, v, 1 / 6, softmax=False)[0]),
+    "conv1d-transposed": ([(2, 4, 9), (3, 4, 3), (3,)],
+                          lambda x, w, b: T.conv1d(x, w, b, padding="same")),
+    "conv1d-col2im": ([(2, 3, 9), (4, 3, 3)],
+                      lambda x, w: T.conv1d(x, w, stride=2, padding="same")),
+    "conv1d-relu": ([(2, 4, 9), (3, 4, 3), (3,)],
+                    lambda x, w, b: T.conv1d(x, w, b, relu=True)),
+    "pool1d": ([(2, 3, 9)], lambda x: T.pool1d(
+        T.pool1d(x, "max", 3, 1, padding="same"), "avg", 3, 2)),
+    "batchnorm1d-train": ([(2, 4, 5), (4,), (4,)], lambda x, g, b: T.batchnorm1d(
+        x, g, b, *_f32_running_stats(), training=True, relu=True)),
+    "batchnorm1d-eval": ([(2, 4, 5), (4,), (4,)], lambda x, g, b: T.batchnorm1d(
+        x, g, b, *_f32_running_stats(), training=False)),
+    "layer_norm": ([(2, 3, 4), (4,), (4,)], T.layer_norm),
+    "reductions": ([(2, 3, 4)], lambda a: T.reduce_sum(a, axis=2) + T.reduce_mean(a, axis=2)
+                   + T.reduce_max(a, axis=2) + T.global_pool(a) + a.max() + a.sum()),
+    "shape-ops": ([(2, 3, 4), (2, 3, 2)], lambda a, b: T.concat(
+        [T.transpose(a, 0, 2, 1).reshape(2, 3, 4), b], axis=2)),
+}
+
+
+def _record_gradient_dtypes(monkeypatch) -> list:
+    """The dtypes of the gradient arrays that backward hands to nodes."""
+    seen = []
+    for name in ("_accumulate", "_take"):
+        orig = getattr(Tensor, name)
+
+        def spy(self, grad, _orig=orig):
+            seen.append(grad.dtype)
+            _orig(self, grad)
+
+        monkeypatch.setattr(Tensor, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(DTYPE_CASES))
+def test_float32_inputs_stay_float32_through_every_primitive(case, monkeypatch):
+    assert T.default_dtype() == np.float64   # the inputs, not the default, decide
+    shapes, fn = DTYPE_CASES[case]
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, 3, 16)))
-    w = Tensor(rng.normal(size=(4, 3, 3)))
-    out = T.relu(T.conv1d(x, w, None, stride=2, padding="same"))
-    assert out.dtype == np.float32
-    assert T.softmax(out, axis=-1).dtype == np.float32
+    leaves = [Tensor(rng.uniform(0.5, 1.5, size=s).astype(np.float32), requires_grad=True)
+              for s in shapes]
+    out = fn(*leaves)
+    assert {node.dtype for node in T.topo_order(out)} == {np.dtype(np.float32)}
+    seen = _record_gradient_dtypes(monkeypatch)
+    out.backward()
+    assert seen and set(seen) == {np.dtype(np.float32)}
+    assert all(t.grad.dtype == np.float32 for t in leaves)
+
+
+MIXED_CASES = {
+    "add": ([(2, 3), (3,)], lambda a, b: a + b),
+    "mul": ([(2, 3), (2, 3)], lambda a, b: a * b),
+    "matmul": ([(2, 3), (3, 4)], T.matmul),
+    "conv1d": ([(2, 3, 9), (4, 3, 3), (4,)],
+               lambda x, w, b: T.conv1d(x, w, b, padding="same")),
+    "attention": ([(2, 5, 3), (2, 6, 3), (2, 6, 4)],
+                  lambda q, k, v: T.attention(q, k, v, 0.5)[0]),
+}
+
+
+@pytest.mark.parametrize("first", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(MIXED_CASES))
+def test_mixed_float32_float64_operands_promote(case, first):
+    # numpy promotion sets the output dtype; each parent's gradient comes
+    # back in its own dtype, with the values of an all-float64 run
+    shapes, fn = MIXED_CASES[case]
+    other = np.float64 if first == np.float32 else np.float32
+    rng = np.random.default_rng(1)
+    arrays = [rng.normal(size=s).astype(dt) for s, dt in
+              zip(shapes, [first] + [other] * (len(shapes) - 1))]
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    wide = [Tensor(a.astype(np.float64), requires_grad=True) for a in arrays]
+    out, want = fn(*leaves), fn(*wide)
+    assert out.dtype == np.float64
+    npt.assert_allclose(out.data, want.data, rtol=1e-12, atol=1e-12)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    want.backward(g)
+    for a, leaf, ref in zip(arrays, leaves, wide):
+        assert leaf.grad.dtype == leaf.dtype == a.dtype
+        tol = 1e-12 if leaf.dtype == np.float64 else 1e-6
+        npt.assert_allclose(leaf.grad, ref.grad, rtol=tol, atol=tol)
 
 
 # ---------------------------------------------------------------------
 # fused ReLU post-op and the lean tape
 # ---------------------------------------------------------------------
-
-def _use_default_dtype(request, dtype):
-    if dtype == np.float32:
-        request.getfixturevalue("float32_mode")
-
 
 def _assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -798,8 +890,7 @@ FUSED_CONV_CASES = [(1, 1, "same", 4, 3), (3, 1, "same", 4, 3),
 @pytest.mark.parametrize("kernel,stride,padding,cin,cout", FUSED_CONV_CASES)
 @pytest.mark.parametrize("bias", [True, False])
 def test_fused_relu_conv1d_is_relu_of_conv1d_bit_for_bit(
-        request, dtype, kernel, stride, padding, cin, cout, bias):
-    _use_default_dtype(request, dtype)
+        dtype, kernel, stride, padding, cin, cout, bias):
     rng = np.random.default_rng(kernel * 100 + stride * 10 + cin)
     # small integers (and some -0.0 inputs): many outputs are exactly zero
     x = rng.integers(-1, 2, size=(3, cin, 17)).astype(dtype)
@@ -824,8 +915,7 @@ def test_fused_relu_conv1d_is_relu_of_conv1d_bit_for_bit(
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("training", [True, False])
-def test_fused_relu_batchnorm1d_is_relu_of_batchnorm1d_bit_for_bit(request, dtype, training):
-    _use_default_dtype(request, dtype)
+def test_fused_relu_batchnorm1d_is_relu_of_batchnorm1d_bit_for_bit(dtype, training):
     rng = np.random.default_rng(21)
     # each channel holds -1, 0 and 1 equally often, so its batch mean is
     # exactly 0 and the zeros normalise to exactly 0
@@ -876,7 +966,6 @@ def test_conv1d_weight_gradient_sums_samples_as_a_batched_sum():
     # batched GEMM summed over axis 0
     rng = np.random.default_rng(8)
     for dtype in (np.float32, np.float64):
-        T.set_default_dtype(dtype)
         x = rng.normal(size=(5, 6, 40)).astype(dtype)
         w = rng.normal(size=(7, 6, 3)).astype(dtype)
         wt = Tensor(w, requires_grad=True)
