@@ -271,13 +271,12 @@ class MsaLayer(nn.Module):
 
 
 class MsaEncoder(nn.Module):
-    """Stack of identical MsaLayers with optional sinusoidal positions."""
+    """Sinusoidal positions added to the tokens, then a stack of identical
+    MsaLayers."""
 
-    def __init__(self, rng: np.random.Generator, cfg: MsaConfig,
-                 positional: bool = True):
+    def __init__(self, rng: np.random.Generator, cfg: MsaConfig):
         super().__init__()
         self.cfg = cfg
-        self.positional = positional
         self.layers = nn.ModuleList([
             MsaLayer(rng, cfg.d_model, cfg.n_heads, cfg.d_ff)
             for _ in range(cfg.n_layers)
@@ -285,13 +284,12 @@ class MsaEncoder(nn.Module):
         self._pe_cache: dict[int, np.ndarray] = {}
 
     def forward(self, tokens: Tensor) -> Tensor:
-        if self.positional:
-            L = tokens.shape[1]
-            pe = self._pe_cache.get(L)
-            if pe is None:
-                pe = sinusoidal_encoding(L, self.cfg.d_model)
-                self._pe_cache[L] = pe
-            tokens = tokens + Tensor(pe, dtype=tokens.dtype)
+        L = tokens.shape[1]
+        pe = self._pe_cache.get(L)
+        if pe is None:
+            pe = sinusoidal_encoding(L, self.cfg.d_model)
+            self._pe_cache[L] = pe
+        tokens = tokens + Tensor(pe, dtype=tokens.dtype)
         for layer in self.layers:
             tokens = layer(tokens)
         return tokens

@@ -237,8 +237,9 @@ class InceptionModule(nn.Module):
         return T.concat([b1, b3, b5, bp], axis=1)
 
 
-def vgg_out_length(level: int, length: int = SEGMENT_LEN) -> int:
-    out = length
+def vgg_out_length(level: int) -> int:
+    """Sequence length after ``level`` VGG stages, each halving (floor)."""
+    out = SEGMENT_LEN
     for _ in range(level):
         out //= 2
     return out
@@ -349,13 +350,6 @@ class BuiltModel(nn.Module):
             h = T.relu(self.head_fc2(h))
         return self.head_out(h)
 
-    # -- accounting -------------------------------------------------------
-    def feature_params(self) -> int:
-        """Trainable parameters outside the dense head (stem/blocks/attention)."""
-        head = ("head_fc1/", "head_fc2/", "head_out/")
-        return sum(p.size for name, p in self.named_parameters()
-                   if p.requires_grad and not name.startswith(head))
-
 
 def build_model(cfg: ModelConfig, rng=0) -> BuiltModel:
     """Materialize a config; ``rng`` is a seed or a numpy Generator."""
@@ -393,11 +387,6 @@ def attention_param_count(kind: AttentionKind, channels: int) -> int:
     raise ValueError(f"no feature-map parameter count for kind {kind.value!r}")
 
 
-def msa_layer_param_count(d_model: int, d_ff: int) -> int:
-    return (4 * _dense_p(d_model, d_model) + 2 * (2 * d_model)
-            + _dense_p(d_model, d_ff) + _dense_p(d_ff, d_model))
-
-
 def feature_param_count(family: str, level: int) -> int:
     """Backbone-only (attention-free, headless) trainable parameter count."""
     total = 0
@@ -425,28 +414,6 @@ def feature_param_count(family: str, level: int) -> int:
             c = b1 + o3 + o5 + pp
     else:
         raise ValueError(f"no feature count for family {family!r}")
-    return total
-
-
-def model_param_count(cfg: ModelConfig) -> int:
-    """Closed-form trainable parameter total for a full config."""
-    if cfg.family == "msa_only":
-        d = cfg.msa.d_model
-        return (_conv_p(IN_CHANNELS, d, MSA_STEM_KERNEL)
-                + cfg.msa.n_layers * msa_layer_param_count(d, cfg.msa.d_ff)
-                + _dense_p(d, d) + _dense_p(d + DEMOGRAPHICS_DIM, 1))
-    total = feature_param_count(cfg.family, cfg.level)
-    chans = module_channels(cfg.family, cfg.level)
-    for i in attention_placement(cfg.level, cfg.fraction):
-        total += attention_param_count(cfg.attention, chans[i - 1])
-    if cfg.family == "vgg":
-        flat = chans[-1] * vgg_out_length(cfg.level)
-        total += (_dense_p(flat, VGG_FC_WIDTH)
-                  + _dense_p(VGG_FC_WIDTH + DEMOGRAPHICS_DIM, VGG_FC_WIDTH)
-                  + _dense_p(VGG_FC_WIDTH, 1))
-    else:
-        total += (_dense_p(chans[-1], GAP_FC_WIDTH)
-                  + _dense_p(GAP_FC_WIDTH + DEMOGRAPHICS_DIM, 1))
     return total
 
 

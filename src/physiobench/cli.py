@@ -28,24 +28,24 @@ from .core import tensor as T
 TASK_ALIASES = {"cls": "classification", "classification": "classification",
                 "reg": "regression", "regression": "regression"}
 
-# config-file keys accepted by train/sweep, with documented defaults
+# config-file keys accepted by train/sweep: (type, documented default); a
+# key's flag and its config-file line both parse the value with that type
 CONFIG_KEYS = {
-    "family": "resnet", "level": None, "attention": "none", "fraction": 0,
-    "msa_d_model": 32, "msa_heads": 4, "msa_ff": 128, "msa_layers": 2,
-    "dataset": None, "task": None,
-    "synth_cases": 0, "synth_samples_per_case": 8, "synth_seed": 0,
-    "synth_difficulty": 1.0, "synth_prevalence": 0.05,
-    "test_fraction": 0.2, "split_seed": 0,
-    "epochs": 20, "seed": 0, "batch_size": 128, "lr0": 1e-3,
-    "time_mode": "virtual", "dtype": "float32",
-    "matrix": "paper13", "seeds": 5, "base_seed": 0,
-    "out_dir": "physiobench-out", "workers": 1,
+    "family": (str, "resnet"), "level": (int, None),
+    "attention": (str, "none"), "fraction": (int, 0),
+    "msa_d_model": (int, 32), "msa_heads": (int, 4), "msa_ff": (int, 128),
+    "msa_layers": (int, 2),
+    "dataset": (str, None), "task": (str, None),
+    "synth_cases": (int, 0), "synth_samples_per_case": (int, 8),
+    "synth_seed": (int, 0), "synth_difficulty": (float, 1.0),
+    "synth_prevalence": (float, 0.05),
+    "test_fraction": (float, 0.2), "split_seed": (int, 0),
+    "epochs": (int, 20), "seed": (int, 0), "batch_size": (int, 128),
+    "lr0": (float, 1e-3), "time_mode": (str, "virtual"),
+    "dtype": (str, "float32"),
+    "matrix": (str, "paper13"), "seeds": (int, 5), "base_seed": (int, 0),
+    "out_dir": (str, "physiobench-out"), "workers": (int, 1),
 }
-_INT_KEYS = {"level", "fraction", "msa_d_model", "msa_heads", "msa_ff",
-             "msa_layers", "synth_cases", "synth_samples_per_case",
-             "synth_seed", "split_seed", "epochs", "seed", "batch_size",
-             "seeds", "base_seed", "workers"}
-_FLOAT_KEYS = {"synth_difficulty", "synth_prevalence", "test_fraction", "lr0"}
 
 
 class CliError(Exception):
@@ -74,12 +74,7 @@ def load_config(path: str) -> dict:
         if key not in CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = CONFIG_KEYS[key][0](value)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
@@ -88,7 +83,7 @@ def load_config(path: str) -> dict:
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill flags the user left unset from --config, then from defaults."""
     file_values = load_config(args.config) if getattr(args, "config", None) else {}
-    for key, default in CONFIG_KEYS.items():
+    for key, (_, default) in CONFIG_KEYS.items():
         if not hasattr(args, key):
             continue
         if getattr(args, key) is None:
@@ -96,9 +91,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _opt(parser, flag, key, typ, help_text, choices=None):
+def _opt(parser, flag, key, help_text, choices=None):
+    typ, default = CONFIG_KEYS[key]
     parser.add_argument(flag, dest=key, type=typ, default=None, choices=choices,
-                        help=f"{help_text} [config key: {key}, default: {CONFIG_KEYS[key]}]")
+                        help=f"{help_text} [config key: {key}, default: {default}]")
 
 
 # ---------------------------------------------------------------------
@@ -369,6 +365,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _merge_config(args)
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.max_entries is not None and args.max_entries < 1:
+        raise CliError(f"--max-entries must be at least 1, got {args.max_entries}")
     _set_dtype(args.dtype)
     if args.list_only:  # listing needs no data
         task = _resolve_task(args.task) if args.task else "classification"
@@ -425,37 +425,37 @@ _FRACTION_LIST = "/".join(map(str, FRACTIONS))
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--dataset", "dataset", str, "PSD1 dataset file")
-    _opt(p, "--task", "task", str, "expected task (classification/cls, regression/reg)")
-    _opt(p, "--synth-cases", "synth_cases", int, "generate synthetic data with this many cases")
-    _opt(p, "--synth-samples-per-case", "synth_samples_per_case", int, "segments per synthetic case")
-    _opt(p, "--synth-seed", "synth_seed", int, "synthetic data seed")
-    _opt(p, "--synth-difficulty", "synth_difficulty", float, "planted-feature difficulty")
-    _opt(p, "--synth-prevalence", "synth_prevalence", float, "synthetic positive prevalence")
-    _opt(p, "--test-fraction", "test_fraction", float, "case fraction held out for test")
-    _opt(p, "--split-seed", "split_seed", int, "case-split seed")
-    _opt(p, "--dtype", "dtype", str, "float32 or float64 math")
-    _opt(p, "--out-dir", "out_dir", str, "directory for report artifacts")
+    _opt(p, "--dataset", "dataset", "PSD1 dataset file")
+    _opt(p, "--task", "task", "expected task (classification/cls, regression/reg)")
+    _opt(p, "--synth-cases", "synth_cases", "generate synthetic data with this many cases")
+    _opt(p, "--synth-samples-per-case", "synth_samples_per_case", "segments per synthetic case")
+    _opt(p, "--synth-seed", "synth_seed", "synthetic data seed")
+    _opt(p, "--synth-difficulty", "synth_difficulty", "planted-feature difficulty")
+    _opt(p, "--synth-prevalence", "synth_prevalence", "synthetic positive prevalence")
+    _opt(p, "--test-fraction", "test_fraction", "case fraction held out for test")
+    _opt(p, "--split-seed", "split_seed", "case-split seed")
+    _opt(p, "--dtype", "dtype", "float32 or float64 math")
+    _opt(p, "--out-dir", "out_dir", "directory for report artifacts")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--family", "family", str, "backbone family (vgg/resnet/inception/msa_only)")
-    _opt(p, "--level", "level", int, "backbone truncation level")
-    _opt(p, "--attention", "attention", str, "attention kind (none/se/nl/cbam/msa)")
-    _opt(p, "--fraction", "fraction", int, f"attention fraction percent ({_FRACTION_LIST})",
+    _opt(p, "--family", "family", "backbone family (vgg/resnet/inception/msa_only)")
+    _opt(p, "--level", "level", "backbone truncation level")
+    _opt(p, "--attention", "attention", "attention kind (none/se/nl/cbam/msa)")
+    _opt(p, "--fraction", "fraction", f"attention fraction percent ({_FRACTION_LIST})",
          choices=FRACTIONS)
-    _opt(p, "--msa-d-model", "msa_d_model", int, "MSA token width")
-    _opt(p, "--msa-heads", "msa_heads", int, "MSA head count")
-    _opt(p, "--msa-ff", "msa_ff", int, "MSA feed-forward width")
-    _opt(p, "--msa-layers", "msa_layers", int, "MSA encoder depth")
+    _opt(p, "--msa-d-model", "msa_d_model", "MSA token width")
+    _opt(p, "--msa-heads", "msa_heads", "MSA head count")
+    _opt(p, "--msa-ff", "msa_ff", "MSA feed-forward width")
+    _opt(p, "--msa-layers", "msa_layers", "MSA encoder depth")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--epochs", "epochs", int, "training epochs")
-    _opt(p, "--seed", "seed", int, "training seed")
-    _opt(p, "--batch-size", "batch_size", int, "mini-batch size")
-    _opt(p, "--lr0", "lr0", float, "initial learning rate")
-    _opt(p, "--time-mode", "time_mode", str, "virtual (1 s/epoch, reproducible) or wall")
+    _opt(p, "--epochs", "epochs", "training epochs")
+    _opt(p, "--seed", "seed", "training seed")
+    _opt(p, "--batch-size", "batch_size", "mini-batch size")
+    _opt(p, "--lr0", "lr0", "initial learning rate")
+    _opt(p, "--time-mode", "time_mode", "virtual (1 s/epoch, reproducible) or wall")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,10 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train a config matrix; writes report.csv + runs.jsonl")
     p.add_argument("--config", help="key=value config file (flags override)")
-    _opt(p, "--matrix", "matrix", str, "paper13 or msa-grid")
-    _opt(p, "--seeds", "seeds", int, "seeds per config (base_seed + 0..n-1)")
-    _opt(p, "--base-seed", "base_seed", int, "first seed")
-    _opt(p, "--workers", "workers", int, "parallel worker processes")
+    _opt(p, "--matrix", "matrix", "paper13 or msa-grid")
+    _opt(p, "--seeds", "seeds", "seeds per config (base_seed + 0..n-1)")
+    _opt(p, "--base-seed", "base_seed", "first seed")
+    _opt(p, "--workers", "workers", "parallel worker processes")
     p.add_argument("--max-entries", type=int, help="truncate the matrix (smoke tests)")
     p.add_argument("--families", help="comma-separated family filter, e.g. resnet,msa_only")
     p.add_argument("--list-only", action="store_true",

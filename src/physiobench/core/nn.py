@@ -192,7 +192,7 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 class Conv1d(Module):
     def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
                  kernel_size: int, stride: int = 1, padding: str = "same",
-                 bias: bool = True, init: str = "kaiming"):
+                 init: str = "kaiming"):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -208,7 +208,7 @@ class Conv1d(Module):
         else:
             raise ValueError(f"unknown init {init!r}")
         self.weight = Parameter(w)
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, stride=self.stride,
@@ -217,7 +217,7 @@ class Conv1d(Module):
 
 class Dense(Module):
     def __init__(self, rng: np.random.Generator, in_features: int, out_features: int,
-                 bias: bool = True, init: str = "xavier"):
+                 init: str = "xavier"):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
@@ -229,20 +229,19 @@ class Dense(Module):
         else:
             raise ValueError(f"unknown init {init!r}")
         self.weight = Parameter(w)
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
         return T.dense(x, self.weight, self.bias)
 
 
 class BatchNorm1d(Module):
-    """Channel-wise batch norm for [B,C,L] with running statistics."""
+    """Channel-wise batch norm for [B,C,L] with running statistics, at
+    ``T.batchnorm1d``'s momentum and eps."""
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         # buffers share the parameter dtype so mixed-precision math never upcasts
@@ -254,17 +253,17 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         return T.batchnorm1d(x, self.gamma, self.beta,
                              self.running_mean, self.running_var,
-                             training=self.training,
-                             momentum=self.momentum, eps=self.eps, relu=relu)
+                             training=self.training, relu=relu)
 
 
 class LayerNorm(Module):
-    def __init__(self, features: int, eps: float = 1e-5):
+    """Layer norm over the last axis, at ``T.layer_norm``'s eps."""
+
+    def __init__(self, features: int):
         super().__init__()
         self.features = features
-        self.eps = eps
         self.gamma = Parameter(np.ones(features))
         self.beta = Parameter(np.zeros(features))
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)

@@ -207,16 +207,6 @@ def bsa_dubois(height_cm: float, weight_kg: float) -> float:
     return 0.007184 * weight_kg ** 0.425 * height_cm ** 0.725
 
 
-def bsa_mosteller(height_cm: float, weight_kg: float) -> float:
-    """Mosteller body surface area, m^2."""
-    if height_cm <= 0 or weight_kg <= 0:
-        raise ValueError("height and weight must be positive")
-    return math.sqrt(height_cm * weight_kg / 3600.0)
-
-
-BSA_FORMULAS = {"dubois": bsa_dubois, "mosteller": bsa_mosteller}
-
-
 @dataclass(frozen=True)
 class SviResult:
     kept: bool
@@ -225,21 +215,19 @@ class SviResult:
     reason: str | None = None
 
 
-def compute_svi(p: HemoPoint, formula: str = "dubois") -> SviResult:
-    """Stroke volume (mL/beat) from CO/HR, then index by body surface area.
+def compute_svi(p: HemoPoint) -> SviResult:
+    """Stroke volume (mL/beat) from CO/HR, then index by Du Bois body
+    surface area.
 
     Stroke volumes outside [20, 200] mL are dropped (bounds inclusive: 20
     and 200 are kept).
     """
-    if formula not in BSA_FORMULAS:
-        raise ValueError(f"unknown BSA formula {formula!r}; options: {sorted(BSA_FORMULAS)}")
     sv_ml = p.co * 1000.0 / p.hr
     if sv_ml < SV_MIN_ML or sv_ml > SV_MAX_ML:
         return SviResult(False, sv_ml,
                          reason=f"stroke volume {sv_ml:.2f} mL outside "
                                 f"[{SV_MIN_ML:.0f}, {SV_MAX_ML:.0f}]")
-    bsa = BSA_FORMULAS[formula](p.height, p.weight)
-    return SviResult(True, sv_ml, svi=sv_ml / bsa)
+    return SviResult(True, sv_ml, svi=sv_ml / bsa_dubois(p.height, p.weight))
 
 
 # ---------------------------------------------------------------------
@@ -277,18 +265,6 @@ def _add_bump(sig: np.ndarray, t0: float, half_width: float, height: float) -> N
     sig[i0:i1 + 1] += height * 0.5 * (1.0 + np.cos(np.pi * (tt - t0) / half_width))
 
 
-def planted_statistic(ppg: np.ndarray) -> float:
-    """Late-minus-early mean of the PPG channel (5-s windows).
-
-    The classification generator plants a declining pulse-amplitude trend in
-    positives, so this statistic is strongly negative for them; it is the
-    closed-form oracle the learned models are benchmarked against.
-    """
-    ppg = np.asarray(ppg, dtype=np.float64)
-    w = 5 * SAMPLE_RATE
-    return float(ppg[-w:].mean() - ppg[:w].mean())
-
-
 def generate_synthetic(n_cases: int, samples_per_case: int, task: str, seed: int,
                        difficulty: float = 1.0,
                        prevalence: float = 0.05) -> SignalDataset:
@@ -296,8 +272,8 @@ def generate_synthetic(n_cases: int, samples_per_case: int, task: str, seed: int
 
     Classification: each segment is positive with probability ``prevalence``;
     positives carry a pulse-amplitude decline of ``0.5 * difficulty`` over
-    the 20 s (negatives are flat up to jitter), recoverable via
-    :func:`planted_statistic`.
+    the 20 s (negatives are flat up to jitter), so the late-minus-early
+    mean of the PPG channel separates the classes.
 
     Regression: the target is a per-beat stroke volume (80 mL times the
     planted mean pulse amplitude) indexed by Du Bois body surface area, so

@@ -26,6 +26,12 @@ from .datapipe import SignalDataset, apply_demo_stats, demo_stats
 
 CONVERGE_AUROC = 0.7    # classification convergence threshold (reach or exceed)
 CONVERGE_MAPE = 27.0    # regression convergence threshold (reach or fall below)
+# the paper's one training protocol (see README, "Training protocol")
+LR_DECAY_EVERY = 20     # epochs between learning-rate drops
+LR_DECAY_FACTOR = 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+RMSPROP_RHO, RMSPROP_EPS = 0.9, 1e-7
+PREDICT_BATCH = 256     # rows per eval-mode forward in predict
 CSV_HEADER = ("family,attention,fraction,level,seed_count,"
               "metric_mean,metric_std,conv_time_mean_s,aborted")
 
@@ -41,8 +47,6 @@ class TrainSpec:
     epochs: int
     seed: int = 0
     lr0: float = 1e-3
-    decay_every: int = 20
-    decay_factor: float = 0.1
     batch_size: int = 128
     time_mode: str = "wall"    # "wall" | "virtual" (1 s per epoch)
 
@@ -51,6 +55,8 @@ class TrainSpec:
             raise ValueError(f"loss must be 'bce' or 'rmse', got {self.loss!r}")
         if self.optimizer not in ("adam", "rmsprop"):
             raise ValueError(f"optimizer must be 'adam' or 'rmsprop', got {self.optimizer!r}")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -71,10 +77,10 @@ class TrainSpec:
 
 
 def lr_at(epoch: int, spec: TrainSpec) -> float:
-    """Step-decayed rate: lr0 * factor^floor(epoch / every)."""
+    """Step-decayed rate: lr0 * LR_DECAY_FACTOR^floor(epoch / LR_DECAY_EVERY)."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return spec.lr0 * spec.decay_factor ** (epoch // spec.decay_every)
+    return spec.lr0 * LR_DECAY_FACTOR ** (epoch // LR_DECAY_EVERY)
 
 
 # ---------------------------------------------------------------------
@@ -82,34 +88,32 @@ def lr_at(epoch: int, spec: TrainSpec) -> float:
 # ---------------------------------------------------------------------
 
 class Adam:
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             # p -= lr * (m/c1) / (sqrt(v/c2) + eps), evaluated in that order
             # in two scratch buffers
             g = p.grad
             a, b = np.empty_like(p.data), np.empty_like(p.data)
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m *= self.beta1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            m *= ADAM_BETA1
             m += a
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
             a *= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += a
             np.divide(v, c2, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += ADAM_EPS
             np.divide(m, c1, out=b)
             b *= self.lr
             b /= a
@@ -117,11 +121,9 @@ class Adam:
 
 
 class RMSProp:
-    def __init__(self, params, lr: float = 1e-3, rho: float = 0.9,
-                 eps: float = 1e-7):
+    def __init__(self, params, lr: float = 1e-3):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.rho, self.eps = rho, eps
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -129,12 +131,12 @@ class RMSProp:
             # p -= lr * g / (sqrt(v) + eps), in two scratch buffers
             g = p.grad
             a, b = np.empty_like(p.data), np.empty_like(p.data)
-            np.multiply(g, 1.0 - self.rho, out=a)
+            np.multiply(g, 1.0 - RMSPROP_RHO, out=a)
             a *= g
-            v *= self.rho
+            v *= RMSPROP_RHO
             v += a
             np.sqrt(v, out=a)
-            a += self.eps
+            a += RMSPROP_EPS
             np.multiply(g, self.lr, out=b)
             b /= a
             p.data -= b
@@ -171,6 +173,8 @@ def auroc(labels, scores) -> float:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if labels.shape != scores.shape:
         raise ValueError("labels and scores must have equal length")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("AUROC needs finite scores")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0/1")
     n_pos = int((labels == 1).sum())
@@ -200,6 +204,8 @@ def mape(true, pred) -> float:
     pred = np.asarray(pred, dtype=np.float64).ravel()
     if true.shape != pred.shape:
         raise ValueError("true and pred must have equal length")
+    if not (np.all(np.isfinite(true)) and np.all(np.isfinite(pred))):
+        raise ValueError("MAPE needs finite values")
     if np.any(true == 0):
         raise ValueError("MAPE undefined for zero true values")
     return float(100.0 * np.mean(np.abs(pred - true) / np.abs(true)))
@@ -250,22 +256,24 @@ def prepare(train_ds: SignalDataset, test_ds: SignalDataset) -> ArrayBundle:
                        demo_mean=mean, demo_std=std)
 
 
-def predict(model: nn.Module, x: np.ndarray, demo: np.ndarray,
-            batch_size: int = 256) -> np.ndarray:
+def predict(model: nn.Module, x: np.ndarray, demo: np.ndarray) -> np.ndarray:
     """Batched eval-mode forward; returns the [N] output column."""
     was_training = model.training
     model.train(False)
     outs = []
     with T.no_grad():
-        for start in range(0, len(x), batch_size):
-            sl = slice(start, start + batch_size)
+        for start in range(0, len(x), PREDICT_BATCH):
+            sl = slice(start, start + PREDICT_BATCH)
             outs.append(model(x[sl], demo[sl]).data[:, 0])
     model.train(was_training)
     return np.concatenate(outs) if outs else np.empty(0)
 
 
-def evaluate_metric(model: nn.Module, bundle: ArrayBundle) -> float:
+def evaluate_metric(model: nn.Module, bundle: ArrayBundle) -> float | None:
+    """Test-split AUROC or MAPE; None when any test score is non-finite."""
     scores = predict(model, bundle.x_test, bundle.demo_test)
+    if not np.all(np.isfinite(scores)):
+        return None
     if bundle.task == "classification":
         return auroc(bundle.y_test, scores)
     return mape(bundle.y_test, scores)
@@ -311,8 +319,9 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
           stop_threshold: float | None = None) -> RunResult:
     """Seeded shuffled mini-batch training with per-epoch test evaluation.
 
-    A non-finite loss aborts the run, keeping the history of completed
-    epochs.  With epochs=0 the model is only evaluated.  ``stop_threshold``
+    A non-finite loss or test score aborts the run, keeping the history of
+    completed epochs; a run with no scored epoch has ``final_metric`` NaN.
+    With epochs=0 the model is only evaluated.  ``stop_threshold``
     ends training early once the test metric meets it (>= for AUROC,
     <= for MAPE); histories keep whatever epochs ran.
     """
@@ -358,8 +367,13 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
             total += lval * len(idx)
         if aborted:
             break
+        metric = evaluate_metric(model, bundle)
+        if metric is None:
+            aborted = True
+            abort_reason = f"non-finite test score at epoch {epoch + 1}"
+            break
         losses.append(total / n)
-        metrics.append(evaluate_metric(model, bundle))
+        metrics.append(metric)
         epoch_seconds.append(clock.epoch_done())
         if stop_threshold is not None:
             met = (metrics[-1] >= stop_threshold if metric_name == "auroc"
@@ -367,7 +381,13 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
             if met:
                 break
 
-    final_metric = metrics[-1] if metrics else evaluate_metric(model, bundle)
+    final_metric = metrics[-1] if metrics else math.nan
+    if spec.epochs == 0:  # only evaluate the model as built
+        metric = evaluate_metric(model, bundle)
+        if metric is None:
+            aborted, abort_reason = True, "non-finite test score before training"
+        else:
+            final_metric = metric
     if metric_name == "auroc":
         conv = convergence_time(zip(epoch_seconds, metrics), CONVERGE_AUROC, "ge")
     else:

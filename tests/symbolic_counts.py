@@ -122,19 +122,25 @@ def vgg_flat_width(level: int, length: int = 2000) -> int:
     return module_widths("vgg", level)[-1] * out
 
 
-def model_params(family: str, level: int, kind: str, fraction: int,
-                 demo: int = 4) -> int:
+def feature_and_attention_params(family: str, level: int, kind: str,
+                                 fraction: int) -> int:
     feature = {"vgg": vgg_feature, "resnet": resnet_feature,
                "inception": inception_feature}[family](level)
     widths = module_widths(family, level)
     extra = sum(attention_params(kind, widths[i - 1])
                 for i in placement(level, fraction)) if kind != "none" else 0
+    return feature + extra
+
+
+def model_params(family: str, level: int, kind: str, fraction: int,
+                 demo: int = 4) -> int:
+    widths = module_widths(family, level)
     if family == "vgg":
         head = (dense(vgg_flat_width(level), 4096)
                 + dense(4096 + demo, 4096) + dense(4096, 1))
     else:
         head = dense(widths[-1], 1000) + dense(1000 + demo, 1)
-    return feature + extra + head
+    return feature_and_attention_params(family, level, kind, fraction) + head
 
 
 def msa_only_params(d_model: int, d_ff: int, n_layers: int,

@@ -276,15 +276,16 @@ def test_sinusoidal_encoding_closed_form():
     npt.assert_allclose(pe[2, 4], math.sin(2.0 / 10000.0 ** (4 / 6)), rtol=1e-12)
 
 
-def test_encoder_positional_toggle_changes_output():
+def test_encoder_adds_sinusoidal_positions_before_its_layers():
     cfg = MsaConfig(16, 2, 32, 1)
     x = np.random.default_rng(8).normal(size=(1, 7, 16))
-    with_pe = MsaEncoder(np.random.default_rng(9), cfg, positional=True)
-    without = MsaEncoder(np.random.default_rng(9), cfg, positional=False)
-    assert not np.allclose(with_pe(Tensor(x)).data, without(Tensor(x)).data)
+    enc = MsaEncoder(np.random.default_rng(9), cfg)
+    want = enc.layers[0](Tensor(x + sinusoidal_encoding(7, 16))).data
+    npt.assert_array_equal(enc(Tensor(x)).data, want)
+    assert not np.allclose(want, enc.layers[0](Tensor(x)).data)
     # cache: same length twice reuses the table
-    with_pe(Tensor(x))
-    assert len(with_pe._pe_cache) == 1
+    enc(Tensor(x))
+    assert len(enc._pe_cache) == 1
 
 
 def test_encoder_stacks_configured_layer_count():

@@ -5,7 +5,7 @@ import pytest
 
 import symbolic_counts as sym
 from physiobench import backbones as bb
-from physiobench.attention import AttentionKind, MsaConfig
+from physiobench.attention import AttentionKind, MsaConfig, MsaLayer
 from physiobench.core import tensor as T
 
 
@@ -83,7 +83,8 @@ def test_attention_count_rejects_none_and_msa():
 @pytest.mark.parametrize("d_model", [16, 32, 64])
 @pytest.mark.parametrize("d_ff", [32, 64, 128])
 def test_msa_layer_count_matches_oracle(d_model, d_ff):
-    assert bb.msa_layer_param_count(d_model, d_ff) == sym.msa_layer_params(d_model, d_ff)
+    layer = MsaLayer(np.random.default_rng(0), d_model, 2, d_ff)
+    assert layer.num_params() == sym.msa_layer_params(d_model, d_ff)
 
 
 def test_vgg_out_length():
@@ -100,15 +101,20 @@ CNN_MATRIX = [(f, k, fr)
 
 @pytest.mark.parametrize("family,kind,fraction", CNN_MATRIX)
 def test_model_counts_match_oracle(family, kind, fraction):
+    # the closed forms count-params adds up, at every level (VGG's heads make
+    # most levels too large to build; built models are checked below)
     for level in range(1, bb.MAX_LEVEL[family] + 1):
-        cfg = bb.ModelConfig(family=family, level=level,
-                             attention=AttentionKind(kind), fraction=fraction)
-        assert bb.model_param_count(cfg) == sym.model_params(family, level, kind, fraction)
+        total = bb.feature_param_count(family, level)
+        if kind != "none":
+            chans = bb.module_channels(family, level)
+            total += sum(bb.attention_param_count(AttentionKind(kind), chans[i - 1])
+                         for i in bb.attention_placement(level, fraction))
+        assert total == sym.feature_and_attention_params(family, level, kind, fraction)
 
 
 def test_resnet6_se50_literal():
     cfg = bb.ModelConfig(family="resnet", level=6, attention=AttentionKind.SE, fraction=50)
-    assert bb.model_param_count(cfg) == 1_227_121
+    assert bb.build_model(cfg, rng=0).num_params() == 1_227_121
 
 
 @pytest.mark.parametrize("d_model,n_heads,d_ff,n_layers",
@@ -116,11 +122,13 @@ def test_resnet6_se50_literal():
 def test_msa_model_counts_match_oracle(d_model, n_heads, d_ff, n_layers):
     cfg = bb.ModelConfig(family="msa_only", level=1, attention=AttentionKind.MSA,
                          msa=MsaConfig(d_model, n_heads, d_ff, n_layers))
-    assert bb.model_param_count(cfg) == sym.msa_only_params(d_model, d_ff, n_layers)
+    model = bb.build_model(cfg, rng=0)
+    assert (model.num_params(trainable_only=True)
+            == sym.msa_only_params(d_model, d_ff, n_layers))
 
 
 # ---------------------------------------------------------------------
-# built models agree with the closed forms
+# built models agree with the hand-derived oracle
 # ---------------------------------------------------------------------
 
 BUILD_CASES = (
@@ -128,7 +136,8 @@ BUILD_CASES = (
      for k, fr in [("none", 0), ("se", 50), ("nl", 100), ("cbam", 50)]]
     + [("inception", lvl, k, fr) for lvl in (1, 4, 8)
        for k, fr in [("none", 0), ("se", 50), ("nl", 100), ("cbam", 50)]]
-    + [("vgg", 5, "none", 0), ("vgg", 5, "se", 50), ("vgg", 5, "cbam", 100)]
+    + [("vgg", 5, "none", 0), ("vgg", 5, "se", 50), ("vgg", 5, "nl", 100),
+       ("vgg", 5, "cbam", 100)]
 )
 
 
@@ -137,27 +146,8 @@ def test_built_count_equals_closed_form(family, level, kind, fraction, float32_m
     cfg = bb.ModelConfig(family=family, level=level,
                          attention=AttentionKind(kind), fraction=fraction)
     model = bb.build_model(cfg, rng=0)
-    assert model.num_params(trainable_only=True) == bb.model_param_count(cfg)
-
-
-@pytest.mark.parametrize("d_model,n_heads,d_ff,n_layers",
-                         [(16, 2, 32, 1), (32, 4, 128, 2)])
-def test_built_msa_count_equals_closed_form(d_model, n_heads, d_ff, n_layers):
-    cfg = bb.ModelConfig(family="msa_only", level=1, attention=AttentionKind.MSA,
-                         msa=MsaConfig(d_model, n_heads, d_ff, n_layers))
-    model = bb.build_model(cfg, rng=0)
-    assert model.num_params(trainable_only=True) == bb.model_param_count(cfg)
-
-
-def test_feature_params_excludes_head():
-    cfg = bb.ModelConfig(family="resnet", level=6, attention=AttentionKind.SE, fraction=50)
-    model = bb.build_model(cfg, rng=0)
-    expected = bb.feature_param_count("resnet", 6)
-    chans = bb.module_channels("resnet", 6)
-    for i in bb.attention_placement(6, 50):
-        expected += bb.attention_param_count(AttentionKind.SE, chans[i - 1])
-    assert model.feature_params() == expected
-    assert model.feature_params() < model.num_params(trainable_only=True)
+    assert (model.num_params(trainable_only=True)
+            == sym.model_params(family, level, kind, fraction))
 
 
 def test_attention_slots_follow_placement():

@@ -249,6 +249,28 @@ def test_train_abort_exits_3(tmp_path):
     assert summary["aborted"] and "non-finite" in summary["abort_reason"]
 
 
+@pytest.mark.parametrize("lr0", ["nan", "inf", "0", "-0.001"])
+def test_train_rejects_lr0_that_is_not_finite_and_positive(lr0, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(_train_args(out, ["--lr0", lr0])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr0 must be finite and positive") and err.count("\n") == 1
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_with_nonfinite_test_scores_aborts_and_exits_3(tmp_path, capsys):
+    # one huge Adam step leaves the loss of epoch 1 finite but the scores not
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--family", "resnet", "--level", "1"] + TINY_DATA_FLAGS
+                  + ["--epochs", "1", "--lr0", "1e30", "--out-dir", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().out.startswith("auroc=nan epochs=0 aborted=True")
+    summary = json.loads((out / "run.json").read_text())
+    assert summary["abort_reason"] == "non-finite test score at epoch 1"
+    assert (out / "history.jsonl").read_text() == ""
+
+
 def test_evaluate_trained_weights(trained, capsys):
     args = (["evaluate", "--weights", str(trained / "weights.npz")]
             + TINY_DATA_FLAGS + ["--task", "cls"])
@@ -354,6 +376,17 @@ def test_sweep_aborted_runs_exit_3(tmp_path, capsys):
     assert rc == 3
     capsys.readouterr()
     assert (out / "report.csv").read_text().splitlines()[1].endswith(",2")
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-2"),
+                                        ("--max-entries", "-1"),
+                                        ("--max-entries", "0")])
+def test_sweep_rejects_counts_below_one(flag, value, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(_sweep_args(out, [flag, value])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_matrix():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ def test_train_spec_validation():
         hn.TrainSpec(loss="bce", optimizer="adam", epochs=1, time_mode="cpu")
 
 
+@pytest.mark.parametrize("lr0", [0.0, -1e-3, math.nan, math.inf])
+def test_train_spec_rejects_lr0_that_is_not_finite_and_positive(lr0):
+    with pytest.raises(ValueError, match="lr0 must be finite and positive"):
+        hn.TrainSpec(loss="bce", optimizer="adam", epochs=1, lr0=lr0)
+
+
 def test_spec_for_config_optimizer_rule():
     inc_cls = ModelConfig("inception", 4, task="classification")
     inc_reg = ModelConfig("inception", 4, task="regression")
@@ -69,9 +76,7 @@ def test_lr_schedule_boundaries():
     assert hn.lr_at(20, spec) == pytest.approx(1e-4)
     assert hn.lr_at(39, spec) == pytest.approx(1e-4)
     assert hn.lr_at(40, spec) == pytest.approx(1e-5)
-    custom = hn.TrainSpec(loss="bce", optimizer="adam", epochs=1,
-                          lr0=0.5, decay_every=2, decay_factor=0.5)
-    assert hn.lr_at(3, custom) == pytest.approx(0.25)
+    assert hn.lr_at(41, hn.TrainSpec("bce", "adam", 1, lr0=0.5)) == pytest.approx(5e-3)
     with pytest.raises(ValueError):
         hn.lr_at(-1, spec)
 
@@ -210,6 +215,19 @@ def test_auroc_validation():
         hn.auroc([0, 1], [0.1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_nonfinite_input(bad):
+    # four NaN scores used to read 0.75 or 0.25, by label order alone
+    with pytest.raises(ValueError, match="finite"):
+        hn.auroc([0, 1, 1, 0], [bad] * 4)
+    with pytest.raises(ValueError, match="finite"):
+        hn.auroc([0, 1], [0.3, bad])
+    with pytest.raises(ValueError, match="finite"):
+        hn.mape([100.0, 50.0], [110.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        hn.mape([100.0, bad], [110.0, 45.0])
+
+
 def test_mape_closed_form_and_validation():
     assert hn.mape([100.0, 50.0], [110.0, 45.0]) == pytest.approx(10.0)
     with pytest.raises(ValueError, match="zero"):
@@ -250,13 +268,19 @@ def test_prepare_rejects_task_mismatch():
 
 
 def test_predict_batching_and_mode_restore(cls_bundle):
+    # more rows than one predict chunk, so the chunks must join up in order
+    reps = hn.PREDICT_BATCH // len(cls_bundle.x_test) + 2
+    x = np.concatenate([cls_bundle.x_test] * reps)
+    demo = np.concatenate([cls_bundle.demo_test] * reps)
+    assert len(x) > hn.PREDICT_BATCH
     model = LinearBaseline(np.random.default_rng(0))
     model.train(True)
-    small = hn.predict(model, cls_bundle.x_test, cls_bundle.demo_test, batch_size=7)
-    big = hn.predict(model, cls_bundle.x_test, cls_bundle.demo_test, batch_size=512)
+    got = hn.predict(model, x, demo)
     assert model.training  # restored
-    assert small.shape == (len(cls_bundle.x_test),)
-    np.testing.assert_allclose(small, big, rtol=1e-12)
+    with T.no_grad():
+        want = model(x, demo).data[:, 0]
+    assert got.shape == (len(x),)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_linear_baseline_param_count():
@@ -337,6 +361,49 @@ def test_train_aborts_on_nonfinite_loss(cls_bundle):
     res = hn.train(model, cls_bundle, _linear_spec())
     assert res.aborted and "non-finite loss at epoch 1" in res.abort_reason
     assert res.epochs_run == 0 and res.losses == []
+    assert math.isnan(res.final_metric)  # no epoch was scored
+
+
+class _NanScoresFrom(LinearBaseline):
+    """Scores turn NaN from the given eval-mode forward on; training
+    forwards stay finite."""
+
+    def __init__(self, rng, first_bad: int):
+        super().__init__(rng)
+        self.first_bad, self.evals = first_bad, 0
+
+    def forward(self, x, demo):
+        out = super().forward(x, demo)
+        if not self.training:
+            self.evals += 1
+            if self.evals >= self.first_bad:
+                return out * math.nan
+        return out
+
+
+@pytest.mark.parametrize("bundle_name", ["cls_bundle", "reg_bundle"])
+def test_train_aborts_on_nonfinite_test_score(bundle_name, request):
+    bundle = request.getfixturevalue(bundle_name)
+    loss = "bce" if bundle.task == "classification" else "rmse"
+    model = _NanScoresFrom(np.random.default_rng(0), first_bad=2)
+    res = hn.train(model, bundle, _linear_spec(loss=loss, epochs=3))
+    assert res.aborted
+    assert res.abort_reason == "non-finite test score at epoch 2"
+    assert res.epochs_run == 1 and len(res.metrics) == 1 == len(res.epoch_seconds)
+    assert res.final_metric == res.metrics[0] and math.isfinite(res.final_metric)
+
+    res = hn.train(_NanScoresFrom(np.random.default_rng(0), first_bad=1), bundle,
+                   _linear_spec(loss=loss, epochs=3))
+    assert res.aborted and res.abort_reason == "non-finite test score at epoch 1"
+    assert res.epochs_run == 0 and res.losses == [] and res.metrics == []
+    assert math.isnan(res.final_metric)
+
+
+def test_train_zero_epochs_with_nonfinite_scores_aborts(cls_bundle):
+    model = _NanScoresFrom(np.random.default_rng(0), first_bad=1)
+    res = hn.train(model, cls_bundle, _linear_spec(epochs=0))
+    assert res.aborted and res.abort_reason == "non-finite test score before training"
+    assert math.isnan(res.final_metric)
 
 
 def test_train_stop_threshold_classification(cls_bundle):

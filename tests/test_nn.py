@@ -144,11 +144,6 @@ def test_dense_forward_is_affine():
     npt.assert_allclose(layer(Tensor(x)).data, want, rtol=1e-12)
 
 
-def test_dense_without_bias_has_no_bias_param():
-    layer = nn.Dense(np.random.default_rng(4), 3, 2, bias=False)
-    assert [n for n, _ in layer.named_parameters()] == ["weight"]
-
-
 def test_conv1d_module_matches_functional():
     rng = np.random.default_rng(5)
     layer = nn.Conv1d(rng, 3, 6, 5, stride=2, padding="same")
