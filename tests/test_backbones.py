@@ -127,6 +127,22 @@ def test_msa_model_counts_match_oracle(d_model, n_heads, d_ff, n_layers):
             == sym.msa_only_params(d_model, d_ff, n_layers))
 
 
+@pytest.mark.parametrize("d_model,n_heads,d_ff,n_layers",
+                         [(16, 2, 32, 1), (32, 4, 128, 2)])
+def test_built_msa_count_equals_closed_form(d_model, n_heads, d_ff, n_layers):
+    # part by part: stem, each encoder layer, then the head
+    cfg = bb.ModelConfig(family="msa_only", level=1, attention=AttentionKind.MSA,
+                         msa=MsaConfig(d_model, n_heads, d_ff, n_layers))
+    model = bb.build_model(cfg, rng=0)
+    assert model.stem.num_params() == sym.conv(bb.IN_CHANNELS, d_model, bb.MSA_STEM_KERNEL)
+    assert len(model.encoder.layers) == n_layers
+    for layer in model.encoder.layers:
+        assert layer.num_params() == sym.msa_layer_params(d_model, d_ff)
+    assert model.head_fc1.num_params() == sym.dense(d_model, d_model)
+    assert (model.head_out.num_params()
+            == sym.dense(d_model + bb.DEMOGRAPHICS_DIM, 1))
+
+
 # ---------------------------------------------------------------------
 # built models agree with the hand-derived oracle
 # ---------------------------------------------------------------------
