@@ -34,8 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .attention import (CBAM_KERNEL, CBAM_RATIO, SE_RATIO, AttentionKind,
-                        MsaConfig, MsaEncoder, make_attention)
+from .attention import AttentionKind, MsaConfig, MsaEncoder, make_attention
 from .core import nn
 from .core import tensor as T
 from .core.tensor import Tensor
@@ -245,6 +244,33 @@ def vgg_out_length(level: int) -> int:
     return out
 
 
+def _backbone(family: str, level: int,
+              rng) -> tuple[nn.Module | None, list[nn.Module]]:
+    """The stem (None for VGG) and the first ``level`` blocks of a CNN."""
+    blocks: list[nn.Module] = []
+    if family == "vgg":
+        stem = None
+        c = IN_CHANNELS
+        for out_ch, n_convs in VGG_STAGES[:level]:
+            blocks.append(VggStage(rng, c, out_ch, n_convs))
+            c = out_ch
+    elif family == "resnet":
+        stem = ResNetStem(rng, IN_CHANNELS)
+        c = 64
+        for out_ch, stride in RESNET_BLOCKS[:level]:
+            blocks.append(ResNetBlock(rng, c, out_ch, stride))
+            c = out_ch
+    elif family == "inception":
+        stem = InceptionStem(rng, IN_CHANNELS)
+        c = INCEPTION_STEM_OUT
+        for spec in INCEPTION_MODULES[:level]:
+            blocks.append(InceptionModule(rng, c, spec))
+            c = spec[0] + spec[2] + spec[4] + spec[5]
+    else:
+        raise ValueError(f"no CNN backbone for family {family!r}")
+    return stem, blocks
+
+
 # ---------------------------------------------------------------------
 # the assembled model
 # ---------------------------------------------------------------------
@@ -264,25 +290,7 @@ class BuiltModel(nn.Module):
 
     # -- construction ---------------------------------------------------
     def _build_cnn(self, cfg: ModelConfig, rng) -> None:
-        blocks: list[nn.Module] = []
-        if cfg.family == "vgg":
-            self.stem = None
-            c = IN_CHANNELS
-            for out_ch, n_convs in VGG_STAGES[:cfg.level]:
-                blocks.append(VggStage(rng, c, out_ch, n_convs))
-                c = out_ch
-        elif cfg.family == "resnet":
-            self.stem = ResNetStem(rng, IN_CHANNELS)
-            c = 64
-            for out_ch, stride in RESNET_BLOCKS[:cfg.level]:
-                blocks.append(ResNetBlock(rng, c, out_ch, stride))
-                c = out_ch
-        else:  # inception
-            self.stem = InceptionStem(rng, IN_CHANNELS)
-            c = INCEPTION_STEM_OUT
-            for spec in INCEPTION_MODULES[:cfg.level]:
-                blocks.append(InceptionModule(rng, c, spec))
-                c = spec[0] + spec[2] + spec[4] + spec[5]
+        self.stem, blocks = _backbone(cfg.family, cfg.level, rng)
         self.blocks = nn.ModuleList(blocks)
 
         chans = module_channels(cfg.family, cfg.level)
@@ -357,64 +365,18 @@ def build_model(cfg: ModelConfig, rng=0) -> BuiltModel:
 
 
 # ---------------------------------------------------------------------
-# closed-form parameter accounting (no arrays materialized)
+# parameter accounting, read off freshly built modules
 # ---------------------------------------------------------------------
 
-def _conv_p(cin: int, cout: int, k: int) -> int:
-    return cout * cin * k + cout
-
-
-def _dense_p(n: int, m: int) -> int:
-    return n * m + m
-
-
-def _bn_p(c: int) -> int:
-    return 2 * c
-
-
 def attention_param_count(kind: AttentionKind, channels: int) -> int:
-    kind = AttentionKind(kind)
-    if kind == AttentionKind.SE:
-        mid = channels // SE_RATIO
-        return _dense_p(channels, mid) + _dense_p(mid, channels)
-    if kind == AttentionKind.NL:
-        embed = channels // 2
-        return 3 * _conv_p(channels, embed, 1) + _conv_p(embed, channels, 1)
-    if kind == AttentionKind.CBAM:
-        mid = channels // CBAM_RATIO
-        return (_dense_p(channels, mid) + _dense_p(mid, channels)
-                + _conv_p(2, 1, CBAM_KERNEL))
-    raise ValueError(f"no feature-map parameter count for kind {kind.value!r}")
+    """Parameters of one feature-map attention block at ``channels`` wide."""
+    return make_attention(np.random.default_rng(0), kind, channels).num_params()
 
 
 def feature_param_count(family: str, level: int) -> int:
     """Backbone-only (attention-free, headless) trainable parameter count."""
-    total = 0
-    if family == "vgg":
-        c = IN_CHANNELS
-        for out_ch, n_convs in VGG_STAGES[:level]:
-            for _ in range(n_convs):
-                total += _conv_p(c, out_ch, 3)
-                c = out_ch
-    elif family == "resnet":
-        total += _conv_p(IN_CHANNELS, 64, 7) + _bn_p(64)
-        c = 64
-        for out_ch, stride in RESNET_BLOCKS[:level]:
-            total += _conv_p(c, out_ch, 3) + _bn_p(out_ch)
-            total += _conv_p(out_ch, out_ch, 3) + _bn_p(out_ch)
-            if stride != 1 or c != out_ch:
-                total += _conv_p(c, out_ch, 1) + _bn_p(out_ch)
-            c = out_ch
-    elif family == "inception":
-        total += _conv_p(IN_CHANNELS, 64, 7) + _conv_p(64, INCEPTION_STEM_OUT, 3)
-        c = INCEPTION_STEM_OUT
-        for b1, r3, o3, r5, o5, pp in INCEPTION_MODULES[:level]:
-            total += (_conv_p(c, b1, 1) + _conv_p(c, r3, 1) + _conv_p(r3, o3, 3)
-                      + _conv_p(c, r5, 1) + _conv_p(r5, o5, 5) + _conv_p(c, pp, 1))
-            c = b1 + o3 + o5 + pp
-    else:
-        raise ValueError(f"no feature count for family {family!r}")
-    return total
+    stem, blocks = _backbone(family, level, np.random.default_rng(0))
+    return sum(m.num_params() for m in blocks + [stem] if m is not None)
 
 
 # ---------------------------------------------------------------------
@@ -490,7 +452,7 @@ PUBLISHED_TABLES = MappingProxyType({
 
 
 def computed_level_table(family: str) -> LevelTable:
-    """Level table from this package's own feature extractors: closed-form
+    """Level table from this package's own feature extractors: built
     backbone counts without head or attention, as in the published tables."""
     if family not in CNN_FAMILIES:
         raise ValueError(f"level tables exist for CNN families only, got {family!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -346,15 +347,17 @@ def cmd_evaluate(args) -> int:
     _set_dtype(args.dtype)
     try:
         cfg, state, (demo_mean, demo_std) = _load_weights(Path(args.weights))
+        model = build_model(cfg, rng=0)
+        model.load_state_dict(state)
     except OSError as exc:
         raise CliError(f"cannot read weights {args.weights}: {exc}")
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CliError(f"{args.weights} is not a weights file written by train: {exc}")
     ds = _load_or_generate(args)
     if cfg.task != ds.task:
         raise CliError(f"weights are for task {cfg.task}, dataset is {ds.task}")
     x, demo, y = ds.arrays()
     demo = dp.apply_demo_stats(demo, demo_mean, demo_std)
-    model = build_model(cfg, rng=0)
-    model.load_state_dict(state)
     scores = hz.predict(model, x, demo)
     if ds.task == "classification":
         print(json.dumps({"auroc": hz.auroc(y, scores), "n": len(y)}, sort_keys=True))
@@ -369,6 +372,8 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     if args.max_entries is not None and args.max_entries < 1:
         raise CliError(f"--max-entries must be at least 1, got {args.max_entries}")
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     _set_dtype(args.dtype)
     if args.list_only:  # listing needs no data
         task = _resolve_task(args.task) if args.task else "classification"

@@ -14,27 +14,26 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
                step: float = 1e-5) -> float:
     """Compare analytic gradients of scalar ``f()`` against central differences.
 
-    Returns the worst relative error over every element of every non-frozen
-    parameter, where rel = |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
+    Returns the worst relative error over every element of every parameter,
+    where rel = |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     The 1e-4 floor keeps the metric absolute near zero: a central difference
     with h=1e-5 carries ~1e-10 of roundoff, which would otherwise swamp
     parameters whose true gradient vanishes (e.g. a bias that only shifts
-    softmax logits by a per-row constant).  Frozen parameters are skipped.
+    softmax logits by a per-row constant).
     Float64 data is assumed; float32 noise swamps the difference entirely.
     """
     out = f()
     if out.size != 1:
         raise ValueError(f"grad_check needs a scalar objective, got shape {out.shape}")
-    active = [p for p in params if not p.frozen]
-    for p in active:
+    for p in params:
         if p.data.dtype != np.float64:
             raise ValueError("grad_check requires float64 parameters")
         p.grad[...] = 0.0
     out.backward()
-    analytic = [p.grad.copy() for p in active]
+    analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
-    for p, ga in zip(active, analytic):
+    for p, ga in zip(params, analytic):
         flat = p.data.reshape(-1)
         gflat = ga.reshape(-1)
         for i in range(flat.size):

@@ -18,25 +18,19 @@ class Parameter(Tensor):
     model's dtype is the default at the time it was built.
     """
 
-    __slots__ = ("frozen",)
+    __slots__ = ()
 
     def __init__(self, data, dtype=None):
         super().__init__(data, requires_grad=True,
                          dtype=T.default_dtype() if dtype is None else dtype)
         self.grad = np.zeros_like(self.data)
-        self.frozen = False
-
-    def freeze(self) -> "Parameter":
-        self.requires_grad = False
-        self.frozen = True
-        return self
 
 
 class Module:
     """Base class with automatic child/parameter registration.
 
-    Assigning a Parameter, Module, or ModuleList to an attribute registers
-    it; ``named_parameters`` walks the tree yielding '/'-joined paths.
+    Assigning a Parameter or Module to an attribute registers it;
+    ``named_parameters`` walks the tree yielding '/'-joined paths.
     """
 
     def __init__(self):
@@ -48,7 +42,7 @@ class Module:
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
             self._params[name] = value
-        elif isinstance(value, (Module, ModuleList)):
+        elif isinstance(value, Module):
             self._children[name] = value
         object.__setattr__(self, name, value)
 
@@ -73,9 +67,8 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def num_params(self, trainable_only: bool = False) -> int:
-        return sum(p.size for p in self.parameters()
-                   if not (trainable_only and p.frozen))
+    def num_params(self) -> int:
+        return sum(p.size for p in self.parameters())
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -118,36 +111,22 @@ class Module:
         raise NotImplementedError
 
 
-class ModuleList:
-    """Ordered list of child modules that registers under its index."""
+class ModuleList(Module):
+    """Ordered list of child modules, registered as "0", "1", ..."""
 
     def __init__(self, modules=()):
-        self._modules = list(modules)
-
-    def append(self, module: Module) -> None:
-        self._modules.append(module)
+        super().__init__()
+        for i, module in enumerate(modules):
+            setattr(self, str(i), module)
 
     def __iter__(self):
-        return iter(self._modules)
+        return iter(self._children.values())
 
     def __len__(self):
-        return len(self._modules)
+        return len(self._children)
 
     def __getitem__(self, idx):
-        return self._modules[idx]
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for i, m in enumerate(self._modules):
-            yield from m.named_parameters(prefix=f"{prefix}{i}/")
-
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for i, m in enumerate(self._modules):
-            yield from m.named_buffers(prefix=f"{prefix}{i}/")
-
-    def train(self, mode: bool = True) -> "ModuleList":
-        for m in self._modules:
-            m.train(mode)
-        return self
+        return list(self._children.values())[idx]
 
 
 # ---------------------------------------------------------------------

@@ -415,6 +415,24 @@ def softplus(a: Tensor) -> Tensor:
     return out._record((a,), "softplus", backward)
 
 
+def flush_tiny_grad(a: Tensor, floor: float) -> Tensor:
+    """Identity whose backward zeroes the gradient entries below ``floor``
+    in magnitude.
+
+    BLAS runs many times slower on subnormal operands and numpy has no
+    flush-to-zero switch, so a value whose gradient can underflow (saturated
+    logits) goes through this to stop subnormals where they start.
+    """
+    out = Tensor(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            g[np.abs(g) < floor] = 0.0
+            a._take(g)
+
+    return out._record((a,), "flush_tiny_grad", backward)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted stable softmax along ``axis``."""
     x = a.data

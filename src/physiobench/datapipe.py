@@ -255,14 +255,20 @@ def apply_demo_stats(demo: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.
 # synthetic generation
 # ---------------------------------------------------------------------
 
-def _add_bump(sig: np.ndarray, t0: float, half_width: float, height: float) -> None:
-    """Add a raised-cosine bump centered at t0 (seconds) in place."""
-    i0 = max(0, int(math.ceil((t0 - half_width) * SAMPLE_RATE)))
-    i1 = min(SEGMENT_LEN - 1, int(math.floor((t0 + half_width) * SAMPLE_RATE)))
-    if i0 > i1:
-        return
-    tt = np.arange(i0, i1 + 1, dtype=np.float64) / SAMPLE_RATE
-    sig[i0:i1 + 1] += height * 0.5 * (1.0 + np.cos(np.pi * (tt - t0) / half_width))
+def _add_bumps(sig: np.ndarray, t0: np.ndarray, half_width: float,
+               height: np.ndarray) -> None:
+    """Add raised-cosine bumps centered at times ``t0`` (seconds) in place.
+
+    The bumps of one call must not overlap: each sample gets one add.
+    """
+    i0 = np.maximum(np.ceil((t0 - half_width) * SAMPLE_RATE), 0).astype(np.int64)
+    i1 = np.minimum(np.floor((t0 + half_width) * SAMPLE_RATE),
+                    SEGMENT_LEN - 1).astype(np.int64)
+    counts = np.maximum(i1 - i0 + 1, 0)
+    idx = np.arange(counts.sum()) + np.repeat(i0 - np.cumsum(counts) + counts, counts)
+    tt = idx / SAMPLE_RATE
+    sig[idx] += (np.repeat(height * 0.5, counts)
+                 * (1.0 + np.cos(np.pi * (tt - np.repeat(t0, counts)) / half_width)))
 
 
 def generate_synthetic(n_cases: int, samples_per_case: int, task: str, seed: int,
@@ -322,14 +328,15 @@ def generate_synthetic(n_cases: int, samples_per_case: int, task: str, seed: int
             ppg = np.full(SEGMENT_LEN, 0.5, dtype=np.float64)
             ecg = np.zeros(SEGMENT_LEN, dtype=np.float64)
             pulse_hw = 0.4 * period
-            for tb in beat_times:
-                envelope = 1.0 - decline * (tb / SEGMENT_SECONDS)
-                amp = base_amp * envelope * (1.0 + rng.normal(0.0, 0.05))
-                _add_bump(ppg, tb, pulse_hw, amp)
-                r_amp = 1.1 * (1.0 + rng.normal(0.0, 0.05))
-                _add_bump(ecg, tb, 0.04, r_amp)
-                _add_bump(ecg, tb + 0.07, 0.03, -0.2)
-                _add_bump(ecg, tb + 0.28, 0.08, 0.25)
+            # per beat: the pulse-amplitude jitter, then the R-amplitude one
+            jitter = rng.normal(0.0, 0.05, size=(len(beat_times), 2))
+            envelope = 1.0 - decline * (beat_times / SEGMENT_SECONDS)
+            _add_bumps(ppg, beat_times, pulse_hw,
+                       base_amp * envelope * (1.0 + jitter[:, 0]))
+            # R before Q: the two can share the sample at tb + 0.04
+            _add_bumps(ecg, beat_times, 0.04, 1.1 * (1.0 + jitter[:, 1]))
+            _add_bumps(ecg, beat_times + 0.07, 0.03, np.full(len(beat_times), -0.2))
+            _add_bumps(ecg, beat_times + 0.28, 0.08, np.full(len(beat_times), 0.25))
 
             tgrid = np.arange(SEGMENT_LEN, dtype=np.float64) / SAMPLE_RATE
             ecg += 0.08 * np.sin(2.0 * np.pi * 0.2 * tgrid + rng.uniform(0, 2 * np.pi))

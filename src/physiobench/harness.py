@@ -32,6 +32,7 @@ LR_DECAY_FACTOR = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 RMSPROP_RHO, RMSPROP_EPS = 0.9, 1e-7
 PREDICT_BATCH = 256     # rows per eval-mode forward in predict
+BCE_GRAD_FLOOR = 1e-30  # smaller logit gradients are flushed to zero
 CSV_HEADER = ("family,attention,fraction,level,seed_count,"
               "metric_mean,metric_std,conv_time_mean_s,aborted")
 
@@ -89,7 +90,7 @@ def lr_at(epoch: int, spec: TrainSpec) -> float:
 
 class Adam:
     def __init__(self, params, lr: float = 1e-3):
-        self.params = [p for p in params if p.requires_grad]
+        self.params = list(params)
         self.lr = lr
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -122,7 +123,7 @@ class Adam:
 
 class RMSProp:
     def __init__(self, params, lr: float = 1e-3):
-        self.params = [p for p in params if p.requires_grad]
+        self.params = list(params)
         self.lr = lr
         self._v = [np.zeros_like(p.data) for p in self.params]
 
@@ -153,9 +154,21 @@ def make_optimizer(spec: TrainSpec, params) -> Adam | RMSProp:
 # ---------------------------------------------------------------------
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Binary cross-entropy directly from logits: mean(softplus(z) - y*z)."""
+    """Binary cross-entropy directly from logits: mean(softplus(z) - y*z).
+
+    Logit-gradient entries below ``BCE_GRAD_FLOOR`` in magnitude are zeroed.
+    A confidently right sample's gradient, about e^-|z|/B, would otherwise
+    turn every per-sample row of the backward subnormal.  A flushed entry is
+    over 20 orders of magnitude below any unsaturated sample's 1/B-sized
+    gradient, far under float32 resolution of any sum it joins.  If every
+    sample of a batch is saturated the step's gradient is all zeros: with
+    eps >= 1e-8 under Adam's and RMSProp's square roots, the flushed entries
+    would have moved a weight w by about lr * 1e-22 * |dz/dw|.  Steps that
+    flush nothing are bit-identical.
+    """
     y = Tensor(np.asarray(targets, dtype=logits.dtype).reshape(logits.shape))
-    return T.reduce_mean(T.softplus(logits) - logits * y)
+    z = T.flush_tiny_grad(logits, BCE_GRAD_FLOOR)
+    return T.reduce_mean(T.softplus(z) - z * y)
 
 
 def rmse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:

@@ -35,7 +35,7 @@ def test_placement_rejects_bad_args():
 
 
 # ---------------------------------------------------------------------
-# module widths and closed-form counts vs the hand-derived oracle
+# module widths and counted parameters vs the hand-derived oracle
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("family", bb.CNN_FAMILIES)
@@ -101,8 +101,9 @@ CNN_MATRIX = [(f, k, fr)
 
 @pytest.mark.parametrize("family,kind,fraction", CNN_MATRIX)
 def test_model_counts_match_oracle(family, kind, fraction):
-    # the closed forms count-params adds up, at every level (VGG's heads make
-    # most levels too large to build; built models are checked below)
+    # the counts count-params adds up, at every level: built backbones and
+    # attention blocks without heads (VGG's heads make most levels too large
+    # to build; whole built models are checked below)
     for level in range(1, bb.MAX_LEVEL[family] + 1):
         total = bb.feature_param_count(family, level)
         if kind != "none":
@@ -123,8 +124,7 @@ def test_msa_model_counts_match_oracle(d_model, n_heads, d_ff, n_layers):
     cfg = bb.ModelConfig(family="msa_only", level=1, attention=AttentionKind.MSA,
                          msa=MsaConfig(d_model, n_heads, d_ff, n_layers))
     model = bb.build_model(cfg, rng=0)
-    assert (model.num_params(trainable_only=True)
-            == sym.msa_only_params(d_model, d_ff, n_layers))
+    assert model.num_params() == sym.msa_only_params(d_model, d_ff, n_layers)
 
 
 @pytest.mark.parametrize("d_model,n_heads,d_ff,n_layers",
@@ -162,8 +162,7 @@ def test_built_count_equals_closed_form(family, level, kind, fraction, float32_m
     cfg = bb.ModelConfig(family=family, level=level,
                          attention=AttentionKind(kind), fraction=fraction)
     model = bb.build_model(cfg, rng=0)
-    assert (model.num_params(trainable_only=True)
-            == sym.model_params(family, level, kind, fraction))
+    assert model.num_params() == sym.model_params(family, level, kind, fraction)
 
 
 def test_attention_slots_follow_placement():

@@ -292,6 +292,31 @@ def test_evaluate_missing_weights(tmp_path):
                      "--synth-cases", "2"]) == 2
 
 
+def _broken_weights(trained, tmp_path, kind):
+    path = tmp_path / f"{kind}.npz"
+    if kind == "not_a_zip":
+        path.write_bytes(b"PK\x03\x04 truncated")
+        return path
+    with np.load(trained / "weights.npz") as zf:
+        arrays = {k: zf[k] for k in zf.files}
+    if kind == "no_meta":
+        del arrays["__meta__"]
+    else:  # arrays that do not fit the config they carry
+        del arrays[next(k for k in arrays if not k.startswith("__"))]
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["not_a_zip", "no_meta", "arrays_off_config"])
+def test_evaluate_broken_weights_exits_2_with_one_line(kind, trained, tmp_path, capsys):
+    path = _broken_weights(trained, tmp_path, kind)
+    args = ["evaluate", "--weights", str(path)] + TINY_DATA_FLAGS + ["--task", "cls"]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not a weights file written by train: ")
+    assert err.count("\n") == 1
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     missing = tmp_path / "no.psd1"
     args = ["train", "--dataset", str(missing), "--out-dir", str(tmp_path / "x")]
@@ -380,7 +405,8 @@ def test_sweep_aborted_runs_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-2"),
                                         ("--max-entries", "-1"),
-                                        ("--max-entries", "0")])
+                                        ("--max-entries", "0"),
+                                        ("--workers", "0"), ("--workers", "-3")])
 def test_sweep_rejects_counts_below_one(flag, value, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert cli.main(_sweep_args(out, [flag, value])) == 2

@@ -1,5 +1,6 @@
 """Task rules, synthetic generation, splitting, and the PSD1 container."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -212,6 +213,23 @@ def test_generate_is_deterministic():
     c = dp.generate_synthetic(6, 3, "classification", seed=10, prevalence=0.3)
     assert a.equals(b)
     assert not a.equals(c)
+
+
+# sha256 of the encoded planted-feature-v1 output; any change to the
+# generator's values or draw order shows here
+GOLDEN_DIGESTS = {
+    ("classification", 1.0): "8753d6522c719da4a7708407b662f69f59b0248e443cd782dd5a6f8110edd7b6",
+    ("classification", 0.3): "a58574a5f9b460ef7e2513128a1cb06752e0773d2a8d43bde318875ac94ef96a",
+    ("regression", 1.0): "ca543f23f3de839fb3fb808003af9e2c2e38d6187ab475cda9158e7fc9f39728",
+    ("regression", 0.3): "14a88b13eac2dc8e16500ac26a9c512238ba2ca6503e06e77e56b70957d65686",
+}
+
+
+@pytest.mark.parametrize("task,difficulty", sorted(GOLDEN_DIGESTS))
+def test_generated_bytes_match_golden_digest(task, difficulty):
+    ds = dp.generate_synthetic(4, 3, task, seed=5, difficulty=difficulty, prevalence=0.5)
+    digest = hashlib.sha256(dp.encode_dataset(ds)).hexdigest()
+    assert digest == GOLDEN_DIGESTS[task, difficulty]
 
 
 @pytest.mark.parametrize("task", dp.TASKS)

@@ -142,14 +142,6 @@ def test_in_place_optimizer_steps_match_the_plain_formulas_bit_for_bit(dtype):
             assert got.tobytes() == want.tobytes()
 
 
-def test_optimizers_skip_frozen():
-    p = _param_with_grad(1.0, 0.5)
-    p.freeze()
-    for opt in (hn.Adam([p]), hn.RMSProp([p])):
-        opt.step()
-        assert p.data[0] == 1.0
-
-
 def test_make_optimizer_dispatch():
     p = _param_with_grad(0.0, 0.0)
     adam = hn.make_optimizer(hn.TrainSpec("bce", "adam", 1, lr0=0.2), [p])
@@ -169,6 +161,53 @@ def test_bce_closed_forms():
     assert hn.bce_with_logits(two, np.ones(1)).item() == pytest.approx(np.log1p(np.exp(-2.0)))
     assert hn.bce_with_logits(two, np.zeros(1)).item() == pytest.approx(
         2.0 + np.log1p(np.exp(-2.0)))
+
+
+def _conv_logits_backward(offsets, targets):
+    """float32 conv -> mean-pool logits shifted by ``offsets``, BCE, backward."""
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.normal(size=(len(offsets), 2, 8)).astype(np.float32),
+                 requires_grad=True)
+    w = T.Tensor(rng.normal(size=(1, 2, 3)).astype(np.float32), requires_grad=True)
+    pooled = T.reduce_mean(T.conv1d(x, w), axis=2)               # [B,1]
+    logits = pooled + T.Tensor(np.asarray(offsets, np.float32)[:, None])
+    hn.bce_with_logits(logits, np.asarray(targets)).backward()
+    return x.grad, w.grad
+
+
+def _has_subnormal(a):
+    return bool(np.any((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def test_bce_flushes_saturated_logit_gradients():
+    z = T.Tensor(np.array([[-90.0], [-5.0], [3.0], [-80.0]], np.float32),
+                 requires_grad=True)
+    hn.bce_with_logits(z, np.array([0, 0, 1, 0])).backward()
+    sig = 1.0 / (1.0 + np.exp(-z.data.astype(np.float64)))
+    want = (sig - np.array([[0], [0], [1], [0]])) / 4
+    assert z.grad[0, 0] == 0.0 and z.grad[3, 0] == 0.0   # e^-|z|/B < floor
+    np.testing.assert_allclose(z.grad[1:3], want[1:3], rtol=1e-6)
+
+    # confidently right samples next to unsaturated ones: their rows of the
+    # conv backward are exact zeros, never subnormal
+    x_grad, w_grad = _conv_logits_backward([-95.0, -95.0, 0.0, 0.0], [0, 0, 1, 0])
+    assert np.all(x_grad[:2] == 0.0) and np.any(x_grad[2:] != 0.0)
+    assert not _has_subnormal(x_grad) and not _has_subnormal(w_grad)
+    # a batch that is saturated throughout trains nothing
+    x_grad, w_grad = _conv_logits_backward([-95.0] * 4, [0] * 4)
+    assert np.all(x_grad == 0.0) and np.all(w_grad == 0.0)
+
+
+def test_bce_gradients_are_unchanged_when_nothing_is_flushed():
+    rng = np.random.default_rng(1)
+    z0 = rng.normal(scale=4.0, size=(6, 1)).astype(np.float32)
+    y = np.array([0, 1, 1, 0, 1, 0])
+    z = T.Tensor(z0, requires_grad=True)
+    hn.bce_with_logits(z, y).backward()
+    bare = T.Tensor(z0, requires_grad=True)
+    yt = T.Tensor(y.astype(np.float32).reshape(6, 1))
+    T.reduce_mean(T.softplus(bare) - bare * yt).backward()
+    assert z.grad.tobytes() == bare.grad.tobytes()
 
 
 def test_rmse_closed_form():
