@@ -14,8 +14,10 @@ The fourth mechanism is a stand-alone transformer encoder over tokens
 search (see :func:`msa_grid`).
 
 NL and MSA share one primitive, :func:`physiobench.core.tensor.attention`,
-which builds the [B,(H,)L,L] weights once and differentiates them
-analytically; neither block chains matmul and softmax itself.
+which computes the [B,(H,)L,L] weights in blocks of (batch, head) items,
+never all at once, and differentiates them analytically; neither block
+chains matmul and softmax itself.  The whole weights array is built only
+for a block made with ``record_attention=True``.
 """
 
 from __future__ import annotations
@@ -165,12 +167,11 @@ class NLBlock(nn.Module):
         theta = T.transpose(self.theta(x), 0, 2, 1)         # [B,L,E]
         phi = T.transpose(self.phi(x), 0, 2, 1)             # [B,L,E]
         g = T.transpose(self.g(x), 0, 2, 1)                 # [B,L,E]
-        if self.normalizer == "softmax":
-            y, attn = T.attention(theta, phi, g, 1.0)
-        else:
-            y, attn = T.attention(theta, phi, g, 1.0 / L, softmax=False)
+        softmax = self.normalizer == "softmax"
+        scale = 1.0 if softmax else 1.0 / L
+        y = T.attention(theta, phi, g, scale, softmax=softmax)
         if self.record_attention:
-            self.last_attention = attn
+            self.last_attention = T.attention_weights(theta.data, phi.data, scale, softmax)
         return x + self.proj(T.transpose(y, 0, 2, 1))
 
 
@@ -261,9 +262,10 @@ class MsaLayer(nn.Module):
         q = self._split_heads(self.wq(x), B, L)              # [B,H,L,dk]
         k = self._split_heads(self.wk(x), B, L)
         v = self._split_heads(self.wv(x), B, L)
-        ctx, attn = T.attention(q, k, v, 1.0 / math.sqrt(self.d_k))  # attn [B,H,L,L]
+        scale = 1.0 / math.sqrt(self.d_k)
+        ctx = T.attention(q, k, v, scale)                    # [B,H,L,dk]
         if self.record_attention:
-            self.last_attention = attn
+            self.last_attention = T.attention_weights(q.data, k.data, scale)  # [B,H,L,L]
         ctx = T.transpose(ctx, 0, 2, 1, 3).reshape(B, L, d)
         x = self.ln1(x + self.wo(ctx))
         h = self.ff2(T.relu(self.ff1(x)))

@@ -449,15 +449,44 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out._record((a,), "softmax", backward)
 
 
+ATTENTION_BLOCK = 1 << 18   # score elements per attention block (1 MiB in float32)
+
+
+def _weights(q: np.ndarray, k: np.ndarray, scale: float, softmax: bool,
+             rowmax: np.ndarray | None = None, rowsum: np.ndarray | None = None):
+    """``(P, rowmax, rowsum)``; a given row max and sum are reused, so a
+    rebuilt P is the first one bit for bit."""
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p *= scale
+    if softmax:
+        if rowmax is None:
+            rowmax = p.max(axis=-1, keepdims=True)
+        p -= rowmax
+        np.exp(p, out=p)
+        if rowsum is None:
+            rowsum = p.sum(axis=-1, keepdims=True)
+        p /= rowsum
+    return p, rowmax, rowsum
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
+                      softmax: bool = True) -> np.ndarray:
+    """The weights P [..., Lq, Lk] of :func:`attention` for arrays q [..., Lq, D]
+    and k [..., Lk, D]: ``softmax(scale * q kᵀ)`` along the last axis, or
+    just ``scale * q kᵀ`` when ``softmax`` is False."""
+    return _weights(q, k, scale, softmax)[0]
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              softmax: bool = True) -> tuple[Tensor, np.ndarray]:
-    """Dot-product attention over the last two axes, with one weights array.
+              softmax: bool = True) -> Tensor:
+    """Dot-product attention ``P @ v`` over the last two axes, computed in blocks.
 
     q is [..., Lq, D], k is [..., Lk, D] and v is [..., Lk, Dv], with equal
-    leading axes.  The weights P [..., Lq, Lk] are ``softmax(scale * q kᵀ)``
-    along the last axis, or just ``scale * q kᵀ`` when ``softmax`` is False.
-    Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor, and P itself, which
-    the backward reads and never writes.
+    leading axes; P is :func:`attention_weights`.  The leading (batch, head)
+    items run in blocks of at most ``ATTENTION_BLOCK`` score elements, and
+    at least one item, so P is never held whole.  Softmax keeps each row's
+    max and sum, and backward rebuilds each block's P from them bit for
+    bit.  Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor.
     """
     if not (q.ndim >= 2 and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
             and q.ndim == k.ndim == v.ndim):
@@ -467,31 +496,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         raise ShapeError(f"attention q and k widths disagree: q {q.shape}, k {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention k and v lengths disagree: k {k.shape}, v {v.shape}")
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    p *= scale
-    if softmax:
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(np.matmul(p, v.data))
+    lq, lk = q.shape[-2], k.shape[-2]
+    qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, k, v))
+    n = qs.shape[0]
+    step = max(1, ATTENTION_BLOCK // (lq * lk))
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
+    dtype = np.result_type(q.dtype, k.dtype, v.dtype)
+    out = np.empty((n, lq, vs.shape[-1]), dtype=dtype)
+    stats = []
+    for b in blocks:
+        p, rowmax, rowsum = _weights(qs[b], ks[b], scale, softmax)
+        np.matmul(p, vs[b], out=out[b])
+        stats.append((rowmax, rowsum))
 
     def backward(g):
-        if v.requires_grad:
-            v._accumulate(np.matmul(np.swapaxes(p, -1, -2), g))
-        if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, np.swapaxes(v.data, -1, -2))      # dP
+        g = g.reshape(out.shape)
+        grads = [np.empty(a.shape, dtype=dtype) if t.requires_grad else None
+                 for t, a in zip((q, k, v), (qs, ks, vs))]
+        dq, dk, dv = grads
+        for b, (rowmax, rowsum) in zip(blocks, stats):
+            p = _weights(qs[b], ks[b], scale, softmax, rowmax, rowsum)[0]
+            if dv is not None:
+                np.matmul(np.swapaxes(p, -1, -2), g[b], out=dv[b])
+            if dq is None and dk is None:
+                continue
+            ds = np.matmul(g[b], np.swapaxes(vs[b], -1, -2))      # dP
             if softmax:
                 # rowsum(dP * P) equals rowsum(g * out), which needs no
                 # [..., Lq, Lk] temporary
-                ds -= np.einsum("...ij,...ij->...i", g, out.data)[..., None]
+                ds -= np.einsum("...ij,...ij->...i", g[b], out[b])[..., None]
                 ds *= p
             ds *= scale
-            if q.requires_grad:
-                q._accumulate(np.matmul(ds, k.data))
-            if k.requires_grad:
-                k._accumulate(np.matmul(np.swapaxes(ds, -1, -2), q.data))
+            if dq is not None:
+                np.matmul(ds, ks[b], out=dq[b])
+            if dk is not None:
+                np.matmul(np.swapaxes(ds, -1, -2), qs[b], out=dk[b])
+        for t, grad in zip((q, k, v), grads):
+            if grad is not None:
+                t._take(grad.reshape(t.shape))
 
-    return out._record((q, k, v), "attention", backward), p
+    result = Tensor(out.reshape(q.shape[:-1] + v.shape[-1:]))
+    return result._record((q, k, v), "attention", backward)
 
 
 # ---------------------------------------------------------------------
@@ -551,7 +596,7 @@ def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, ax)
             buf = np.zeros_like(a.data)
             np.put_along_axis(buf, np.expand_dims(idx, ax), gg, axis=ax)
-            a._accumulate(buf)
+            a._take(buf)
 
     return out._record((a,), "max", backward)
 
@@ -917,6 +962,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gxhat = g * gamma.data
             s1 = gxhat.sum(axis=-1, keepdims=True)
             s2 = (gxhat * xhat).sum(axis=-1, keepdims=True)
-            x._accumulate((invstd / n) * (n * gxhat - s1 - xhat * s2))
+            x._take((invstd / n) * (n * gxhat - s1 - xhat * s2))
 
     return out._record((x, gamma, beta), "layer_norm", backward)

@@ -247,24 +247,37 @@ def test_msa_layer_grad_check(seed):
                       layer.parameters()) < 1e-4
 
 
-@pytest.mark.parametrize("block", ["nl-softmax", "nl-dot", "msa"])
-def test_recorded_attention_is_unchanged_by_backward(block):
-    # the blocks keep T.attention's weights array itself, not a copy
+def _attention_block(block: str, record: bool):
     rng = np.random.default_rng(13)
     if block == "msa":
-        blk = MsaLayer(rng, 8, 2, 16, record_attention=True)
-        x = Tensor(rng.normal(size=(2, 6, 8)), requires_grad=True)
-    else:
-        blk = NLBlock(rng, 4, zero_init=False, normalizer=block[3:],
-                      record_attention=True)
-        x = Tensor(rng.normal(size=(2, 4, 7)), requires_grad=True)
-    out = blk(x)
-    recorded = blk.last_attention
-    before = recorded.copy()
-    T.reduce_sum(out * Tensor(rng.normal(size=out.shape))).backward()
-    assert blk.last_attention is recorded
-    npt.assert_array_equal(recorded, before)
-    assert np.abs(x.grad).max() > 0
+        return MsaLayer(rng, 8, 2, 16, record_attention=record)
+    return NLBlock(rng, 4, zero_init=False, normalizer=block[3:], record_attention=record)
+
+
+@pytest.mark.parametrize("block", ["nl-softmax", "nl-dot", "msa"])
+def test_recorded_attention_is_unchanged_by_backward(block):
+    # recording builds the whole weights array for the caller alone: backward
+    # leaves it as it was, and the output and input gradient are those of
+    # the same block built with recording off, byte for byte
+    rng = np.random.default_rng(21)
+    shape = (2, 6, 8) if block == "msa" else (2, 4, 7)
+    x0 = rng.normal(size=shape)
+    probe = Tensor(rng.normal(size=shape))       # both blocks keep the shape
+    runs = []
+    for record in (True, False):
+        blk = _attention_block(block, record)
+        x = Tensor(x0, requires_grad=True)
+        out = blk(x)
+        recorded = blk.last_attention
+        assert (recorded is not None) == record
+        before = None if recorded is None else recorded.copy()
+        T.reduce_sum(out * probe).backward()
+        assert blk.last_attention is recorded
+        if record:
+            npt.assert_array_equal(recorded, before)
+        assert np.abs(x.grad).max() > 0
+        runs.append((out.data.tobytes(), x.grad.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_sinusoidal_encoding_closed_form():

@@ -2,6 +2,7 @@
 central differences."""
 
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -230,7 +231,7 @@ def test_attention_grad_check(softmax, seed):
         q, k, v = (_param(rng, *s) for s in shapes)
         scale = 0.7 if softmax else 1.0 / shapes[1][-2]
         probe = Tensor(rng.normal(size=shapes[0][:-1] + shapes[2][-1:]))
-        f = lambda: T.reduce_sum(T.attention(q, k, v, scale, softmax=softmax)[0] * probe)
+        f = lambda: T.reduce_sum(T.attention(q, k, v, scale, softmax=softmax) * probe)
         assert grad_check(f, [q, k, v]) < 1e-4, shapes
 
 
@@ -244,7 +245,8 @@ def test_float32_attention_agrees_with_float64(softmax):
         results = []
         for dtype in (np.float64, np.float32):
             ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-            out, weights = T.attention(*ts, scale, softmax=softmax)
+            out = T.attention(*ts, scale, softmax=softmax)
+            weights = T.attention_weights(ts[0].data, ts[1].data, scale, softmax)
             out.backward(g.astype(dtype))
             assert out.dtype == weights.dtype == dtype
             assert all(t.grad.dtype == dtype for t in ts)
@@ -270,6 +272,78 @@ def test_attention_shape_errors():
         T.attention(t(2, 5, 3), t(1, 2, 5, 3), t(1, 2, 5, 3), 1.0)
     with pytest.raises(ShapeError):     # no length axis
         T.attention(t(3), t(3), t(3), 1.0)
+
+
+def whole_array_attention(q, k, v, g, scale, softmax):
+    """The attention op's output and (dq, dk, dv) with the whole weights
+    array at once, in the op's own order of operations."""
+    p = T.attention_weights(q, k, scale, softmax)
+    out = np.matmul(p, v)
+    dv = np.matmul(np.swapaxes(p, -1, -2), g)
+    ds = np.matmul(g, np.swapaxes(v, -1, -2))
+    if softmax:
+        ds -= np.einsum("...ij,...ij->...i", g, out)[..., None]
+        ds *= p
+    ds *= scale
+    return out, np.matmul(ds, k), np.matmul(np.swapaxes(ds, -1, -2), q), dv
+
+
+# ATTENTION_BLOCK values for 5 NL-shaped items of 4x6 scores and 6 MSA-shaped
+# items of 4x6 scores: one block, whole blocks of one item, several blocks
+# with a partial last one, and a block smaller than one item
+BLOCKED_SHAPES = {
+    "3d": (((5, 4, 3), (5, 6, 3), (5, 6, 2)), [1 << 18, 24, 48, 1]),
+    "4d": (((2, 3, 4, 3), (2, 3, 6, 3), (2, 3, 6, 5)), [1 << 18, 24, 96, 1]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("softmax", [True, False])
+@pytest.mark.parametrize("rank", list(BLOCKED_SHAPES))
+def test_blocked_attention_equals_the_whole_array_formula_bit_for_bit(
+        rank, softmax, dtype, monkeypatch):
+    shapes, block_sizes = BLOCKED_SHAPES[rank]
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+    g = rng.normal(size=shapes[0][:-1] + shapes[2][-1:]).astype(dtype)
+    scale = 0.7 if softmax else 1.0 / shapes[1][-2]
+    want = whole_array_attention(*arrays, g, scale, softmax)
+    for block in block_sizes:
+        monkeypatch.setattr(T, "ATTENTION_BLOCK", block)
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.attention(*ts, scale, softmax=softmax)
+        out.backward(g)
+        for got, ref in zip([out.data] + [t.grad for t in ts], want):
+            _assert_same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("softmax", [True, False])
+def test_attention_grad_check_across_blocks(softmax, monkeypatch):
+    # 2x3 items of 5x7 scores, two items per block: three blocks
+    monkeypatch.setattr(T, "ATTENTION_BLOCK", 70)
+    rng = np.random.default_rng(4)
+    q, k, v = _param(rng, 2, 3, 5, 4), _param(rng, 2, 3, 7, 4), _param(rng, 2, 3, 7, 3)
+    probe = Tensor(rng.normal(size=(2, 3, 5, 3)))
+    scale = 0.6 if softmax else 1.0 / 7
+    f = lambda: T.reduce_sum(T.attention(q, k, v, scale, softmax=softmax) * probe)
+    assert grad_check(f, [q, k, v]) < 1e-4
+
+
+def test_attention_never_holds_the_whole_weights_array():
+    # P is 32 x 512 x 512 float32 = 32 MiB; the forward and backward together
+    # stay below that
+    rng = np.random.default_rng(2)
+    ts = [Tensor(rng.normal(size=(32, 512, 16)).astype(np.float32), requires_grad=True)
+          for _ in range(3)]
+    g = rng.normal(size=(32, 512, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        T.attention(*ts, 0.25).backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad.shape == (32, 512, 16) for t in ts)
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------------
@@ -785,9 +859,9 @@ DTYPE_CASES = {
     "matmul": ([(2, 3, 4), (4, 5)], T.matmul),
     "dense": ([(2, 4), (4, 5), (5,)], T.dense),
     "attention-softmax": ([(2, 5, 3), (2, 6, 3), (2, 6, 4)],
-                          lambda q, k, v: T.attention(q, k, v, 0.5)[0]),
+                          lambda q, k, v: T.attention(q, k, v, 0.5)),
     "attention-dot": ([(2, 2, 5, 3), (2, 2, 6, 3), (2, 2, 6, 4)],
-                      lambda q, k, v: T.attention(q, k, v, 1 / 6, softmax=False)[0]),
+                      lambda q, k, v: T.attention(q, k, v, 1 / 6, softmax=False)),
     "conv1d-transposed": ([(2, 4, 9), (3, 4, 3), (3,)],
                           lambda x, w, b: T.conv1d(x, w, b, padding="same")),
     "conv1d-col2im": ([(2, 3, 9), (4, 3, 3)],
@@ -844,7 +918,7 @@ MIXED_CASES = {
     "conv1d": ([(2, 3, 9), (4, 3, 3), (4,)],
                lambda x, w, b: T.conv1d(x, w, b, padding="same")),
     "attention": ([(2, 5, 3), (2, 6, 3), (2, 6, 4)],
-                  lambda q, k, v: T.attention(q, k, v, 0.5)[0]),
+                  lambda q, k, v: T.attention(q, k, v, 0.5)),
 }
 
 
@@ -978,7 +1052,7 @@ def test_conv1d_weight_gradient_sums_samples_as_a_batched_sum():
         _assert_same_bytes(wt.grad, want)
 
 
-def test_backward_hands_over_gradients_without_sharing_them():
+def test_backward_hands_over_gradients_without_sharing_them(monkeypatch):
     # add and mul hand g to one parent; reshape hands a view; relu and the
     # fused conv ReLU mask g in place
     rng = np.random.default_rng(3)
@@ -1011,6 +1085,29 @@ def test_backward_hands_over_gradients_without_sharing_them():
         for t, before in zip(leaves, saved):
             if t is not a:
                 npt.assert_array_equal(t.grad, before)
+    # layer_norm and reduce_max build their input gradients fresh and hand
+    # them over: no first gradient of theirs is copied through _accumulate
+    copied = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, grad):
+        copied.append(self)
+        accumulate(self, grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    a = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+    gamma, beta = Tensor(rng.uniform(0.5, 1.5, size=5)), Tensor(rng.normal(size=5))
+    out = T.layer_norm(a, gamma, beta) + T.reduce_max(b, axis=1, keepdims=True)
+    g = rng.normal(size=(2, 4, 5))
+    out.backward(g)
+    assert not any(t is a or t is b for t in copied)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, g) and not np.shares_memory(b.grad, g)
+    want_b = np.zeros_like(b.data)
+    np.put_along_axis(want_b, b.data.argmax(axis=1)[:, None], g.sum(axis=1, keepdims=True),
+                      axis=1)
+    npt.assert_array_equal(b.grad, want_b)
 
 
 def test_backward_frees_forward_arrays_as_it_goes():
