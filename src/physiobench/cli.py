@@ -231,6 +231,9 @@ def cmd_count_params(args) -> int:
         raise CliError(f"--family must be one of {CNN_FAMILIES}, got {args.family!r}")
     table = _planning_table(args.family, args.table)
     kind = AttentionKind(args.attention)
+    if kind is AttentionKind.MSA:
+        raise CliError("--attention msa has no feature-map block to count; "
+                       "use none, se, nl or cbam")
     chosen = select_level(table)
     print(f"family: {args.family}  (counts: {args.table})")
     header = "level  feature_params"

@@ -6,12 +6,16 @@ gradient back to them; ``Tensor.backward()`` replays those closures in
 reverse topological order.  Math is plain numpy.  The BLAS-backed ops
 (matmul, the conv GEMM) may run on several threads, and how their sums are
 split depends on the thread count, so a given seed replays bit for bit for a
-fixed BLAS thread count.  The benchmark prints that count.
+fixed BLAS thread count.  The benchmark prints that count.  Max pooling
+splits its batch rows into blocks run on one thread per CPU; that changes no
+bit, because each row's work is independent of the others and keeps its tap
+order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -780,12 +784,55 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     return out._record(parents, "conv1d", backward)
 
 
+BATCH_BLOCK = 1 << 21   # bytes per array in one batch block of max pooling (2 MiB)
+
+_EXECUTOR = None   # the concurrent.futures.ThreadPoolExecutor of _over_batch
+
+
+def _drop_executor() -> None:
+    # A forked child has none of its parent's threads; it builds its own pool.
+    global _EXECUTOR
+    _EXECUTOR = None
+
+
+os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int) -> None:
+    """Run ``fn(rows)`` over slices of ``batch`` rows, each holding at most
+    ``BATCH_BLOCK`` bytes of an array whose rows take ``row_bytes`` (at least
+    one row), on one thread per CPU.  Returns once every block has run, and
+    re-raises a block's exception.  A single block, or a single CPU, runs
+    inline."""
+    global _EXECUTOR
+    step = max(1, BATCH_BLOCK // max(row_bytes, 1))
+    blocks = [slice(i, i + step) for i in range(0, batch, step)]
+    threads = len(os.sched_getaffinity(0))
+    if len(blocks) == 1 or threads == 1:
+        for rows in blocks:
+            fn(rows)
+        return
+    # imported here, not at the top: concurrent.futures (and the logging
+    # module it loads) adds about 9 ms to every import of the package
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if _EXECUTOR is None:
+        _EXECUTOR = ThreadPoolExecutor(threads, thread_name_prefix="pool1d")
+    futures = [_EXECUTOR.submit(fn, rows) for rows in blocks]
+    wait(futures)
+    for f in futures:
+        f.result()
+
+
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
            padding: str = "valid") -> Tensor:
     """Windowed max/avg pooling over the length axis (no padding by default).
 
     ``padding='same'`` is supported for max pooling only (pads with -inf);
-    it exists for pooling branches that must preserve length.
+    it exists for pooling branches that must preserve length.  Max pooling
+    runs its forward and backward over blocks of batch rows (see
+    :func:`_over_batch`) on one thread per CPU; every output and gradient
+    bit is the same as in one pass, because each row's work is independent
+    and keeps its tap order.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
@@ -808,26 +855,39 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
     taps = _window_taps(L, window, stride, pad_left, out_len)
 
     if kind == "max":
-        # Padding reads as -inf, so the running maximum starts there.  It is
-        # np.maximum's second operand: ties return the second operand, so the
-        # earliest tap wins, as with argmax (this keeps the sign of tied zeros).
-        y = np.full((B, C, out_len), -np.inf, dtype=x.dtype)
-        for _, lo, hi, sl in taps:
-            np.maximum(x.data[:, :, sl], y[:, :, lo:hi], out=y[:, :, lo:hi])
+        row_bytes = C * L * x.dtype.itemsize   # out_len <= L
+        y = np.empty((B, C, out_len), dtype=x.dtype)
+
+        def forward_rows(rows):
+            # Padding reads as -inf, so the running maximum starts there.  It
+            # is np.maximum's second operand: ties return the second operand,
+            # so the earliest tap wins, as with argmax (this keeps the sign of
+            # tied zeros).
+            xr, yr = x.data[rows], y[rows]
+            yr.fill(-np.inf)
+            for _, lo, hi, sl in taps:
+                np.maximum(xr[:, :, sl], yr[:, :, lo:hi], out=yr[:, :, lo:hi])
+
+        _over_batch(forward_rows, B, row_bytes)
         out = Tensor(y)
 
         def backward(g):
-            if x.requires_grad:
+            if not x.requires_grad:
+                return
+            gx = np.zeros((B, C, L), dtype=g.dtype)
+            n_padded = -(-pad_left // stride)
+
+            def backward_rows(rows):
                 # The first tap equal to the maximum takes the gradient (ties
                 # are common after ReLU).  A window that starts in the left
                 # padding and has maximum -inf gives it to the padding, that
                 # is, drops it.
-                claimed = np.zeros(y.shape, dtype=bool)
-                n_padded = -(-pad_left // stride)
-                claimed[:, :, :n_padded] = y[:, :, :n_padded] == -np.inf
+                xr, yr, gr, gxr = x.data[rows], y[rows], g[rows], gx[rows]
+                claimed = np.zeros(yr.shape, dtype=bool)
+                claimed[:, :, :n_padded] = yr[:, :, :n_padded] == -np.inf
                 hits = []
                 for _, lo, hi, sl in taps:
-                    hit = x.data[:, :, sl] == y[:, :, lo:hi]
+                    hit = xr[:, :, sl] == yr[:, :, lo:hi]
                     hit &= ~claimed[:, :, lo:hi]
                     claimed[:, :, lo:hi] |= hit
                     hits.append(hit)
@@ -835,10 +895,11 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 # sums its windows in ascending window order, the order
                 # np.add.at over an argmax index would use, so overlapping
                 # windows give the same bits.
-                gx = np.zeros((B, C, L), dtype=g.dtype)
                 for (_, lo, hi, sl), hit in zip(reversed(taps), reversed(hits)):
-                    gx[:, :, sl] += g[:, :, lo:hi] * hit
-                x._take(gx)
+                    gxr[:, :, sl] += gr[:, :, lo:hi] * hit
+
+            _over_batch(backward_rows, B, row_bytes)
+            x._take(gx)
     else:
         out = Tensor(_window_view(x.data, out_len, window, stride).mean(axis=3))
 

@@ -140,6 +140,16 @@ def test_count_params_rejects_msa_family():
     assert cli.main(["count-params", "--family", "msa_only"]) == 2
 
 
+@pytest.mark.parametrize("fraction", ["100", "0"])
+def test_count_params_rejects_msa_attention_before_printing(fraction, capsys):
+    # msa has no feature-map block: one error line, and no half table
+    assert cli.main(["count-params", "--family", "vgg", "--attention", "msa",
+                     "--fraction", fraction]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "msa" in captured.err
+
+
 def test_select_level_custom_counts(capsys):
     assert cli.main(["select-level", "--counts", "100,50,10",
                      "--default", "100"]) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -561,3 +562,30 @@ def test_sweep_accepts_raw_configs_and_workers(cls_bundle, tiny_sweep_report):
     forked = hn.run_sweep([TINY_MSA], cls_bundle, epochs=2, seeds=[0, 1],
                           batch_size=64, workers=2)
     assert hn.report_to_csv(forked) == hn.report_to_csv(tiny_sweep_report)
+
+
+def test_forked_sweep_after_threaded_max_pool(cls_bundle, monkeypatch):
+    # The parent's max pool starts its block threads; a forked sweep worker
+    # has none of them and must build its own pool instead of waiting on the
+    # parent's.  The alarm turns a hang into a failure.
+    monkeypatch.setattr(T, "BATCH_BLOCK", 1 << 20)   # the stem pool: 2 rows a block
+    T.pool1d(T.Tensor(np.zeros((4, 2, 1 << 16))), "max", 3, 1, padding="same")
+    assert T._EXECUTOR is not None
+    cfg = ModelConfig("inception", 1)
+    small = dataclasses.replace(cls_bundle, x_train=cls_bundle.x_train[:32],
+                                demo_train=cls_bundle.demo_train[:32],
+                                y_train=cls_bundle.y_train[:32])
+
+    def timed_out(*_):
+        raise TimeoutError("forked sweep hung")
+
+    saved = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(120)
+    try:
+        forked = hn.run_sweep([cfg], small, epochs=1, seeds=[0, 1],
+                              batch_size=16, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+    serial = hn.run_sweep([cfg], small, epochs=1, seeds=[0, 1], batch_size=16)
+    assert hn.report_to_csv(forked) == hn.report_to_csv(serial)

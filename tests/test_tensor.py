@@ -599,14 +599,20 @@ def test_pool1d_matches_naive(kind, window, stride, padding):
     (2, 2, "valid"), (3, 1, "valid"), (3, 1, "same"), (3, 2, "same"),
     (5, 2, "same"), (5, 3, "valid"),
 ])
-def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtype):
+def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtype,
+                                                   monkeypatch):
     # ReLU-clamped, rounded inputs tie often; the -inf runs make windows whose
-    # maximum is -inf, some of which start in the padding.
+    # maximum is -inf, some of which start in the padding.  The five batch
+    # rows run as one-row blocks, as two-row blocks with a partial last one,
+    # and as one block.
     rng = np.random.default_rng(4)
-    for length in (16, 17):
-        x = np.maximum(rng.normal(size=(3, 4, length)).round(1), 0.0).astype(dtype)
+    for length, block_rows in itertools.product((16, 17), (1, 2, 5)):
+        x = np.maximum(rng.normal(size=(5, 4, length)).round(1), 0.0).astype(dtype)
         x[0, 0, :3] = -np.inf
         x[1, 2, -3:] = -np.inf
+        x[4, 1, 5:9] = -np.inf
+        row_bytes = 4 * length * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * row_bytes)
         xt = Tensor(x, requires_grad=True, dtype=dtype)
         y = T.pool1d(xt, "max", window, stride, padding=padding)
         g = rng.normal(size=y.shape).astype(dtype)
@@ -614,6 +620,27 @@ def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtyp
         assert y.dtype == xt.grad.dtype == dtype
         npt.assert_array_equal(y.data, naive_pool1d(x, "max", window, stride, padding))
         npt.assert_array_equal(xt.grad, naive_max_pool1d_grad(x, window, stride, padding, g))
+
+
+@pytest.mark.parametrize("batch,row_bytes,block,want", [
+    (5, 10, 20, [(0, 2), (2, 4), (4, 5)]),   # partial last block
+    (4, 10, 5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # a row over the limit: one row
+    (3, 10, 1000, [(0, 3)]),                 # one block, run inline
+])
+def test_over_batch_runs_every_row_once_and_reraises(batch, row_bytes, block, want,
+                                                     monkeypatch):
+    monkeypatch.setattr(T, "BATCH_BLOCK", block)
+    seen = []
+    T._over_batch(lambda rows: seen.append((rows.start, min(rows.stop, batch))),
+                  batch, row_bytes)
+    assert sorted(seen) == want
+
+    def fail_on_last(rows):
+        if rows.stop >= batch:
+            raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        T._over_batch(fail_on_last, batch, row_bytes)
 
 
 def test_pool1d_same_padding_rejected_for_avg():
