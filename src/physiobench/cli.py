@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,11 @@ CONFIG_KEYS = {
     "matrix": (str, "paper13"), "seeds": (int, 5), "base_seed": (int, 0),
     "out_dir": (str, "physiobench-out"), "workers": (int, 1),
 }
+
+
+# why sweep --workers accepts only 1
+ONE_PROCESS = ("a sweep runs in one process, whose BLAS and max-pool threads "
+               "already use every CPU")
 
 
 class CliError(Exception):
@@ -150,12 +156,21 @@ def _set_dtype(name: str) -> None:
     T.set_default_dtype(np.float32 if name == "float32" else np.float64)
 
 
+@contextmanager
+def _out_file(path: Path, mode: str):
+    """Open ``path`` for writing, making its directory; any OSError, from
+    the open or from a write inside the block, becomes a CliError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 def _write(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(data, bytes):
-        path.write_bytes(data)
-    else:
-        path.write_text(data)
+    with _out_file(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------
@@ -174,10 +189,7 @@ def cmd_gen_synthetic(args) -> int:
                                difficulty=args.difficulty,
                                prevalence=args.prevalence)
     out = Path(args.out)
-    try:
-        _write(out, dp.encode_dataset(ds))
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}")
+    _write(out, dp.encode_dataset(ds))
     manifest = dict(ds.meta)
     manifest["n_records"] = len(ds.records)
     manifest["format"] = "psd1"
@@ -206,10 +218,7 @@ def cmd_preprocess(args) -> int:
     out_ds = dp.SignalDataset(task=ds.task, records=tuple(kept),
                               meta={**ds.meta, "preprocessed": True})
     out = Path(args.out)
-    try:
-        _write(out, dp.encode_dataset(out_ds))
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}")
+    _write(out, dp.encode_dataset(out_ds))
     manifest = {"task": ds.task, "n_in": len(ds.records), "n_kept": len(kept)}
     manifest.update({f"dropped_{k}": v for k, v in sorted(drops.items())})
     _write(out.with_suffix(out.suffix + ".manifest"), dp.format_manifest(manifest))
@@ -285,14 +294,16 @@ def _save_weights(path: Path, model, cfg: ModelConfig, bundle: hz.ArrayBundle) -
     arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
     arrays["__demo_mean__"] = bundle.demo_mean
     arrays["__demo_std__"] = bundle.demo_std
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with _out_file(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def _load_weights(path: Path):
     reserved = ("__meta__", "__demo_mean__", "__demo_std__")
-    with np.load(path, allow_pickle=False) as zf:
+    loaded = np.load(path, allow_pickle=False)
+    if not isinstance(loaded, np.lib.npyio.NpzFile):
+        raise ValueError("a single .npy array, not an .npz archive")
+    with loaded as zf:
         meta = json.loads(str(zf["__meta__"]))
         demo_stats = (zf["__demo_mean__"], zf["__demo_std__"])
         state = {k.replace(".", "/"): zf[k] for k in zf.files if k not in reserved}
@@ -354,7 +365,7 @@ def cmd_evaluate(args) -> int:
         model.load_state_dict(state)
     except OSError as exc:
         raise CliError(f"cannot read weights {args.weights}: {exc}")
-    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CliError(f"{args.weights} is not a weights file written by train: {exc}")
     ds = _load_or_generate(args)
     if cfg.task != ds.task:
@@ -375,8 +386,8 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     if args.max_entries is not None and args.max_entries < 1:
         raise CliError(f"--max-entries must be at least 1, got {args.max_entries}")
-    if args.workers < 1:
-        raise CliError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers != 1:
+        raise CliError(f"--workers must be 1, got {args.workers}: {ONE_PROCESS}")
     _set_dtype(args.dtype)
     if args.list_only:  # listing needs no data
         task = _resolve_task(args.task) if args.task else "classification"
@@ -415,7 +426,7 @@ def cmd_sweep(args) -> int:
     seeds = [args.base_seed + i for i in range(args.seeds)]
     report = hz.run_sweep(entries, bundle, epochs=args.epochs, seeds=seeds,
                           time_mode=args.time_mode, lr0=args.lr0,
-                          batch_size=args.batch_size, workers=args.workers)
+                          batch_size=args.batch_size)
     out_dir = Path(args.out_dir)
     _write(out_dir / "report.csv", hz.report_to_csv(report))
     _write(out_dir / "runs.jsonl", hz.report_to_jsonl(report))
@@ -524,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--matrix", "matrix", "paper13 or msa-grid")
     _opt(p, "--seeds", "seeds", "seeds per config (base_seed + 0..n-1)")
     _opt(p, "--base-seed", "base_seed", "first seed")
-    _opt(p, "--workers", "workers", "parallel worker processes")
+    _opt(p, "--workers", "workers", f"only 1 is accepted: {ONE_PROCESS}")
     p.add_argument("--max-entries", type=int, help="truncate the matrix (smoke tests)")
     p.add_argument("--families", help="comma-separated family filter, e.g. resnet,msa_only")
     p.add_argument("--list-only", action="store_true",

@@ -497,67 +497,31 @@ class SweepReport:
     rows: list[SweepRow]
 
 
-def _sweep_one(entry: SweepEntry, bundle: ArrayBundle, epochs: int, seed: int,
-               time_mode: str, lr0: float, batch_size: int) -> RunResult:
-    spec = TrainSpec.for_config(entry.config, epochs=epochs, seed=seed,
-                                time_mode=time_mode, lr0=lr0,
-                                batch_size=batch_size)
-    model = build_model(entry.config, rng=seed)
-    return train(model, bundle, spec)
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_job(args):
-    row_idx, seed = args
-    st = _POOL_STATE
-    result = _sweep_one(st["entries"][row_idx], st["bundle"], st["epochs"],
-                        seed, st["time_mode"], st["lr0"], st["batch_size"])
-    return row_idx, seed, result
-
-
-def run_sweep(entries, bundle: ArrayBundle, epochs: int, seeds: list[int],
-              time_mode: str = "virtual", lr0: float = 1e-3,
-              batch_size: int = 128, workers: int = 1) -> SweepReport:
+def run_sweep(entries: list[SweepEntry], bundle: ArrayBundle, epochs: int,
+              seeds: list[int], time_mode: str = "virtual", lr0: float = 1e-3,
+              batch_size: int = 128) -> SweepReport:
     """Train every entry once per seed and aggregate mean / sample std /
     convergence times.
 
-    Aborted runs and unbuildable entries are counted in the ``aborted``
-    column, never dropped.  ``workers`` > 1 forks the (entry, seed) jobs;
-    results are keyed, so the report does not depend on scheduling.
+    The (entry, seed) runs go one after another in this process, whose BLAS
+    and max-pool threads already use every CPU.  Aborted runs and
+    unbuildable entries are counted in the ``aborted`` column, never dropped.
     """
-    entries = [e if isinstance(e, SweepEntry) else
-               entries_from_configs([e])[0] for e in entries]
-
-    jobs = [(i, seed) for i, e in enumerate(entries) if e.error is None
-            for seed in seeds]
-    results: dict[tuple[int, int], RunResult] = {}
-    if workers > 1 and jobs:
-        import multiprocessing as mp
-        _POOL_STATE.update(entries=entries, bundle=bundle, epochs=epochs,
-                           time_mode=time_mode, lr0=lr0, batch_size=batch_size)
-        try:
-            with mp.get_context("fork").Pool(workers) as pool:
-                for row_idx, seed, result in pool.imap_unordered(_pool_job, jobs):
-                    results[(row_idx, seed)] = result
-        finally:
-            _POOL_STATE.clear()
-    else:
-        for row_idx, seed in jobs:
-            results[(row_idx, seed)] = _sweep_one(
-                entries[row_idx], bundle, epochs, seed, time_mode, lr0, batch_size)
-
     metric_name = "auroc" if bundle.task == "classification" else "mape"
     rows = []
-    for i, e in enumerate(entries):
+    for e in entries:
         if e.error is not None:
             rows.append(SweepRow(e.family, e.attention, e.fraction, e.level,
                                  seed_count=len(seeds), metric_mean=None,
                                  metric_std=None, conv_time_mean_s=None,
                                  aborted=len(seeds), label=e.label, error=e.error))
             continue
-        runs = [results[(i, seed)] for seed in seeds]
+        runs = []
+        for seed in seeds:
+            spec = TrainSpec.for_config(e.config, epochs=epochs, seed=seed,
+                                        time_mode=time_mode, lr0=lr0,
+                                        batch_size=batch_size)
+            runs.append(train(build_model(e.config, rng=seed), bundle, spec))
         finished = [r for r in runs if not r.aborted]
         finals = [r.final_metric for r in finished]
         conv = [r.convergence_s for r in finished if r.convergence_s is not None]

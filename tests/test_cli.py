@@ -304,8 +304,13 @@ def test_evaluate_missing_weights(tmp_path):
 
 def _broken_weights(trained, tmp_path, kind):
     path = tmp_path / f"{kind}.npz"
-    if kind == "not_a_zip":
-        path.write_bytes(b"PK\x03\x04 truncated")
+    raw = {"not_a_zip": b"PK\x03\x04 truncated", "empty": b""}
+    if kind in raw:
+        path.write_bytes(raw[kind])
+        return path
+    if kind == "npy_array":   # what np.save writes: one array, no archive
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
         return path
     with np.load(trained / "weights.npz") as zf:
         arrays = {k: zf[k] for k in zf.files}
@@ -317,7 +322,8 @@ def _broken_weights(trained, tmp_path, kind):
     return path
 
 
-@pytest.mark.parametrize("kind", ["not_a_zip", "no_meta", "arrays_off_config"])
+@pytest.mark.parametrize("kind", ["not_a_zip", "no_meta", "arrays_off_config",
+                                  "empty", "npy_array"])
 def test_evaluate_broken_weights_exits_2_with_one_line(kind, trained, tmp_path, capsys):
     path = _broken_weights(trained, tmp_path, kind)
     args = ["evaluate", "--weights", str(path)] + TINY_DATA_FLAGS + ["--task", "cls"]
@@ -415,14 +421,43 @@ def test_sweep_aborted_runs_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-2"),
                                         ("--max-entries", "-1"),
-                                        ("--max-entries", "0"),
-                                        ("--workers", "0"), ("--workers", "-3")])
+                                        ("--max-entries", "0")])
 def test_sweep_rejects_counts_below_one(flag, value, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert cli.main(_sweep_args(out, [flag, value])) == 2
     err = capsys.readouterr().err
     assert err == f"error: {flag} must be at least 1, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source,value", [("--workers", "0"), ("--workers", "-3"),
+                                          ("--workers", "2"), ("config", "2")])
+def test_sweep_rejects_workers_other_than_one(source, value, tmp_path, capsys):
+    # the missing --dataset shows that the check comes before any data is read
+    out = tmp_path / "sweep"
+    extra = ["--dataset", str(tmp_path / "absent.psd1")]
+    if source == "config":
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"workers={value}\n")
+        extra += ["--config", str(cfg)]
+    else:
+        extra += [source, value]
+    assert cli.main(_sweep_args(out, extra)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --workers must be 1, got {value}: {cli.ONE_PROCESS}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unwritable_out_dir_exits_2_with_one_line(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    args = (_train_args(out, ["--epochs", "1"]) if command == "train"
+            else _sweep_args(out, ["--seeds", "1"]))
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
 def test_sweep_rejects_unknown_matrix():

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from physiobench.core import tensor as T
 from physiobench.datapipe import generate_synthetic, split_by_case
 
 TINY_MSA = ModelConfig("msa_only", 1, AttentionKind.MSA, 0, msa=MsaConfig(16, 2, 32, 1))
+TINY_MSA_ENTRIES = hn.entries_from_configs([TINY_MSA])
 
 
 class LinearBaseline(nn.Module):
@@ -501,12 +501,12 @@ def test_msa_grid_entries_carry_invalid_cells():
 
 @pytest.fixture(scope="module")
 def tiny_sweep_report(cls_bundle):
-    return hn.run_sweep([TINY_MSA], cls_bundle, epochs=2, seeds=[0, 1],
+    return hn.run_sweep(TINY_MSA_ENTRIES, cls_bundle, epochs=2, seeds=[0, 1],
                         batch_size=64)
 
 
 def test_sweep_csv_is_reproducible(cls_bundle, tiny_sweep_report):
-    again = hn.run_sweep([TINY_MSA], cls_bundle, epochs=2, seeds=[0, 1],
+    again = hn.run_sweep(TINY_MSA_ENTRIES, cls_bundle, epochs=2, seeds=[0, 1],
                          batch_size=64)
     assert hn.report_to_csv(again) == hn.report_to_csv(tiny_sweep_report)
 
@@ -524,13 +524,13 @@ def test_sweep_csv_shape(tiny_sweep_report):
 
 
 def test_sweep_identical_seeds_have_zero_std(cls_bundle):
-    report = hn.run_sweep([TINY_MSA], cls_bundle, epochs=1, seeds=[7, 7],
+    report = hn.run_sweep(TINY_MSA_ENTRIES, cls_bundle, epochs=1, seeds=[7, 7],
                           batch_size=64)
     assert report.rows[0].metric_std == 0.0
 
 
 def test_sweep_single_seed_std_is_zero(cls_bundle):
-    report = hn.run_sweep([TINY_MSA], cls_bundle, epochs=1, seeds=[3],
+    report = hn.run_sweep(TINY_MSA_ENTRIES, cls_bundle, epochs=1, seeds=[3],
                           batch_size=64)
     row = report.rows[0]
     assert row.seed_count == 1 and row.metric_std == 0.0
@@ -556,36 +556,3 @@ def test_sweep_jsonl_carries_histories(tiny_sweep_report):
         assert rec["epoch_seconds"] == [1.0, 2.0]  # virtual clock
         assert rec["wall_seconds"] > 0
         assert rec["metric_name"] == "auroc"
-
-
-def test_sweep_accepts_raw_configs_and_workers(cls_bundle, tiny_sweep_report):
-    forked = hn.run_sweep([TINY_MSA], cls_bundle, epochs=2, seeds=[0, 1],
-                          batch_size=64, workers=2)
-    assert hn.report_to_csv(forked) == hn.report_to_csv(tiny_sweep_report)
-
-
-def test_forked_sweep_after_threaded_max_pool(cls_bundle, monkeypatch):
-    # The parent's max pool starts its block threads; a forked sweep worker
-    # has none of them and must build its own pool instead of waiting on the
-    # parent's.  The alarm turns a hang into a failure.
-    monkeypatch.setattr(T, "BATCH_BLOCK", 1 << 20)   # the stem pool: 2 rows a block
-    T.pool1d(T.Tensor(np.zeros((4, 2, 1 << 16))), "max", 3, 1, padding="same")
-    assert T._EXECUTOR is not None
-    cfg = ModelConfig("inception", 1)
-    small = dataclasses.replace(cls_bundle, x_train=cls_bundle.x_train[:32],
-                                demo_train=cls_bundle.demo_train[:32],
-                                y_train=cls_bundle.y_train[:32])
-
-    def timed_out(*_):
-        raise TimeoutError("forked sweep hung")
-
-    saved = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(120)
-    try:
-        forked = hn.run_sweep([cfg], small, epochs=1, seeds=[0, 1],
-                              batch_size=16, workers=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, saved)
-    serial = hn.run_sweep([cfg], small, epochs=1, seeds=[0, 1], batch_size=16)
-    assert hn.report_to_csv(forked) == hn.report_to_csv(serial)

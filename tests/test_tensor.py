@@ -2,6 +2,8 @@
 central differences."""
 
 import itertools
+import multiprocessing
+import signal
 import tracemalloc
 import weakref
 
@@ -641,6 +643,33 @@ def test_over_batch_runs_every_row_once_and_reraises(batch, row_bytes, block, wa
 
     with pytest.raises(RuntimeError, match="block failed"):
         T._over_batch(fail_on_last, batch, row_bytes)
+
+
+def _max_pool_bytes(x):
+    return T.pool1d(Tensor(x), "max", 3, 1, padding="same").data.tobytes()
+
+
+def test_forked_child_runs_a_multi_block_max_pool(monkeypatch):
+    # The parent's max pool starts its block threads; a forked child has none
+    # of them and must build its own pool instead of waiting on the parent's.
+    # The alarm turns a hang into a failure.
+    x = np.random.default_rng(0).normal(size=(4, 2, 1024))
+    monkeypatch.setattr(T, "BATCH_BLOCK", 2 * x[0].nbytes)   # two rows a block
+    parent = _max_pool_bytes(x)
+    assert T._EXECUTOR is not None
+
+    def timed_out(*_):
+        raise TimeoutError("max pool in a forked child hung")
+
+    saved = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply(_max_pool_bytes, (x,))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+    assert child == parent
 
 
 def test_pool1d_same_padding_rejected_for_avg():
