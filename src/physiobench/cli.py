@@ -168,6 +168,17 @@ def _out_file(path: Path, mode: str):
         raise CliError(f"cannot write {path}: {exc}")
 
 
+def _make_out_dir(name: str) -> Path:
+    """Create ``--out-dir`` up front, so an unwritable one fails before any
+    training rather than after it."""
+    out_dir = Path(name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_dir}: {exc}")
+    return out_dir
+
+
 def _write(path: Path, data) -> None:
     with _out_file(path, "wb" if isinstance(data, bytes) else "w") as fh:
         fh.write(data)
@@ -317,6 +328,7 @@ def _load_weights(path: Path):
 def cmd_train(args) -> int:
     _merge_config(args)
     _set_dtype(args.dtype)
+    out_dir = _make_out_dir(args.out_dir)
     bundle, task = _bundle(args)
     if args.task and _resolve_task(args.task) != task:
         raise CliError(f"--task {args.task} does not match dataset task {task}")
@@ -327,7 +339,6 @@ def cmd_train(args) -> int:
     model = build_model(cfg, rng=args.seed)
     result = hz.train(model, bundle, spec)
 
-    out_dir = Path(args.out_dir)
     history = "".join(
         json.dumps({"epoch": i + 1, "loss": result.losses[i],
                     "metric": result.metrics[i],
@@ -388,10 +399,17 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--max-entries must be at least 1, got {args.max_entries}")
     if args.workers != 1:
         raise CliError(f"--workers must be 1, got {args.workers}: {ONE_PROCESS}")
+    if args.matrix not in ("paper13", "msa-grid"):
+        raise CliError(f"--matrix must be paper13 or msa-grid, got {args.matrix!r}")
+    wanted = set(args.families.split(",")) if args.families else None
+    known = set(CNN_FAMILIES) | {"msa_only"}
+    if wanted and not wanted <= known:
+        raise CliError(f"unknown families: {sorted(wanted - known)}")
     _set_dtype(args.dtype)
     if args.list_only:  # listing needs no data
         task = _resolve_task(args.task) if args.task else "classification"
     else:
+        out_dir = _make_out_dir(args.out_dir)
         bundle, task = _bundle(args)
 
     if args.matrix == "paper13":
@@ -402,16 +420,9 @@ def cmd_sweep(args) -> int:
                         args.msa_layers)
         entries = hz.entries_from_configs(
             hz.paper13_matrix(task=task, levels=levels, msa=msa))
-    elif args.matrix == "msa-grid":
-        entries = hz.msa_grid_entries(task=task)
     else:
-        raise CliError(f"--matrix must be paper13 or msa-grid, got {args.matrix!r}")
-
-    if args.families:
-        wanted = set(args.families.split(","))
-        known = set(CNN_FAMILIES) | {"msa_only"}
-        if not wanted <= known:
-            raise CliError(f"unknown families: {sorted(wanted - known)}")
+        entries = hz.msa_grid_entries(task=task)
+    if wanted:
         entries = [e for e in entries if e.family in wanted]
     if args.max_entries is not None:
         entries = entries[:args.max_entries]
@@ -427,7 +438,6 @@ def cmd_sweep(args) -> int:
     report = hz.run_sweep(entries, bundle, epochs=args.epochs, seeds=seeds,
                           time_mode=args.time_mode, lr0=args.lr0,
                           batch_size=args.batch_size)
-    out_dir = Path(args.out_dir)
     _write(out_dir / "report.csv", hz.report_to_csv(report))
     _write(out_dir / "runs.jsonl", hz.report_to_jsonl(report))
     trained_aborts = sum(r.aborted for row in report.rows for r in row.runs)

@@ -10,6 +10,16 @@ fixed BLAS thread count.  The benchmark prints that count.  Max pooling
 splits its batch rows into blocks run on one thread per CPU; that changes no
 bit, because each row's work is independent of the others and keeps its tap
 order.
+
+:func:`concat` holds each activation once: it rebinds every recorded input
+(an op's output, not a leaf) to that input's slice of the concatenated
+array, so the input's own array is freed once nothing else holds it.  Two
+rules make this safe.  No op writes a Tensor's ``data`` after creating it;
+only leaves (Parameters, wrapped inputs, values built under ``no_grad``) are
+written in place, by the optimisers and ``grad_check``, and concat leaves
+those alone.  And an op whose backward reads its own output reads it through
+its output Tensor (``out.data``) at backward time, never through an array
+captured when the forward ran, which would keep the old array alive.
 """
 
 from __future__ import annotations
@@ -61,12 +71,13 @@ class no_grad:
 class Tensor:
     """A shaped float array participating in the gradient tape.
 
-    ``data`` is always a C-contiguous float32 or float64 ndarray.  A float32
-    or float64 array or numpy scalar keeps its dtype; Python numbers and
-    lists, and non-float arrays, take :func:`default_dtype`; an explicit
-    ``dtype`` wins over both.  Op outputs therefore follow their inputs, and
-    mixed float32/float64 operands follow numpy promotion while each
-    parent's gradient comes back in that parent's own dtype.  ``grad`` is
+    ``data`` is a float32 or float64 ndarray, C-contiguous unless
+    :func:`concat` has rebound this recorded input to a view of its output.
+    A float32 or float64 array or numpy scalar keeps its dtype; Python
+    numbers and lists, and non-float arrays, take :func:`default_dtype`; an
+    explicit ``dtype`` wins over both.  Op outputs therefore follow their
+    inputs, and mixed float32/float64 operands follow numpy promotion while
+    each parent's gradient comes back in that parent's own dtype.  ``grad`` is
     allocated lazily during backward (except for Parameters, which keep a
     permanent zero-initialised gradient buffer).
     """
@@ -442,11 +453,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    out = Tensor(e / e.sum(axis=axis, keepdims=True))
 
     def backward(g):
         if a.requires_grad:
+            y = out.data
             inner = (g * y).sum(axis=axis, keepdims=True)
             a._accumulate(y * (g - inner))
 
@@ -506,7 +517,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     step = max(1, ATTENTION_BLOCK // (lq * lk))
     blocks = [slice(i, i + step) for i in range(0, n, step)]
     dtype = np.result_type(q.dtype, k.dtype, v.dtype)
-    out = np.empty((n, lq, vs.shape[-1]), dtype=dtype)
+    out_shape = (n, lq, vs.shape[-1])
+    out = np.empty(out_shape, dtype=dtype)
     stats = []
     for b in blocks:
         p, rowmax, rowsum = _weights(qs[b], ks[b], scale, softmax)
@@ -514,7 +526,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         stats.append((rowmax, rowsum))
 
     def backward(g):
-        g = g.reshape(out.shape)
+        y = result.data.reshape(out_shape)
+        g = g.reshape(out_shape)
         grads = [np.empty(a.shape, dtype=dtype) if t.requires_grad else None
                  for t, a in zip((q, k, v), (qs, ks, vs))]
         dq, dk, dv = grads
@@ -528,7 +541,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             if softmax:
                 # rowsum(dP * P) equals rowsum(g * out), which needs no
                 # [..., Lq, Lk] temporary
-                ds -= np.einsum("...ij,...ij->...i", g[b], out[b])[..., None]
+                ds -= np.einsum("...ij,...ij->...i", g[b], y[b])[..., None]
                 ds *= p
             ds *= scale
             if dq is not None:
@@ -633,17 +646,28 @@ def transpose(a: Tensor, *axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors along ``axis``, holding each recorded input once.
+
+    Every recorded input (one with parents, not a leaf) of the output's
+    dtype is rebound to its slice of the output: its ``data`` becomes a
+    view, and its own array is freed once nothing else holds it.  Values do
+    not change, and this is safe because forward data is never written after
+    it is created, except for leaves, which keep their own arrays.
+    """
     tensors = tuple(tensors)
     ax = axis % tensors[0].ndim
     out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
     offsets = np.cumsum([0] + [t.shape[ax] for t in tensors])
+    slices = [(slice(None),) * ax + (slice(start, stop),)
+              for start, stop in zip(offsets[:-1], offsets[1:])]
+    for t, sl in zip(tensors, slices):
+        if t._parents and t.dtype == out.dtype:
+            t.data = out.data[sl]
 
     def backward(g):
-        slicer = [slice(None)] * g.ndim
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, sl in zip(tensors, slices):
             if t.requires_grad:
-                slicer[ax] = slice(start, stop)
-                t._accumulate(g[tuple(slicer)])
+                t._accumulate(g[sl])
 
     return out._record(tensors, "concat", backward)
 
@@ -743,7 +767,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     def backward(g):
         if relu:
-            np.multiply(g, y > 0, out=g)
+            np.multiply(g, out.data > 0, out=g)
         taps = _window_taps(L, K, stride, pad_left, out_len)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
@@ -882,7 +906,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 # are common after ReLU).  A window that starts in the left
                 # padding and has maximum -inf gives it to the padding, that
                 # is, drops it.
-                xr, yr, gr, gxr = x.data[rows], y[rows], g[rows], gx[rows]
+                xr, yr, gr, gxr = x.data[rows], out.data[rows], g[rows], gx[rows]
                 claimed = np.zeros(yr.shape, dtype=bool)
                 claimed[:, :, :n_padded] = yr[:, :, :n_padded] == -np.inf
                 hits = []
@@ -983,7 +1007,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def backward(g):
         if relu:
-            np.multiply(g, y > 0, out=g)
+            np.multiply(g, out.data > 0, out=g)
         centred = xc if training else x.data - mu[:, None]
         sum_g = g.sum(axis=(0, 2))
         sum_gxc = np.einsum("bcl,bcl->c", g, centred)

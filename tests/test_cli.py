@@ -360,10 +360,13 @@ def test_fraction_outside_supported_set_exits_2(command, capsys):
 # sweep
 # ---------------------------------------------------------------------
 
-def test_sweep_list_only_matrices(capsys):
-    assert cli.main(["sweep", "--matrix", "paper13", "--list-only"]) == 0
+def test_sweep_list_only_matrices(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--matrix", "paper13", "--list-only",
+                     "--out-dir", str(out)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1] == "total: 22" and len(lines) == 23
+    assert not out.exists()   # listing writes nothing
 
     assert cli.main(["sweep", "--matrix", "msa-grid", "--list-only"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -449,7 +452,13 @@ def test_sweep_rejects_workers_other_than_one(source, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-def test_unwritable_out_dir_exits_2_with_one_line(command, tmp_path, capsys):
+def test_unwritable_out_dir_exits_2_with_one_line(command, tmp_path, capsys, monkeypatch):
+    # the directory is made before any training, not after all of it
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output directory was made")
+
+    monkeypatch.setattr(cli.hz, "train", no_training)
+    monkeypatch.setattr(cli.hz, "run_sweep", no_training)
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "out"
@@ -460,5 +469,8 @@ def test_unwritable_out_dir_exits_2_with_one_line(command, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
-def test_sweep_rejects_unknown_matrix():
-    assert cli.main(["sweep", "--matrix", "full", "--synth-cases", "2"]) == 2
+def test_sweep_rejects_unknown_matrix(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--matrix", "full", "--synth-cases", "2",
+                     "--out-dir", str(out)]) == 2
+    assert not out.exists()   # rejected before the output directory is made

@@ -1,6 +1,7 @@
 """Tensor engine: forward oracles against naive numpy, gradients against
 central differences."""
 
+import gc
 import itertools
 import multiprocessing
 import signal
@@ -1090,6 +1091,21 @@ def test_fused_relu_grad_check_off_the_kink(seed):
 
     assert grad_check(f, [x, w, b, gamma, beta]) < 1e-4
 
+    # the same outputs concatenated: each backward then reads its own output
+    # through a view of the concat, and a later op reads two of them too
+    wide_probe = Tensor(rng.normal(size=(2, 12, 6)))
+
+    def joined():
+        h = T.conv1d(x, w, b, stride=2, padding="same", relu=True)
+        n = T.batchnorm1d(h, gamma, beta, rm.copy(), rv.copy(), training=True, relu=True)
+        p = T.pool1d(n, "max", 3, 1, padding="same")
+        cat = T.concat([h, n, p], axis=1)
+        return T.reduce_sum(cat * wide_probe) + T.reduce_sum(n * p), (h, n, p, cat)
+
+    _, (*parts, cat) = joined()
+    assert all(np.shares_memory(t.data, cat.data) for t in parts)
+    assert grad_check(lambda: joined()[0], [x, w, b, gamma, beta]) < 1e-4
+
 
 def test_conv1d_weight_gradient_sums_samples_as_a_batched_sum():
     # one GEMM per sample, added in ascending b, gives the bits of the
@@ -1186,3 +1202,40 @@ def test_backward_frees_forward_arrays_as_it_goes():
     root.backward()
     assert seen == [True, True]
     npt.assert_array_equal(x.grad, np.where(x.data > 0, 6.0, 0.0))
+
+
+CONCAT_INPUTS = {
+    "conv1d-relu": lambda x, w: T.conv1d(x, w, padding="same", relu=True),
+    "batchnorm1d-relu": lambda x, w: T.batchnorm1d(
+        x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
+        training=True, relu=True),
+    "pool1d-max": lambda x, w: T.pool1d(x, "max", 3, 1, padding="same"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONCAT_INPUTS))
+def test_concat_frees_its_recorded_inputs(case):
+    # a recorded input becomes a view of the output and its own array is
+    # freed; leaves, and inputs of another dtype, keep their own arrays
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
+    h = CONCAT_INPUTS[case](x, w)
+    leaf = Tensor(rng.normal(size=(2, 2, 8)), requires_grad=True)
+    narrow = T.relu(Tensor(rng.normal(size=(2, 1, 8)).astype(np.float32),
+                           requires_grad=True))
+    own = [leaf.data, narrow.data]
+    values = h.data.copy()
+    owner = weakref.ref(h.data if h.data.base is None else h.data.base)
+    out = T.concat([leaf, h, narrow], axis=1)
+    gc.collect()
+    assert owner() is None
+    assert np.shares_memory(h.data, out.data)
+    npt.assert_array_equal(h.data, values)
+    assert leaf.data is own[0] and narrow.data is own[1]
+    assert narrow.dtype == np.float32
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    x_alone = Tensor(x.data, requires_grad=True)
+    CONCAT_INPUTS[case](x_alone, Tensor(w.data)).backward(g[:, 2:5])
+    _assert_same_bytes(x.grad, x_alone.grad)
