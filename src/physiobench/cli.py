@@ -127,6 +127,12 @@ def _model_config(args, task: str) -> ModelConfig:
     return ModelConfig(args.family, level, kind, args.fraction, msa=msa, task=task)
 
 
+def _train_spec(args, cfg: ModelConfig) -> hz.TrainSpec:
+    return hz.TrainSpec.for_config(cfg, epochs=args.epochs, seed=args.seed,
+                                   lr0=args.lr0, batch_size=args.batch_size,
+                                   time_mode=args.time_mode)
+
+
 def _load_or_generate(args) -> dp.SignalDataset:
     if args.dataset:
         try:
@@ -328,14 +334,14 @@ def _load_weights(path: Path):
 def cmd_train(args) -> int:
     _merge_config(args)
     _set_dtype(args.dtype)
+    # the config and spec are checked before any directory or data is touched
+    _train_spec(args, _model_config(args, _resolve_task(args.task or "cls")))
     out_dir = _make_out_dir(args.out_dir)
     bundle, task = _bundle(args)
     if args.task and _resolve_task(args.task) != task:
         raise CliError(f"--task {args.task} does not match dataset task {task}")
     cfg = _model_config(args, task)
-    spec = hz.TrainSpec.for_config(cfg, epochs=args.epochs, seed=args.seed,
-                                   lr0=args.lr0, batch_size=args.batch_size,
-                                   time_mode=args.time_mode)
+    spec = _train_spec(args, cfg)
     model = build_model(cfg, rng=args.seed)
     result = hz.train(model, bundle, spec)
 
@@ -391,6 +397,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _sweep_entries(args, task: str, wanted: set[str] | None) -> list[hz.SweepEntry]:
+    if args.matrix == "paper13":
+        levels = None
+        if args.level is not None:
+            levels = {f: args.level for f in CNN_FAMILIES}
+        msa = MsaConfig(args.msa_d_model, args.msa_heads, args.msa_ff,
+                        args.msa_layers)
+        entries = hz.entries_from_configs(
+            hz.paper13_matrix(task=task, levels=levels, msa=msa))
+    else:
+        entries = hz.msa_grid_entries(task=task)
+    if wanted:
+        entries = [e for e in entries if e.family in wanted]
+    if args.max_entries is not None:
+        entries = entries[:args.max_entries]
+    return entries
+
+
 def cmd_sweep(args) -> int:
     _merge_config(args)
     if args.seeds < 1:
@@ -406,27 +430,12 @@ def cmd_sweep(args) -> int:
     if wanted and not wanted <= known:
         raise CliError(f"unknown families: {sorted(wanted - known)}")
     _set_dtype(args.dtype)
+    # the matrix and one spec are checked before any directory or data is
+    # touched; the entries are built again for the data's own task
+    entries = _sweep_entries(args, _resolve_task(args.task or "cls"), wanted)
+    hz.TrainSpec("bce", "adam", epochs=args.epochs, lr0=args.lr0,
+                 batch_size=args.batch_size, time_mode=args.time_mode)
     if args.list_only:  # listing needs no data
-        task = _resolve_task(args.task) if args.task else "classification"
-    else:
-        out_dir = _make_out_dir(args.out_dir)
-        bundle, task = _bundle(args)
-
-    if args.matrix == "paper13":
-        levels = None
-        if args.level is not None:
-            levels = {f: args.level for f in CNN_FAMILIES}
-        msa = MsaConfig(args.msa_d_model, args.msa_heads, args.msa_ff,
-                        args.msa_layers)
-        entries = hz.entries_from_configs(
-            hz.paper13_matrix(task=task, levels=levels, msa=msa))
-    else:
-        entries = hz.msa_grid_entries(task=task)
-    if wanted:
-        entries = [e for e in entries if e.family in wanted]
-    if args.max_entries is not None:
-        entries = entries[:args.max_entries]
-    if args.list_only:
         for e in entries:
             status = "ok" if e.error is None else f"invalid: {e.error}"
             print(f"{e.family},{e.attention},{e.fraction},{e.level},"
@@ -434,6 +443,9 @@ def cmd_sweep(args) -> int:
         print(f"total: {len(entries)}")
         return 0
 
+    out_dir = _make_out_dir(args.out_dir)
+    bundle, task = _bundle(args)
+    entries = _sweep_entries(args, task, wanted)
     seeds = [args.base_seed + i for i in range(args.seeds)]
     report = hz.run_sweep(entries, bundle, epochs=args.epochs, seeds=seeds,
                           time_mode=args.time_mode, lr0=args.lr0,

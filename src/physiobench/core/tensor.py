@@ -20,10 +20,22 @@ written in place, by the optimisers and ``grad_check``, and concat leaves
 those alone.  And an op whose backward reads its own output reads it through
 its output Tensor (``out.data``) at backward time, never through an array
 captured when the forward ran, which would keep the old array alive.
+
+Importing this module sets glibc's allocator policy once, through
+``mallopt``: arrays of 32 MiB and more get their own mmap (glibc's own
+ceiling for its dynamic threshold), and freed heap memory is never trimmed
+back to the kernel.  A training step frees its tape and the next step
+allocates the same sizes again, so the kept heap serves it without page
+faults or kernel zeroing.  Both thresholds are set because setting either
+one turns off glibc's dynamic thresholds: with only the trim threshold set,
+the mmap threshold would stay at 128 KiB and every mid-sized array would be
+a fresh mmap.  Without glibc (no ``mallopt``) nothing is set.  A process's
+resident memory therefore stays at its peak once training ends.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from typing import Callable, Iterable, Sequence
@@ -33,6 +45,29 @@ from numpy.lib.stride_tricks import as_strided
 
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
+
+# mallopt parameters (glibc's malloc.h) and values; mallopt takes C ints
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20    # bytes from which an array gets its own mmap
+_TRIM_THRESHOLD = 2**31 - 1   # the largest C int: freed heap is never trimmed
+
+
+def _keep_freed_heap() -> None:
+    """Set the allocator policy of the module docstring, where glibc's
+    ``mallopt`` exists.  The trim threshold is set only once the mmap
+    threshold has been applied (``mallopt`` returns 1)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_freed_heap()
 
 
 class ShapeError(ValueError):
@@ -730,6 +765,16 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, pad_left: int,
     return np.ascontiguousarray(windows).reshape(b, c * kernel, out_len)
 
 
+CONV_BLOCK = 1 << 24    # bytes of columns per batch block of conv1d (16 MiB)
+
+
+def _batch_blocks(batch: int, row_bytes: int, limit: int) -> list[slice]:
+    """Slices of ``batch`` rows, each holding at most ``limit`` bytes of an
+    array whose rows take ``row_bytes`` (and at least one row)."""
+    step = max(1, limit // max(row_bytes, 1))
+    return [slice(i, i + step) for i in range(0, batch, step)]
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: str = "valid", relu: bool = False) -> Tensor:
     """Cross-correlation of [B,Cin,L] with [Cout,Cin,K] kernels.
@@ -738,6 +783,12 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     gradients as ``relu(conv1d(...))``, with one array on the tape instead of
     two (its backward masks the incoming gradient with ``out > 0``, which
     equals the pre-activation's ``> 0``).
+
+    The im2col columns of the forward, of the transposed-convolution input
+    gradient and of the col2im GEMM are built over blocks of batch rows, each
+    block's columns at most ``CONV_BLOCK`` bytes, so they stay small enough
+    to reuse heap memory instead of being a fresh mmap on every call.  Each
+    sample gets the same GEMM as in one pass, so no bit depends on the block.
     """
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeError(f"conv1d expects 3D input and kernel, got {x.shape} and {kernel.shape}")
@@ -757,8 +808,12 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     out_len = (L + pad_left + pad_right - K) // stride + 1
     w2 = kernel.data.reshape(Cout, Cin * K)
-    # [Cout, Cin*K] @ [B, Cin*K, out_len] -> [B, Cout, out_len]: one GEMM per sample
-    y = np.matmul(w2, _im2col(x.data, K, stride, pad_left, pad_right, out_len))
+    # [Cout, Cin*K] @ [b, Cin*K, out_len] -> [b, Cout, out_len]: one GEMM per
+    # sample, written into the block's rows of y
+    y = np.empty((B, Cout, out_len), dtype=np.result_type(w2, x.data))
+    for rows in _batch_blocks(B, Cin * K * out_len * x.dtype.itemsize, CONV_BLOCK):
+        np.matmul(w2, _im2col(x.data[rows], K, stride, pad_left, pad_right, out_len),
+                  out=y[rows])
     if bias is not None:
         y += bias.data[:, None]
     if relu:
@@ -789,19 +844,23 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if x.requires_grad:
             if stride == 1 and (K == 1 or Cout <= Cin):
                 # transposed convolution: g, padded to L + K - 1, correlated
-                # with the flipped kernel in one GEMM.  Its columns
-                # [B, Cout*K, L] are no larger than col2im's, and are g itself
+                # with the flipped kernel in one GEMM per sample.  Its columns
+                # [b, Cout*K, L] are no larger than col2im's, and are g itself
                 # for a pointwise kernel.
                 wf = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
-                gcols = _im2col(g, K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
-                gx = np.matmul(wf, gcols)
+                gx = np.empty((B, Cin, L), dtype=np.result_type(wf, g))
+                for rows in _batch_blocks(B, Cout * K * L * g.dtype.itemsize, CONV_BLOCK):
+                    gcols = _im2col(g[rows], K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
+                    np.matmul(wf, gcols, out=gx[rows])
             else:
-                # col2im: one GEMM to [B, Cin*K, out_len] columns, then tap k
+                # col2im: one GEMM to [b, Cin*K, out_len] columns, then tap k
                 # of every window adds back into the input it read
-                gcols = np.matmul(w2.T, g).reshape(B, Cin, K, out_len)
-                gx = np.zeros((B, Cin, L), dtype=gcols.dtype)
-                for k, lo, hi, sl in taps:
-                    gx[:, :, sl] += gcols[:, :, k, lo:hi]
+                gx = np.zeros((B, Cin, L), dtype=np.result_type(w2, g))
+                for rows in _batch_blocks(B, Cin * K * out_len * gx.itemsize, CONV_BLOCK):
+                    gcols = np.matmul(w2.T, g[rows]).reshape(-1, Cin, K, out_len)
+                    gx_rows = gx[rows]
+                    for k, lo, hi, sl in taps:
+                        gx_rows[:, :, sl] += gcols[:, :, k, lo:hi]
             x._take(gx)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
@@ -829,8 +888,7 @@ def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int) -> None
     re-raises a block's exception.  A single block, or a single CPU, runs
     inline."""
     global _EXECUTOR
-    step = max(1, BATCH_BLOCK // max(row_bytes, 1))
-    blocks = [slice(i, i + step) for i in range(0, batch, step)]
+    blocks = _batch_blocks(batch, row_bytes, BATCH_BLOCK)
     threads = len(os.sched_getaffinity(0))
     if len(blocks) == 1 or threads == 1:
         for rows in blocks:

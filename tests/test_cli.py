@@ -474,3 +474,25 @@ def test_sweep_rejects_unknown_matrix(tmp_path):
     assert cli.main(["sweep", "--matrix", "full", "--synth-cases", "2",
                      "--out-dir", str(out)]) == 2
     assert not out.exists()   # rejected before the output directory is made
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "1", "--level", "99"],
+    ["train", "--epochs", "1", "--family", "msa_only", "--attention", "none"],
+    ["train", "--epochs", "1", "--batch-size", "0"],
+    ["train", "--epochs", "1", "--lr0", "0"],
+    ["train", "--epochs", "-1"],
+    ["sweep", "--seeds", "1", "--level", "99"],
+    ["sweep", "--seeds", "1", "--lr0", "-1"],
+])
+def test_bad_config_or_spec_exits_2_before_any_data_or_directory(argv, tmp_path,
+                                                                 capsys, monkeypatch):
+    def no_data(args):
+        raise AssertionError("read the data before checking the config")
+
+    monkeypatch.setattr(cli, "_bundle", no_data)
+    out = tmp_path / "D"
+    assert cli.main(argv + ["--synth-cases", "4", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -3,10 +3,16 @@ central differences."""
 
 import gc
 import itertools
+import json
 import multiprocessing
+import os
+import platform
 import signal
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -539,6 +545,70 @@ def test_conv1d_grad_check(seed):
     assert grad_check(f, [x, w, b]) < 1e-4
 
 
+# Each case's forward columns and input-gradient columns take the same bytes
+# per batch row, so one CONV_BLOCK sets the rows per block of all three: the
+# transposed-convolution cases have Cout * L == Cin * out_len, and col2im's
+# columns are shaped like the forward's.
+BLOCKED_CONV_CASES = [   # cin, cout, kernel, stride, padding, length
+    (4, 4, 3, 1, "same", 10),     # transposed convolution
+    (6, 5, 3, 1, "valid", 12),    # transposed convolution
+    (4, 4, 1, 1, "same", 10),     # pointwise: the columns are x and g
+    (3, 5, 3, 1, "same", 10),     # col2im, Cout > Cin
+    (4, 3, 5, 2, "same", 11),     # col2im, stride 2
+    (3, 4, 3, 2, "valid", 11),    # col2im, stride 2
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin,cout,kernel,stride,padding,length", BLOCKED_CONV_CASES)
+def test_blocked_conv1d_columns_change_no_bit(cin, cout, kernel, stride, padding,
+                                              length, dtype, monkeypatch):
+    # The five batch rows run as one-row blocks, as two-row blocks with a
+    # partial last one, and as one block.
+    rng = np.random.default_rng(6)
+    x, w, b = (rng.normal(size=shape).astype(dtype)
+               for shape in ((5, cin, length), (cout, cin, kernel), (cout,)))
+    out_len = T.conv_output_length(length, kernel, stride, padding)
+    g = rng.normal(size=(5, cout, out_len)).astype(dtype)
+    im2col, widths = T._im2col, []
+
+    def counted_im2col(a, *args):
+        widths.append(len(a))
+        return im2col(a, *args)
+
+    monkeypatch.setattr(T, "_im2col", counted_im2col)
+    row_bytes = cin * kernel * out_len * np.dtype(dtype).itemsize
+    runs = {}
+    for block_rows in (1, 2, 5):
+        monkeypatch.setattr(T, "CONV_BLOCK", block_rows * row_bytes)
+        widths.clear()
+        ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        y = T.conv1d(*ts, stride=stride, padding=padding)
+        y.backward(g)
+        blocks = [len(range(5)[i:i + block_rows]) for i in range(0, 5, block_rows)]
+        assert widths in (blocks, blocks * 2)   # forward, and a transposed backward
+        runs[block_rows] = [y.data] + [t.grad for t in ts]
+    for block_rows in (1, 2):
+        for got, want in zip(runs[block_rows], runs[5]):
+            assert got.dtype == dtype
+            npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("stride,cout", [(1, 3), (2, 4)])   # transposed, col2im
+def test_blocked_conv1d_grad_check(stride, cout, monkeypatch):
+    monkeypatch.setattr(T, "CONV_BLOCK", 1)   # one batch row a block
+    rng = np.random.default_rng(8)
+    x = _param(rng, 3, 4, 11)
+    w = _param(rng, cout, 4, 3)
+    b = _param(rng, cout)
+    probe = Tensor(rng.normal(size=(3, cout, -(-11 // stride))))
+
+    def f():
+        return T.reduce_sum(T.conv1d(x, w, b, stride=stride, padding="same") * probe)
+
+    assert grad_check(f, [x, w, b]) < 1e-4
+
+
 # ---------------------------------------------------------------------
 # pooling against naive loops
 # ---------------------------------------------------------------------
@@ -671,6 +741,35 @@ def test_forked_child_runs_a_multi_block_max_pool(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, saved)
     assert child == parent
+
+
+# Three rounds of eight 16 MiB arrays, made and freed, in a fresh process
+# (this one's heap already holds whatever earlier tests freed).
+HEAP_ROUNDS = """
+import resource
+import numpy as np
+import physiobench.core.tensor
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 22, dtype=np.float32) for _ in range(8)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set through glibc's mallopt")
+def test_freed_heap_is_kept_for_the_next_round():
+    # round 1 faults its memory in; rounds 2 and 3 reuse it, since freed
+    # heap is not given back to the kernel
+    src = str(Path(T.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    first, *later = json.loads(run.stdout)
+    assert all(n < first / 10 for n in later), (first, later)
 
 
 def test_pool1d_same_padding_rejected_for_avg():
