@@ -51,8 +51,8 @@ CONFIG_KEYS = {
 
 
 # why sweep --workers accepts only 1
-ONE_PROCESS = ("a sweep runs in one process, whose BLAS and max-pool threads "
-               "already use every CPU")
+ONE_PROCESS = ("a sweep runs in one process, whose BLAS and per-CPU batch-block "
+               "threads already use every CPU")
 
 
 class CliError(Exception):

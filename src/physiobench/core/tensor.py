@@ -6,10 +6,15 @@ gradient back to them; ``Tensor.backward()`` replays those closures in
 reverse topological order.  Math is plain numpy.  The BLAS-backed ops
 (matmul, the conv GEMM) may run on several threads, and how their sums are
 split depends on the thread count, so a given seed replays bit for bit for a
-fixed BLAS thread count.  The benchmark prints that count.  Max pooling
-splits its batch rows into blocks run on one thread per CPU; that changes no
-bit, because each row's work is independent of the others and keeps its tap
-order.
+fixed BLAS thread count.  The benchmark prints that count.  Max pooling,
+the elementwise passes of batchnorm1d and conv1d's bias, ReLU and ReLU
+mask split their batch rows into blocks run on one thread per CPU
+(:func:`_over_batch`); that changes no bit, because each row's work is
+independent of the others and keeps its order.  Per-channel sums stay whole
+arrays on the calling thread.  These threads share the CPUs with OpenBLAS's
+workers, which spin for a while after each GEMM before they sleep;
+importing ``physiobench`` shortens that wait (see its docstring), so the
+pool gets the CPUs between GEMMs.
 
 :func:`concat` holds each activation once: it rebinds every recorded input
 (an op's output, not a leaf) to that input's slice of the concatenated
@@ -789,6 +794,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     block's columns at most ``CONV_BLOCK`` bytes, so they stay small enough
     to reuse heap memory instead of being a fresh mmap on every call.  Each
     sample gets the same GEMM as in one pass, so no bit depends on the block.
+    The bias and ReLU of the forward and the ReLU mask of the backward run
+    over batch blocks on one thread per CPU (:func:`_over_batch`).
     """
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeError(f"conv1d expects 3D input and kernel, got {x.shape} and {kernel.shape}")
@@ -814,15 +821,20 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     for rows in _batch_blocks(B, Cin * K * out_len * x.dtype.itemsize, CONV_BLOCK):
         np.matmul(w2, _im2col(x.data[rows], K, stride, pad_left, pad_right, out_len),
                   out=y[rows])
-    if bias is not None:
-        y += bias.data[:, None]
-    if relu:
-        np.maximum(y, 0, out=y)
+    if bias is not None or relu:
+        def epilogue_rows(rows):
+            yr = y[rows]
+            if bias is not None:
+                yr += bias.data[:, None]
+            if relu:
+                np.maximum(yr, 0, out=yr)
+
+        _over_batch(epilogue_rows, B, Cout * out_len * y.itemsize)
     out = Tensor(y)
 
     def backward(g):
         if relu:
-            np.multiply(g, out.data > 0, out=g)
+            _mask_relu_grad(g, out.data)
         taps = _window_taps(L, K, stride, pad_left, out_len)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
@@ -867,7 +879,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     return out._record(parents, "conv1d", backward)
 
 
-BATCH_BLOCK = 1 << 21   # bytes per array in one batch block of max pooling (2 MiB)
+BATCH_BLOCK = 1 << 21   # bytes per array in one batch block of _over_batch (2 MiB)
 
 _EXECUTOR = None   # the concurrent.futures.ThreadPoolExecutor of _over_batch
 
@@ -889,7 +901,10 @@ def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int) -> None
     inline."""
     global _EXECUTOR
     blocks = _batch_blocks(batch, row_bytes, BATCH_BLOCK)
-    threads = len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        threads = len(os.sched_getaffinity(0))
+    else:   # macOS and Windows
+        threads = os.cpu_count() or 1
     if len(blocks) == 1 or threads == 1:
         for rows in blocks:
             fn(rows)
@@ -898,11 +913,20 @@ def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int) -> None
     # module it loads) adds about 9 ms to every import of the package
     from concurrent.futures import ThreadPoolExecutor, wait
     if _EXECUTOR is None:
-        _EXECUTOR = ThreadPoolExecutor(threads, thread_name_prefix="pool1d")
+        _EXECUTOR = ThreadPoolExecutor(threads, thread_name_prefix="over_batch")
     futures = [_EXECUTOR.submit(fn, rows) for rows in blocks]
     wait(futures)
     for f in futures:
         f.result()
+
+
+def _mask_relu_grad(g: np.ndarray, y: np.ndarray) -> None:
+    """``g *= y > 0`` in place, over batch blocks: the backward of a ReLU
+    applied in place to an op's output ``y``."""
+    def rows_fn(rows):
+        np.multiply(g[rows], y[rows] > 0, out=g[rows])
+
+    _over_batch(rows_fn, len(g), math.prod(g.shape[1:]) * g.itemsize)
 
 
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
@@ -1032,6 +1056,12 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     the running buffers in place: new = momentum*old + (1-momentum)*batch.
     Eval mode normalizes by the running buffers.  ``relu=True`` applies a
     ReLU to the output in place, as in :func:`conv1d`.
+
+    The per-channel sums run on whole arrays on the calling thread.  Every
+    elementwise pass runs over batch blocks on one thread per CPU (see
+    :func:`_over_batch`), fused per block; each element gets the same
+    operations in the same order as in one pass, so no bit depends on the
+    block.
     """
     if x.ndim != 3:
         raise ShapeError(f"batchnorm1d expects [B,C,L], got {x.shape}")
@@ -1041,7 +1071,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         if n < 2:
             raise ValueError(f"batchnorm1d train mode needs B*L >= 2, got {n}")
         mu = x.data.mean(axis=(0, 2))
-        xc = x.data - mu[:, None]
+        xc = np.empty(x.shape, dtype=np.result_type(x.data, mu))
+        _over_batch(lambda rows: np.subtract(x.data[rows], mu[:, None], out=xc[rows]),
+                    B, C * L * xc.itemsize)
         var = np.einsum("bcl,bcl->c", xc, xc) / n
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
@@ -1053,19 +1085,23 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * invstd
-    if training:
-        y = xc * scale[:, None]
-        y += beta.data[:, None]
-    else:
-        y = x.data * scale[:, None]
-        y += (beta.data - mu * scale)[:, None]
-    if relu:
-        np.maximum(y, 0, out=y)
+    # y = src * scale + shift
+    src, shift = (xc, beta.data) if training else (x.data, beta.data - mu * scale)
+    y = np.empty(x.shape, dtype=np.result_type(src, scale))
+
+    def forward_rows(rows):
+        yr = y[rows]
+        np.multiply(src[rows], scale[:, None], out=yr)
+        yr += shift[:, None]
+        if relu:
+            np.maximum(yr, 0, out=yr)
+
+    _over_batch(forward_rows, B, C * L * y.itemsize)
     out = Tensor(y)
 
     def backward(g):
         if relu:
-            np.multiply(g, out.data > 0, out=g)
+            _mask_relu_grad(g, out.data)
         centred = xc if training else x.data - mu[:, None]
         sum_g = g.sum(axis=(0, 2))
         sum_gxc = np.einsum("bcl,bcl->c", g, centred)
@@ -1073,16 +1109,28 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             gamma._accumulate(sum_gxc * invstd)
         if beta.requires_grad:
             beta._accumulate(sum_g)
-        if x.requires_grad:
-            if training:
-                # scale * (g - sum_g/n - xc * invstd^2 * sum_gxc/n), in one buffer
-                gx = xc * (invstd * invstd * sum_gxc / n)[:, None]
-                gx += (sum_g / n)[:, None]
-                np.subtract(g, gx, out=gx)
-                gx *= scale[:, None]
-            else:
-                gx = g * scale[:, None]
-            x._take(gx)
+        if not x.requires_grad:
+            return
+        if training:
+            # scale * (g - sum_g/n - xc * invstd^2 * sum_gxc/n), in one buffer
+            a = (invstd * invstd * sum_gxc / n)[:, None]
+            b = (sum_g / n)[:, None]
+            gx = np.empty(x.shape, dtype=np.result_type(xc, a))
+
+            def backward_rows(rows):
+                gxr = gx[rows]
+                np.multiply(xc[rows], a, out=gxr)
+                gxr += b
+                np.subtract(g[rows], gxr, out=gxr)
+                gxr *= scale[:, None]
+        else:
+            gx = np.empty(x.shape, dtype=np.result_type(g, scale))
+
+            def backward_rows(rows):
+                np.multiply(g[rows], scale[:, None], out=gx[rows])
+
+        _over_batch(backward_rows, B, C * L * gx.itemsize)
+        x._take(gx)
 
     return out._record((x, gamma, beta), "batchnorm1d", backward)
 

@@ -504,7 +504,7 @@ def run_sweep(entries: list[SweepEntry], bundle: ArrayBundle, epochs: int,
     convergence times.
 
     The (entry, seed) runs go one after another in this process, whose BLAS
-    and max-pool threads already use every CPU.  Aborted runs and
+    and per-CPU batch-block threads already use every CPU.  Aborted runs and
     unbuildable entries are counted in the ``aborted`` column, never dropped.
     """
     metric_name = "auroc" if bundle.task == "classification" else "mape"

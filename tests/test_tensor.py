@@ -609,6 +609,46 @@ def test_blocked_conv1d_grad_check(stride, cout, monkeypatch):
     assert grad_check(f, [x, w, b]) < 1e-4
 
 
+def _counting_over_batch(monkeypatch):
+    """Patch ``T._over_batch`` to record the number of blocks of each call."""
+    over_batch, blocks = T._over_batch, []
+
+    def counted(fn, batch, row_bytes):
+        blocks.append(len(T._batch_blocks(batch, row_bytes, T.BATCH_BLOCK)))
+        over_batch(fn, batch, row_bytes)
+
+    monkeypatch.setattr(T, "_over_batch", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_conv1d_epilogue_changes_no_bit(dtype, monkeypatch):
+    # The bias + ReLU epilogue and the backward ReLU mask, run as one-row
+    # blocks, as two-row blocks with a partial last one, and as one block,
+    # against the same arithmetic on whole arrays after a bare conv.
+    rng = np.random.default_rng(15)
+    x, w, b = (rng.normal(size=shape).astype(dtype) for shape in ((5, 3, 12), (4, 3, 3), (4,)))
+    g = rng.normal(size=(5, 4, 12)).astype(dtype)
+    bare = [Tensor(v, requires_grad=True) for v in (x, w)]
+    want_y = T.conv1d(*bare, padding="same").data + b[:, None]
+    np.maximum(want_y, 0, out=want_y)
+    masked = g * (want_y > 0)
+    T.conv1d(*bare, padding="same").backward(masked.copy())
+    want = [want_y, *(t.grad for t in bare), masked.sum(axis=(0, 2))]
+    assert (want_y == 0).any() and (want_y > 0).any()
+    blocks = _counting_over_batch(monkeypatch)
+    for block_rows, n_blocks in ((1, 5), (2, 3), (5, 1)):
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * g[0].nbytes)
+        blocks.clear()
+        ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+        y = T.conv1d(*ts, padding="same", relu=True)
+        y.backward(g.copy())
+        assert blocks == [n_blocks, n_blocks]   # epilogue, then the mask
+        for got, ref in zip([y.data] + [t.grad for t in ts], want):
+            assert got.dtype == dtype
+            npt.assert_array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------
 # pooling against naive loops
 # ---------------------------------------------------------------------
@@ -741,6 +781,65 @@ def test_forked_child_runs_a_multi_block_max_pool(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, saved)
     assert child == parent
+
+
+def test_over_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(4, 2, 64))
+    gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
+
+    def run():
+        bn = T.batchnorm1d(Tensor(x), gamma, beta, np.zeros(2), np.ones(2), training=True)
+        return _max_pool_bytes(x), bn.data.tobytes()
+
+    want = run()
+    monkeypatch.setattr(T, "BATCH_BLOCK", x[0].nbytes)   # one row a block
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert run() == want
+
+
+# Prints OPENBLAS_THREAD_TIMEOUT after importing physiobench and then numpy,
+# and the timeout the loaded OpenBLAS read, or None where it cannot be asked.
+BLAS_TIMEOUT = """
+import ctypes, json, os
+import physiobench
+import numpy
+read = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    for path in libs:
+        timeout = getattr(ctypes.CDLL(path), "openblas_thread_timeout", None)
+        if timeout is not None:
+            timeout.argtypes, timeout.restype = (), ctypes.c_int
+            read = timeout()
+print(json.dumps([os.environ["OPENBLAS_THREAD_TIMEOUT"], read]))
+"""
+
+
+def _blas_timeout(preset):
+    src = str(Path(T.__file__).resolve().parents[2])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    run = subprocess.run([sys.executable, "-c", BLAS_TIMEOUT], capture_output=True,
+                         text=True, check=True, env=env)
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("preset,want", [(None, "20"), ("25", "25")])
+def test_import_sets_the_blas_thread_timeout_unless_set(preset, want):
+    assert _blas_timeout(preset)[0] == want
+
+
+@pytest.mark.parametrize("preset,want", [(None, 20), ("25", 25)])
+def test_loaded_openblas_reads_the_thread_timeout(preset, want):
+    read = _blas_timeout(preset)[1]
+    if read is None:
+        pytest.skip("no loaded OpenBLAS exports openblas_thread_timeout")
+    assert read == want
 
 
 # Three rounds of eight 16 MiB arrays, made and freed, in a fresh process
@@ -973,6 +1072,93 @@ def test_float32_batchnorm_agrees_with_float64():
     scale = gamma / np.sqrt(rv.astype(np.float64) + 1e-5)
     want = x * scale[:, None] + (beta - rm.astype(np.float64) * scale)[:, None]
     npt.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+
+
+def whole_array_batchnorm(x, gamma, beta, rm, rv, g, training, relu,
+                          momentum=0.9, eps=1e-5):
+    """batchnorm1d's arithmetic in whole-array passes: output, (x, gamma,
+    beta) gradients and the running buffers, updated in place."""
+    n = x.shape[0] * x.shape[2]
+    if training:
+        mu = x.mean(axis=(0, 2))
+        xc = x - mu[:, None]
+        var = np.einsum("bcl,bcl->c", xc, xc) / n
+        rm *= momentum
+        rm += (1.0 - momentum) * mu
+        rv *= momentum
+        rv += (1.0 - momentum) * var
+    else:
+        mu, var = rm.copy(), rv
+        xc = x - mu[:, None]
+    invstd = 1.0 / np.sqrt(var + eps)
+    scale = gamma * invstd
+    if training:
+        y = xc * scale[:, None]
+        y += beta[:, None]
+    else:
+        y = x * scale[:, None]
+        y += (beta - mu * scale)[:, None]
+    if relu:
+        np.maximum(y, 0, out=y)
+        g = g * (y > 0)
+    sum_g = g.sum(axis=(0, 2))
+    sum_gxc = np.einsum("bcl,bcl->c", g, xc)
+    if training:
+        gx = xc * (invstd * invstd * sum_gxc / n)[:, None]
+        gx += (sum_g / n)[:, None]
+        np.subtract(g, gx, out=gx)
+        gx *= scale[:, None]
+    else:
+        gx = g * scale[:, None]
+    return y, gx, sum_gxc * invstd, sum_g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("shape", [(5, 3, 9), (5, 1, 64), (7, 4, 2)])
+def test_blocked_batchnorm1d_changes_no_bit(shape, relu, training, dtype, monkeypatch):
+    # The batch rows run as one-row blocks, as two-row blocks with a partial
+    # last one, and as one block, against whole-array passes.
+    rng = np.random.default_rng(16)
+    B, C, L = shape
+    x = rng.normal(loc=1.0, scale=2.0, size=shape).astype(dtype)
+    gamma, beta = rng.uniform(0.5, 1.5, size=C).astype(dtype), rng.normal(size=C).astype(dtype)
+    rm0, rv0 = rng.normal(size=C).astype(dtype), rng.uniform(0.5, 2.0, size=C).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    rm_want, rv_want = rm0.copy(), rv0.copy()
+    want = whole_array_batchnorm(x, gamma, beta, rm_want, rv_want, g, training, relu)
+    blocks = _counting_over_batch(monkeypatch)
+    for block_rows in (1, 2, B):
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * x[0].nbytes)
+        blocks.clear()
+        ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        rm, rv = rm0.copy(), rv0.copy()
+        y = T.batchnorm1d(*ts, rm, rv, training=training, relu=relu)
+        y.backward(g.copy())
+        # centring (train), output, ReLU mask, x gradient
+        assert blocks == [-(-B // block_rows)] * (2 + training + relu)
+        for got, ref in zip([y.data] + [t.grad for t in ts] + [rm, rv],
+                            list(want) + [rm_want, rv_want]):
+            assert got.dtype == dtype
+            npt.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_blocked_batchnorm1d_grad_check(training, monkeypatch):
+    monkeypatch.setattr(T, "BATCH_BLOCK", 1)   # one batch row a block
+    rng = np.random.default_rng(17)
+    x = _param(rng, 3, 2, 5)
+    gamma = nn.Parameter(rng.uniform(0.5, 1.5, size=2))
+    beta = _param(rng, 2)
+    rm, rv = rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)
+    probe = Tensor(rng.normal(size=(3, 2, 5)))
+
+    def f():
+        out = T.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(), training=training)
+        return T.reduce_sum(out * probe)
+
+    assert grad_check(f, [x, gamma, beta]) < 1e-4
 
 
 def test_layer_norm_normalizes_last_axis():
