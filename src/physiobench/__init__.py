@@ -17,13 +17,16 @@ call before they sleep, instead of the compiled-in 2^28 (about 0.1 s), so
 they leave the CPUs to the elementwise passes that ``core.tensor`` runs on
 its own threads between GEMMs.  Of 20, 22 and 24, 20 gave the fastest
 ResNet + SE training step on a 2-CPU host.  The BLAS thread count and the
-way a GEMM is split are unchanged, so no bit changes.  Where numpy was imported before
-physiobench, OpenBLAS has already read its environment and the policy has no
-effect.  Child processes inherit the variable.
+way a GEMM is split are unchanged, so no bit changes.  Where numpy was
+imported before physiobench, OpenBLAS has already read its environment, so
+the package leaves the variable alone: ``os.environ``, and every child
+process started from it, then show the policy actually in effect.
 """
 
 import os
+import sys
 
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 __version__ = "0.1.0"

@@ -122,12 +122,10 @@ class SEBlock(nn.Module):
         mid = channels // reduction_ratio
         self.fc1 = nn.Dense(rng, channels, mid, init="kaiming")
         self.fc2 = nn.Dense(rng, mid, channels)
-        self.last_gate: np.ndarray | None = None
 
     def forward(self, x: Tensor) -> Tensor:
         squeezed = T.global_pool(x, "avg")                  # [B,C]
         gate = T.sigmoid(self.fc2(T.relu(self.fc1(squeezed))))
-        self.last_gate = gate.data.copy()
         return x * gate.reshape(x.shape[0], self.channels, 1)
 
 
@@ -198,8 +196,6 @@ class CBAMBlock(nn.Module):
         self.mlp2 = nn.Dense(rng, mid, channels)
         self.spatial_conv = nn.Conv1d(rng, 2, 1, spatial_kernel,
                                       padding="same", init="xavier")
-        self.last_channel_gate: np.ndarray | None = None
-        self.last_spatial_gate: np.ndarray | None = None
 
     def _mlp(self, v: Tensor) -> Tensor:
         return self.mlp2(T.relu(self.mlp1(v)))
@@ -208,12 +204,10 @@ class CBAMBlock(nn.Module):
         B, C, L = x.shape
         cgate = T.sigmoid(self._mlp(T.global_pool(x, "avg"))
                           + self._mlp(T.global_pool(x, "max")))  # [B,C]
-        self.last_channel_gate = cgate.data.copy()
         gated = x * cgate.reshape(B, C, 1)
         maps = T.concat([T.reduce_mean(gated, axis=1, keepdims=True),
                          T.reduce_max(gated, axis=1, keepdims=True)], axis=1)
         sgate = T.sigmoid(self.spatial_conv(maps))               # [B,1,L]
-        self.last_spatial_gate = sgate.data.copy()
         return gated * sgate
 
 

@@ -12,12 +12,18 @@ closed-form oracles possible.  It is a test fixture, not a physiological
 model.
 
 Datasets serialize to a little-endian binary container (magic ``PSD1``) with
-a plain-text ``key=value`` manifest alongside.
+a plain-text ``key=value`` manifest alongside.  The container is a 19-byte
+header (``<4sHBIII``: magic, version, task code, record count, segment
+length 2000, channels 2) followed by 16,024-byte records, each a ``<u4`` case
+id, the ECG and PPG segments as 2000 ``<f4`` each, then age, sex, height,
+weight and label as five ``<f4``.  ``_RECORD`` is that record as one
+structured dtype; both codec directions use it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -414,6 +420,8 @@ def split_by_case(dataset: SignalDataset, test_fraction: float = 0.20,
 MAGIC = b"PSD1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHBIII")  # magic, version, task, n, seg_len, channels
+_RECORD = np.dtype([("case_id", "<u4"), ("ecg", "<f4", (SEGMENT_LEN,)),
+                    ("ppg", "<f4", (SEGMENT_LEN,)), ("fields", "<f4", (5,))])
 _TASK_CODES = {"classification": 0, "regression": 1}
 _TASK_NAMES = {v: k for k, v in _TASK_CODES.items()}
 
@@ -438,23 +446,29 @@ class FormatError(DecodeError):
     pass
 
 
-def _record_size(seg_len: int, channels: int) -> int:
-    return 4 + 4 * channels * seg_len + 4 * 5
-
-
 def encode_dataset(dataset: SignalDataset) -> bytes:
-    """Serialize to the PSD1 container; decode_dataset inverts losslessly."""
-    out = bytearray()
-    out += _HEADER.pack(MAGIC, FORMAT_VERSION, _TASK_CODES[dataset.task],
-                        len(dataset.records), SEGMENT_LEN, 2)
-    for r in dataset.records:
+    """Serialize to the PSD1 container; decode_dataset inverts losslessly.
+
+    A case id outside uint32, or a finite scalar past float32 range, raises
+    an ``ArithmeticError`` rather than being wrapped or written as inf.
+    """
+    records = dataset.records
+    n = len(records)
+    buf = bytearray(_HEADER.size + n * _RECORD.itemsize)
+    _HEADER.pack_into(buf, 0, MAGIC, FORMAT_VERSION, _TASK_CODES[dataset.task],
+                      n, SEGMENT_LEN, 2)
+    body = np.frombuffer(buf, _RECORD, count=n, offset=_HEADER.size)
+    ecg, ppg = body["ecg"], body["ppg"]
+    for i, r in enumerate(records):
         if r.ecg.shape != (SEGMENT_LEN,) or r.ppg.shape != (SEGMENT_LEN,):
             raise ValueError(f"record for case {r.case_id} has wrong segment length")
-        out += struct.pack("<I", r.case_id)
-        out += np.ascontiguousarray(r.ecg, dtype="<f4").tobytes()
-        out += np.ascontiguousarray(r.ppg, dtype="<f4").tobytes()
-        out += struct.pack("<5f", r.age, r.sex, r.height, r.weight, r.label)
-    return bytes(out)
+        ecg[i] = r.ecg
+        ppg[i] = r.ppg
+    body["case_id"] = [operator.index(r.case_id) for r in records]
+    with np.errstate(over="raise"):
+        body["fields"] = np.array([(r.age, r.sex, r.height, r.weight, r.label)
+                                   for r in records], np.float64).reshape(n, 5)
+    return bytes(buf)
 
 
 def decode_dataset(data: bytes) -> SignalDataset:
@@ -473,28 +487,20 @@ def decode_dataset(data: bytes) -> SignalDataset:
     if seg_len != SEGMENT_LEN or channels != 2:
         raise FormatError(
             f"expected {SEGMENT_LEN}x2 segments, header declares {seg_len}x{channels}")
-    expected = _HEADER.size + n * _record_size(seg_len, channels)
+    expected = _HEADER.size + n * _RECORD.itemsize
     if len(data) < expected:
         raise TruncatedError(
             f"{n} records need {expected} bytes, file has {len(data)}")
     if len(data) > expected:
         raise FormatError(f"{len(data) - expected} trailing bytes after {n} records")
 
-    records = []
-    off = _HEADER.size
-    wave_bytes = 4 * seg_len
-    for _ in range(n):
-        (case_id,) = struct.unpack_from("<I", data, off)
-        off += 4
-        ecg = np.frombuffer(data, dtype="<f4", count=seg_len, offset=off).copy()
-        off += wave_bytes
-        ppg = np.frombuffer(data, dtype="<f4", count=seg_len, offset=off).copy()
-        off += wave_bytes
-        age, sex, height, weight, label = struct.unpack_from("<5f", data, off)
-        off += 20
-        records.append(SampleRecord(case_id, ecg, ppg, age, sex, height,
-                                    weight, label))
-    return SignalDataset(_TASK_NAMES[task_code], records)
+    # one private copy; each record's waveforms are writeable views into it
+    body = np.frombuffer(data, _RECORD, count=n, offset=_HEADER.size).copy()
+    columns = zip(body["case_id"].tolist(), body["ecg"], body["ppg"],
+                  body["fields"].tolist())
+    return SignalDataset(_TASK_NAMES[task_code],
+                         [SampleRecord(case_id, ecg, ppg, *scalars)
+                          for case_id, ecg, ppg, scalars in columns])
 
 
 # ---------------------------------------------------------------------
@@ -509,15 +515,3 @@ def format_manifest(entries: dict[str, str]) -> str:
             raise ValueError(f"manifest entry {key!r} not representable")
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
-
-
-def parse_manifest(text: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ValueError(f"manifest line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries

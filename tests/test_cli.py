@@ -35,10 +35,11 @@ def test_gen_synthetic_writes_dataset_and_manifest(tmp_path, capsys):
     assert "wrote 12 records" in capsys.readouterr().out
     ds = dp.decode_dataset(out.read_bytes())
     assert len(ds) == 12 and ds.task == "classification"
-    manifest = dp.parse_manifest((tmp_path / "data.psd1.manifest").read_text())
-    assert manifest["n_records"] == "12"
-    assert manifest["format"] == "psd1"
-    assert "prevalence_realized" in manifest
+    assert (tmp_path / "data.psd1.manifest").read_text() == dp.format_manifest({
+        "difficulty": "1.0", "format": "psd1", "generator": "planted-feature-v1",
+        "n_cases": "6", "n_records": "12", "prevalence_realized": repr(1 / 12),
+        "prevalence_requested": "0.05", "samples_per_case": "2", "seed": "1",
+        "task": "classification"})
 
 
 def test_gen_synthetic_is_deterministic(tmp_path):
@@ -68,10 +69,9 @@ def test_preprocess_drops_bad_segments(tmp_path, capsys):
     assert "kept 8/10" in capsys.readouterr().out
     cleaned = dp.decode_dataset(out.read_bytes())
     assert len(cleaned) == 8
-    manifest = dp.parse_manifest((tmp_path / "clean.psd1.manifest").read_text())
-    assert manifest["n_in"] == "10" and manifest["n_kept"] == "8"
-    assert manifest["dropped_ecg[10] out of range"] == "1"
-    assert manifest["dropped_ppg[0] out of range"] == "1"
+    assert (tmp_path / "clean.psd1.manifest").read_text() == dp.format_manifest({
+        "task": "classification", "n_in": "10", "n_kept": "8",
+        "dropped_ecg[10] out of range": "1", "dropped_ppg[0] out of range": "1"})
 
 
 def test_preprocess_enforces_stroke_volume_bounds(tmp_path):
@@ -81,9 +81,8 @@ def test_preprocess_enforces_stroke_volume_bounds(tmp_path):
     src.write_bytes(dp.encode_dataset(ds))
     out = tmp_path / "clean.psd1"
     assert cli.main(["preprocess", "--in", str(src), "--out", str(out)]) == 0
-    manifest = dp.parse_manifest((tmp_path / "clean.psd1.manifest").read_text())
-    assert manifest["n_kept"] == "4"
-    assert manifest["dropped_sv_out_of_range"] == "1"
+    assert (tmp_path / "clean.psd1.manifest").read_text() == dp.format_manifest({
+        "task": "regression", "n_in": "5", "n_kept": "4", "dropped_sv_out_of_range": "1"})
 
 
 def test_preprocess_missing_input(tmp_path):

@@ -232,6 +232,58 @@ def test_generated_bytes_match_golden_digest(task, difficulty):
     assert digest == GOLDEN_DIGESTS[task, difficulty]
 
 
+# sha256 of encode_dataset over a grid of generator settings, taken from the
+# field-by-field encoder that the structured-dtype codec replaced
+CODEC_DIGESTS = {
+    ("classification", 1.0, 0.05, 0): "e48c129a70320c07cb72cd7ca56e8b783c4e513e047f7657ad7c8562f6328b8f",
+    ("classification", 1.0, 0.05, 1): "77a1b7d024f2f79e6332db73daf1316c638846b8ef65f440ccaec18e02e4fa40",
+    ("classification", 1.0, 0.05, 2): "99878b482e813f970954d4daad4253c29965a7e92d4c40306b4c68deca8e6b29",
+    ("classification", 1.0, 0.5, 0): "2d683a30211252d571ad39104c6ad052a84aaed4097dfcf6fc38c9dde9aa324a",
+    ("classification", 1.0, 0.5, 1): "d7447dca63020b9b1297c4c9e5dc2eaf607c9435113418efa40ab7e7c76a1a71",
+    ("classification", 1.0, 0.5, 2): "57b5657f7deb73b870ce00baddc4a1620bfee2f186c39a1f37e9c84df32f4bf3",
+    ("classification", 0.5, 0.05, 0): "877ac491a023583cfb203eaed147a6de8f556bbe450936abb1e16bc590cbb405",
+    ("classification", 0.5, 0.05, 1): "3b7b17a1be6080acfd6a2ba83c78130d5bc0a145c9373202594593eac788fb03",
+    ("classification", 0.5, 0.05, 2): "4b94ea40324f10cae389aeeb119df6cd34f81a51eacc5df7adee9e52090fbdde",
+    ("classification", 0.5, 0.5, 0): "caaddcf880c9129ad3d9835fd2599a08f462a4b05225df33a17aef3eb45e61c2",
+    ("classification", 0.5, 0.5, 1): "f07f4c35e29809760d0543a064d8a8e2647814fd5a42cfb483798d48b1cb5ea5",
+    ("classification", 0.5, 0.5, 2): "bd4bcd5e5dd969dd9005241998894301231ae02a5b89998dd2329449c0b99dd9",
+    ("classification", 0.3, 0.05, 0): "8aa9c0a9c3309bbd5a968efc5bf0c188178d7031552d5d89fd04f9aa189889a3",
+    ("classification", 0.3, 0.05, 1): "ceb6fee0a3f2d68f5c75fe1e75d32de5f37cbf1d54f143c0ee2946c25cfeb078",
+    ("classification", 0.3, 0.05, 2): "60d09bf606303bdb603614dc049eaa7467e374135bdc0ff8e8d7d957169448d7",
+    ("classification", 0.3, 0.5, 0): "0bb0dc0ddcc80f2a594bc0418c8142f4fbe0e047b57ecf0cadce0c6842d44f68",
+    ("classification", 0.3, 0.5, 1): "cd9898421ff2e2e3e8d8a4a652b7cadd375ff77944764a2a94aade7ac32daed9",
+    ("classification", 0.3, 0.5, 2): "f5bd4184b91eadee0868b34605423ded05c9c286585cae9f0902f3ffd1977ec0",
+    ("regression", 1.0, 0.05, 0): "412d5368cafdce0022dd6e5ed7503f3099b4a7add316cf74d2954ebabfc2ebbb",
+    ("regression", 1.0, 0.05, 1): "1d399e6f81d3ee7da64eae991818520af6715aee79f6522ac6d58358f8f632ae",
+    ("regression", 1.0, 0.05, 2): "4e963dad102b55cbf9bb9b356897a69e94af28f6125ee7f747a0509b0ca2d03c",
+    ("regression", 1.0, 0.5, 0): "412d5368cafdce0022dd6e5ed7503f3099b4a7add316cf74d2954ebabfc2ebbb",
+    ("regression", 1.0, 0.5, 1): "1d399e6f81d3ee7da64eae991818520af6715aee79f6522ac6d58358f8f632ae",
+    ("regression", 1.0, 0.5, 2): "4e963dad102b55cbf9bb9b356897a69e94af28f6125ee7f747a0509b0ca2d03c",
+    ("regression", 0.5, 0.05, 0): "f909be149c2e7fde03d4ef53d721ba7c32a6d08986a36dae8bc3f46c1b06ee9c",
+    ("regression", 0.5, 0.05, 1): "dde43a5e3723ad91ac4446e3519a35acca387ba7e79ce35063a9e05f170781be",
+    ("regression", 0.5, 0.05, 2): "aedd72735c22092e0f25738e39478a3772cf8ec4eb835f06320475f5a87d8457",
+    ("regression", 0.5, 0.5, 0): "f909be149c2e7fde03d4ef53d721ba7c32a6d08986a36dae8bc3f46c1b06ee9c",
+    ("regression", 0.5, 0.5, 1): "dde43a5e3723ad91ac4446e3519a35acca387ba7e79ce35063a9e05f170781be",
+    ("regression", 0.5, 0.5, 2): "aedd72735c22092e0f25738e39478a3772cf8ec4eb835f06320475f5a87d8457",
+    ("regression", 0.3, 0.05, 0): "a1ded84c62d376bc743ad5764331428392506253a5c2d33357d523f3c2b2dad4",
+    ("regression", 0.3, 0.05, 1): "ff52d6ff84eab9c9adb96b91965f858d1c8b1f4c9a952cc0ca1cead2eb6f56da",
+    ("regression", 0.3, 0.05, 2): "28b425f396d8133d522b6f6b017fe0233ad8b45066e94d5f22b943722b8a6a38",
+    ("regression", 0.3, 0.5, 0): "a1ded84c62d376bc743ad5764331428392506253a5c2d33357d523f3c2b2dad4",
+    ("regression", 0.3, 0.5, 1): "ff52d6ff84eab9c9adb96b91965f858d1c8b1f4c9a952cc0ca1cead2eb6f56da",
+    ("regression", 0.3, 0.5, 2): "28b425f396d8133d522b6f6b017fe0233ad8b45066e94d5f22b943722b8a6a38",
+}
+
+
+@pytest.mark.parametrize("task,difficulty,prevalence,seed", sorted(CODEC_DIGESTS))
+def test_encoded_bytes_match_codec_digest(task, difficulty, prevalence, seed):
+    ds = dp.generate_synthetic(4, 3, task, seed=seed, difficulty=difficulty,
+                               prevalence=prevalence)
+    blob = dp.encode_dataset(ds)
+    assert hashlib.sha256(blob).hexdigest() == CODEC_DIGESTS[task, difficulty,
+                                                             prevalence, seed]
+    assert dp.encode_dataset(dp.decode_dataset(blob)) == blob
+
+
 @pytest.mark.parametrize("task", dp.TASKS)
 @pytest.mark.parametrize("difficulty", [1.0, 0.3])
 def test_generated_segments_pass_the_filter(task, difficulty):
@@ -364,6 +416,40 @@ def test_container_round_trip(task):
     assert back.task == task
 
 
+def test_decoded_records_have_python_scalars_and_own_waveforms():
+    back = dp.decode_dataset(dp.encode_dataset(dp.generate_synthetic(2, 2, "regression", 1)))
+    for r in back.records:
+        assert type(r.case_id) is int
+        for value in (r.age, r.sex, r.height, r.weight, r.label):
+            assert type(value) is float
+        for wave in (r.ecg, r.ppg):
+            assert wave.dtype == np.float32 and wave.shape == (dp.SEGMENT_LEN,)
+            assert wave.flags.writeable
+    before = [(r.ecg.copy(), r.ppg.copy()) for r in back.records]
+    back.records[1].ecg[:] = 7.0
+    for i, (r, (ecg, ppg)) in enumerate(zip(back.records, before)):
+        np.testing.assert_array_equal(r.ppg, ppg)
+        if i != 1:
+            np.testing.assert_array_equal(r.ecg, ecg)
+
+
+def test_decoded_waveforms_do_not_share_the_input_buffer():
+    blob = bytearray(dp.encode_dataset(dp.generate_synthetic(1, 2, "classification", 0)))
+    back = dp.decode_dataset(blob)
+    want = back.records[0].ecg.copy()
+    blob[dp._HEADER.size + 4:dp._HEADER.size + 8] = struct.pack("<f", 3.0)
+    np.testing.assert_array_equal(back.records[0].ecg, want)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("case_id", -1), ("case_id", 2**32), ("case_id", np.int64(-1)), ("age", 1e39)])
+def test_encode_rejects_values_outside_the_record_types(field, value):
+    ds = dp.generate_synthetic(2, 1, "classification", 0)
+    setattr(ds.records[1], field, value)
+    with pytest.raises(ArithmeticError):
+        dp.encode_dataset(ds)
+
+
 def test_container_round_trip_empty():
     ds = dp.SignalDataset("regression", [])
     assert len(dp.decode_dataset(dp.encode_dataset(ds))) == 0
@@ -427,12 +513,9 @@ def test_manifest_round_trip():
     entries = {"task": "classification", "seed": "7", "note": "a=b=c"}
     text = dp.format_manifest(entries)
     assert text.splitlines() == ["note=a=b=c", "seed=7", "task=classification"]
-    assert dp.parse_manifest(text) == entries
 
 
-def test_manifest_skips_blank_lines_and_rejects_garbage():
-    assert dp.parse_manifest("a=1\n\n  \nb=2\n") == {"a": "1", "b": "2"}
-    with pytest.raises(ValueError, match="key=value"):
-        dp.parse_manifest("just a line\n")
-    with pytest.raises(ValueError):
-        dp.format_manifest({"bad=key": "v"})
+def test_manifest_rejects_unrepresentable_entries():
+    for entries in ({"bad=key": "v"}, {"bad\nkey": "v"}, {"key": "bad\nvalue"}):
+        with pytest.raises(ValueError, match="not representable"):
+            dp.format_manifest(entries)

@@ -799,12 +799,13 @@ def test_over_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
     assert run() == want
 
 
-# Prints OPENBLAS_THREAD_TIMEOUT after importing physiobench and then numpy,
-# and the timeout the loaded OpenBLAS read, or None where it cannot be asked.
+# Prints OPENBLAS_THREAD_TIMEOUT after importing the modules named on the
+# command line in that order, and the timeout the loaded OpenBLAS read, or
+# None where it cannot be asked.
 BLAS_TIMEOUT = """
-import ctypes, json, os
-import physiobench
-import numpy
+import ctypes, json, os, sys
+for name in sys.argv[1:]:
+    __import__(name)
 read = None
 if os.path.exists("/proc/self/maps"):
     with open("/proc/self/maps") as maps:
@@ -814,17 +815,17 @@ if os.path.exists("/proc/self/maps"):
         if timeout is not None:
             timeout.argtypes, timeout.restype = (), ctypes.c_int
             read = timeout()
-print(json.dumps([os.environ["OPENBLAS_THREAD_TIMEOUT"], read]))
+print(json.dumps([os.environ.get("OPENBLAS_THREAD_TIMEOUT"), read]))
 """
 
 
-def _blas_timeout(preset):
+def _blas_timeout(preset, order=("physiobench", "numpy")):
     src = str(Path(T.__file__).resolve().parents[2])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if preset is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    run = subprocess.run([sys.executable, "-c", BLAS_TIMEOUT], capture_output=True,
+    run = subprocess.run([sys.executable, "-c", BLAS_TIMEOUT, *order], capture_output=True,
                          text=True, check=True, env=env)
     return json.loads(run.stdout)
 
@@ -832,6 +833,13 @@ def _blas_timeout(preset):
 @pytest.mark.parametrize("preset,want", [(None, "20"), ("25", "25")])
 def test_import_sets_the_blas_thread_timeout_unless_set(preset, want):
     assert _blas_timeout(preset)[0] == want
+
+
+@pytest.mark.parametrize("preset,want", [(None, None), ("25", "25")])
+def test_import_after_numpy_leaves_the_blas_thread_timeout_alone(preset, want):
+    # OpenBLAS has read its environment already: a variable set now would
+    # claim a policy the process and its children do not have
+    assert _blas_timeout(preset, ("numpy", "physiobench"))[0] == want
 
 
 @pytest.mark.parametrize("preset,want", [(None, 20), ("25", 25)])
