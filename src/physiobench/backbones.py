@@ -38,17 +38,13 @@ from .attention import AttentionKind, MsaConfig, MsaEncoder, make_attention
 from .core import nn
 from .core import tensor as T
 from .core.tensor import Tensor
+from .datapipe import DEMOGRAPHICS_DIM, IN_CHANNELS, SEGMENT_LEN, TASKS
 
 FAMILIES = ("vgg", "resnet", "inception", "msa_only")
 CNN_FAMILIES = ("vgg", "resnet", "inception")
 MAX_LEVEL = MappingProxyType({"vgg": 5, "resnet": 8, "inception": 8, "msa_only": 1})
 DEFAULT_LEVEL = MappingProxyType({"vgg": 5, "resnet": 6, "inception": 4, "msa_only": 1})
 FRACTIONS = (0, 50, 100)
-TASKS = ("classification", "regression")
-
-IN_CHANNELS = 2
-SEGMENT_LEN = 2000
-DEMOGRAPHICS_DIM = 4
 
 # msa_only stem: a stride-10, width-20 conv turns 2000 samples into 199 tokens
 MSA_STEM_KERNEL = 20
@@ -281,7 +277,6 @@ class BuiltModel(nn.Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.attention_indices: frozenset[int] = frozenset()
         if cfg.family == "msa_only":
             self._build_msa(cfg, rng)
         else:
@@ -294,10 +289,10 @@ class BuiltModel(nn.Module):
         self.blocks = nn.ModuleList(blocks)
 
         chans = module_channels(cfg.family, cfg.level)
-        self.attention_indices = attention_placement(cfg.level, cfg.fraction)
+        placed = attention_placement(cfg.level, cfg.fraction)
         attn: list[nn.Module] = []
         for i, ch in enumerate(chans, start=1):
-            if i in self.attention_indices:
+            if i in placed:
                 attn.append(make_attention(rng, cfg.attention, ch))
             else:
                 attn.append(Identity())
@@ -388,15 +383,16 @@ class LevelTable:
     """Per-level trainable-parameter counts plus the full-model reference."""
 
     family: str
-    counts: tuple[tuple[int, int], ...]  # (level, count), ascending level
+    counts: tuple[int, ...]  # level i+1's count at counts[i]
     default_count: int
 
     def __post_init__(self):
         if not self.counts:
             raise ValueError("level table needs at least one level")
-        levels = [lvl for lvl, _ in self.counts]
-        if levels != sorted(set(levels)):
-            raise ValueError("levels must be unique and ascending")
+        if min(self.counts) <= 0 or self.default_count <= 0:
+            raise ValueError(
+                f"parameter counts must be positive, got counts {list(self.counts)} "
+                f"and default {self.default_count}")
 
     @property
     def threshold(self) -> float:
@@ -407,19 +403,18 @@ class LevelTable:
 def select_level(table: LevelTable) -> int:
     """Smallest level count still at or above default/5; ties pick the
     shallower level."""
-    eligible = [(count, level) for level, count in table.counts
+    eligible = [(count, level) for level, count in enumerate(table.counts, start=1)
                 if count >= table.threshold]
     if not eligible:
-        biggest = max(count for _, count in table.counts)
         raise ValueError(
             f"no {table.family} level reaches threshold {table.threshold:.1f}; "
-            f"largest available count is {biggest}")
+            f"largest available count is {max(table.counts)}")
     return min(eligible)[1]
 
 
 def level_trend(table: LevelTable) -> str:
     """'increasing' / 'decreasing' when strictly monotone in level, else 'mixed'."""
-    counts = [count for _, count in table.counts]
+    counts = table.counts
     if len(counts) < 2:
         raise ValueError("trend needs at least two levels")
     if all(a < b for a, b in zip(counts, counts[1:])):
@@ -429,25 +424,18 @@ def level_trend(table: LevelTable) -> str:
     return "mixed"
 
 
-def _table(family: str, counts: dict[int, int], default: int) -> LevelTable:
-    return LevelTable(family, tuple(sorted(counts.items())), default)
-
-
 # Published per-level counts used as planner inputs (not produced by this
 # package's own counter; head reconstructions differ — see README).
 PUBLISHED_TABLES = MappingProxyType({
-    "vgg": _table("vgg", {
-        1: 192_128_065, 2: 189_891_329, 3: 130_614_785,
-        4: 90_639_361, 5: 40_567_296,
-    }, 40_567_296),
-    "resnet": _table("resnet", {
-        1: 26_048, 2: 51_008, 3: 134_080, 4: 233_152,
-        5: 563_136, 6: 957_888, 7: 2_273_216, 8: 3_849_152,
-    }, 3_849_152),
-    "inception": _table("inception", {
-        1: 117_744, 2: 297_584, 3: 538_592, 4: 806_504,
-        5: 1_089_280, 6: 1_404_864, 7: 1_884_096, 8: 2_538_432,
-    }, 3_417_264),
+    "vgg": LevelTable("vgg", (
+        192_128_065, 189_891_329, 130_614_785, 90_639_361, 40_567_296,
+    ), 40_567_296),
+    "resnet": LevelTable("resnet", (
+        26_048, 51_008, 134_080, 233_152, 563_136, 957_888, 2_273_216, 3_849_152,
+    ), 3_849_152),
+    "inception": LevelTable("inception", (
+        117_744, 297_584, 538_592, 806_504, 1_089_280, 1_404_864, 1_884_096, 2_538_432,
+    ), 3_417_264),
 })
 
 
@@ -456,6 +444,6 @@ def computed_level_table(family: str) -> LevelTable:
     backbone counts without head or attention, as in the published tables."""
     if family not in CNN_FAMILIES:
         raise ValueError(f"level tables exist for CNN families only, got {family!r}")
-    counts = {level: feature_param_count(family, level)
-              for level in range(1, MAX_LEVEL[family] + 1)}
-    return _table(family, counts, counts[MAX_LEVEL[family]])
+    counts = tuple(feature_param_count(family, level)
+                   for level in range(1, MAX_LEVEL[family] + 1))
+    return LevelTable(family, counts, counts[-1])

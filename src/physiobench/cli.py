@@ -232,8 +232,7 @@ def cmd_preprocess(args) -> int:
             kept.append(rec)
         else:
             drops[reason] = drops.get(reason, 0) + 1
-    out_ds = dp.SignalDataset(task=ds.task, records=tuple(kept),
-                              meta={**ds.meta, "preprocessed": True})
+    out_ds = dp.SignalDataset(ds.task, kept)
     out = Path(args.out)
     _write(out, dp.encode_dataset(out_ds))
     manifest = {"task": ds.task, "n_in": len(ds.records), "n_kept": len(kept)}
@@ -266,7 +265,7 @@ def cmd_count_params(args) -> int:
     if kind is not AttentionKind.NONE:
         header += f"  with_{kind.value}@{args.fraction}%"
     print(header)
-    for level, count in table.counts:
+    for level, count in enumerate(table.counts, start=1):
         line = f"{level:>5}  {count:>14}"
         if kind is not AttentionKind.NONE:
             chans = module_channels(args.family, level)
@@ -292,7 +291,7 @@ def cmd_select_level(args) -> int:
         except ValueError:
             raise CliError(f"--counts must be comma-separated integers: {args.counts!r}")
         default = args.default if args.default is not None else counts[-1]
-        table = LevelTable("custom", tuple(enumerate(counts, start=1)), default)
+        table = LevelTable("custom", tuple(counts), default)
     elif args.family:
         table = _planning_table(args.family, args.table)
     else:
@@ -389,11 +388,9 @@ def cmd_evaluate(args) -> int:
         raise CliError(f"weights are for task {cfg.task}, dataset is {ds.task}")
     x, demo, y = ds.arrays()
     demo = dp.apply_demo_stats(demo, demo_mean, demo_std)
-    scores = hz.predict(model, x, demo)
-    if ds.task == "classification":
-        print(json.dumps({"auroc": hz.auroc(y, scores), "n": len(y)}, sort_keys=True))
-    else:
-        print(json.dumps({"mape": hz.mape(y, scores), "n": len(y)}, sort_keys=True))
+    name, metric, *_ = hz.task_metric(ds.task)
+    print(json.dumps({name: metric(y, hz.predict(model, x, demo)), "n": len(y)},
+                     sort_keys=True))
     return 0
 
 

@@ -72,19 +72,13 @@ class Module:
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            else:
-                p.grad[...] = 0.0
+            p.grad[...] = 0.0
 
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
         for child in self._children.values():
             child.train(mode)
         return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.data.copy() for name, p in self.named_parameters()}

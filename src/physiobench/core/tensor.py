@@ -162,9 +162,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     # -- graph plumbing ------------------------------------------------
     def _record(self, parents: tuple["Tensor", ...], op: str,
                 backward: Callable[[np.ndarray], None]) -> "Tensor":
@@ -350,15 +347,24 @@ def mul(a: Tensor, b) -> Tensor:
     return out._record((a, b), "mul", backward)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out = Tensor(a.data ** exponent)
+def _elementwise(a: Tensor, data: np.ndarray, op: str,
+                 grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Tensor:
+    """Record ``data`` as the output of ``op`` on ``a``; backward adds
+    ``grad(g, a.data, out.data)`` to ``a``.  Both arrays are read at backward
+    time, as the module docstring's concat rule asks."""
+    out = Tensor(data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
+            a._accumulate(grad(g, a.data, out.data))
 
-    return out._record((a,), "pow", backward)
+    return out._record((a,), op, backward)
+
+
+def power(a: Tensor, exponent: float) -> Tensor:
+    exponent = float(exponent)
+    return _elementwise(a, a.data ** exponent, "pow",
+                        lambda g, x, y: g * exponent * x ** (exponent - 1.0))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -378,33 +384,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out.data)
-
-    return out._record((a,), "exp", backward)
+    return _elementwise(a, np.exp(a.data), "exp", lambda g, x, y: g * y)
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return out._record((a,), "log", backward)
+    return _elementwise(a, np.log(a.data), "log", lambda g, x, y: g / x)
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out.data)
-
-    return out._record((a,), "sqrt", backward)
+    return _elementwise(a, np.sqrt(a.data), "sqrt", lambda g, x, y: g * 0.5 / y)
 
 
 def activation(a: Tensor, kind: str) -> Tensor:
@@ -439,35 +427,20 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(_stable_sigmoid(a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out.data * (1.0 - out.data))
-
-    return out._record((a,), "sigmoid", backward)
+    return _elementwise(a, _stable_sigmoid(a.data), "sigmoid",
+                        lambda g, x, y: g * y * (1.0 - y))
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out.data * out.data))
-
-    return out._record((a,), "tanh", backward)
+    return _elementwise(a, np.tanh(a.data), "tanh",
+                        lambda g, x, y: g * (1.0 - y * y))
 
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x) computed without overflow; derivative is sigmoid(x)
     x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * _stable_sigmoid(x))
-
-    return out._record((a,), "softplus", backward)
+    return _elementwise(a, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                        "softplus", lambda g, x, y: g * _stable_sigmoid(x))
 
 
 def flush_tiny_grad(a: Tensor, floor: float) -> Tensor:
@@ -491,17 +464,9 @@ def flush_tiny_grad(a: Tensor, floor: float) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted stable softmax along ``axis``."""
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        if a.requires_grad:
-            y = out.data
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - inner))
-
-    return out._record((a,), "softmax", backward)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return _elementwise(a, e / e.sum(axis=axis, keepdims=True), "softmax",
+                        lambda g, x, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
 
 ATTENTION_BLOCK = 1 << 18   # score elements per attention block (1 MiB in float32)

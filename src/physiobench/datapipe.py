@@ -31,6 +31,7 @@ import numpy as np
 
 SAMPLE_RATE = 100
 SEGMENT_LEN = 2000
+IN_CHANNELS = 2         # ECG, PPG
 SEGMENT_SECONDS = SEGMENT_LEN / SAMPLE_RATE
 ECG_MIN_MV = -2.0
 ECG_MAX_MV = 4.5
@@ -40,7 +41,7 @@ MAP_THRESHOLD_MMHG = 65.0
 HYPO_MIN_SECONDS = 60.0
 HORIZON_SECONDS = 300.0
 TASKS = ("classification", "regression")
-DEMO_COLUMNS = ("age", "sex", "height", "weight")
+DEMOGRAPHICS_DIM = 4    # age, sex, height, weight
 
 
 # ---------------------------------------------------------------------
@@ -128,8 +129,8 @@ class SignalDataset:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(waveforms [N,2,2000] f32, demographics [N,4] f32, targets [N] f32)."""
         n = len(self.records)
-        x = np.empty((n, 2, SEGMENT_LEN), dtype=np.float32)
-        demo = np.empty((n, 4), dtype=np.float32)
+        x = np.empty((n, IN_CHANNELS, SEGMENT_LEN), dtype=np.float32)
+        demo = np.empty((n, DEMOGRAPHICS_DIM), dtype=np.float32)
         y = np.empty(n, dtype=np.float32)
         for i, r in enumerate(self.records):
             x[i, 0] = r.ecg
@@ -162,7 +163,8 @@ class FilterDecision:
 
 def filter_segment(ecg: np.ndarray, ppg: np.ndarray) -> FilterDecision:
     """Keep a segment only if every ECG sample lies in [-2, 4.5] mV and every
-    PPG sample is strictly positive.  Wrong lengths are an error, not a drop.
+    PPG sample is strictly positive; a NaN sample is out of range.  Wrong
+    lengths are an error, not a drop.
     """
     ecg = np.asarray(ecg, dtype=np.float64)
     ppg = np.asarray(ppg, dtype=np.float64)
@@ -170,12 +172,13 @@ def filter_segment(ecg: np.ndarray, ppg: np.ndarray) -> FilterDecision:
         raise ValueError(
             f"segments must be exactly {SEGMENT_LEN} samples, "
             f"got ecg {ecg.shape} and ppg {ppg.shape}")
-    bad_ecg = (ecg < ECG_MIN_MV) | (ecg > ECG_MAX_MV)
-    if bad_ecg.any():
-        return FilterDecision(False, "ecg", int(np.argmax(bad_ecg)))
-    bad_ppg = ppg <= 0.0
-    if bad_ppg.any():
-        return FilterDecision(False, "ppg", int(np.argmax(bad_ppg)))
+    # min() and max() carry a NaN through, so a NaN fails the range test;
+    # the first False of the in-range mask is then the first offending sample
+    if not (ecg.min() >= ECG_MIN_MV and ecg.max() <= ECG_MAX_MV):
+        ok = (ecg >= ECG_MIN_MV) & (ecg <= ECG_MAX_MV)
+        return FilterDecision(False, "ecg", int(np.argmin(ok)))
+    if not ppg.min() > 0.0:
+        return FilterDecision(False, "ppg", int(np.argmin(ppg > 0.0)))
     return FilterDecision(True)
 
 
@@ -456,7 +459,7 @@ def encode_dataset(dataset: SignalDataset) -> bytes:
     n = len(records)
     buf = bytearray(_HEADER.size + n * _RECORD.itemsize)
     _HEADER.pack_into(buf, 0, MAGIC, FORMAT_VERSION, _TASK_CODES[dataset.task],
-                      n, SEGMENT_LEN, 2)
+                      n, SEGMENT_LEN, IN_CHANNELS)
     body = np.frombuffer(buf, _RECORD, count=n, offset=_HEADER.size)
     ecg, ppg = body["ecg"], body["ppg"]
     for i, r in enumerate(records):
@@ -484,9 +487,9 @@ def decode_dataset(data: bytes) -> SignalDataset:
             f"container version {version}, this reader supports {FORMAT_VERSION}")
     if task_code not in _TASK_NAMES:
         raise FormatError(f"unknown task code {task_code}")
-    if seg_len != SEGMENT_LEN or channels != 2:
-        raise FormatError(
-            f"expected {SEGMENT_LEN}x2 segments, header declares {seg_len}x{channels}")
+    if seg_len != SEGMENT_LEN or channels != IN_CHANNELS:
+        raise FormatError(f"expected {SEGMENT_LEN}x{IN_CHANNELS} segments, "
+                          f"header declares {seg_len}x{channels}")
     expected = _HEADER.size + n * _RECORD.itemsize
     if len(data) < expected:
         raise TruncatedError(

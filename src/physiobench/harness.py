@@ -181,7 +181,10 @@ def rmse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------
 
 def auroc(labels, scores) -> float:
-    """Pairwise concordance with half credit for ties (rank formulation)."""
+    """The share of (positive, negative) pairs that the scores order
+    correctly, a tie counting one half: each positive's score is looked up
+    in the sorted negative scores, which counts the negatives below it and
+    those equal to it."""
     labels = np.asarray(labels, dtype=np.float64).ravel()
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if labels.shape != scores.shape:
@@ -195,20 +198,11 @@ def auroc(labels, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError(
             f"AUROC needs both classes; got {n_pos} positives, {n_neg} negatives")
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[j + 1] == s[i]:
-            j += 1
-        ranks[i:j + 1] = 0.5 * ((i + 1) + (j + 1))  # average 1-based rank
-        i = j + 1
-    rank_of = np.empty(s.size, dtype=np.float64)
-    rank_of[order] = ranks
-    u = rank_of[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (n_pos * n_neg))
 
 
 def mape(true, pred) -> float:
@@ -222,6 +216,16 @@ def mape(true, pred) -> float:
     if np.any(true == 0):
         raise ValueError("MAPE undefined for zero true values")
     return float(100.0 * np.mean(np.abs(pred - true) / np.abs(true)))
+
+
+def task_metric(task: str):
+    """``(name, fn, threshold, direction)`` of ``task``'s test metric:
+    ``fn(true, scores)`` scores a run, and a metric reaching ``threshold``
+    (``direction`` 'ge': at or above; 'le': at or below) has converged.
+    The table is read on each call, so a wrapper installed over this
+    module's ``auroc`` or ``mape`` sees every call."""
+    return {"classification": ("auroc", auroc, CONVERGE_AUROC, "ge"),
+            "regression": ("mape", mape, CONVERGE_MAPE, "le")}[task]
 
 
 def convergence_time(history, threshold: float, direction: str) -> float | None:
@@ -287,9 +291,7 @@ def evaluate_metric(model: nn.Module, bundle: ArrayBundle) -> float | None:
     scores = predict(model, bundle.x_test, bundle.demo_test)
     if not np.all(np.isfinite(scores)):
         return None
-    if bundle.task == "classification":
-        return auroc(bundle.y_test, scores)
-    return mape(bundle.y_test, scores)
+    return task_metric(bundle.task)[1](bundle.y_test, scores)
 
 
 # ---------------------------------------------------------------------
@@ -312,22 +314,6 @@ class RunResult:
     test_prevalence: float | None = None
 
 
-class _Clock:
-    def __init__(self, mode: str):
-        self.mode = mode
-        self._start = time.perf_counter()
-        self._epochs = 0
-
-    def epoch_done(self) -> float:
-        self._epochs += 1
-        if self.mode == "virtual":
-            return float(self._epochs)
-        return time.perf_counter() - self._start
-
-    def wall(self) -> float:
-        return time.perf_counter() - self._start
-
-
 def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
           stop_threshold: float | None = None) -> RunResult:
     """Seeded shuffled mini-batch training with per-epoch test evaluation.
@@ -346,11 +332,11 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
             raise ValueError(
                 f"AUROC needs both classes in the test split; got {n_pos} "
                 f"positives, {len(bundle.y_test) - n_pos} negatives")
-    metric_name = "auroc" if bundle.task == "classification" else "mape"
+    metric_name, _, converge_at, direction = task_metric(bundle.task)
     loss_fn = bce_with_logits if spec.loss == "bce" else rmse_loss
     opt = make_optimizer(spec, model.parameters())
     rng = np.random.default_rng(spec.seed)
-    clock = _Clock(spec.time_mode)
+    began = time.perf_counter()
     n = len(bundle.x_train)
 
     losses: list[float] = []
@@ -387,9 +373,10 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
             break
         losses.append(total / n)
         metrics.append(metric)
-        epoch_seconds.append(clock.epoch_done())
+        epoch_seconds.append(float(epoch + 1) if spec.time_mode == "virtual"
+                             else time.perf_counter() - began)
         if stop_threshold is not None:
-            met = (metrics[-1] >= stop_threshold if metric_name == "auroc"
+            met = (metrics[-1] >= stop_threshold if direction == "ge"
                    else metrics[-1] <= stop_threshold)
             if met:
                 break
@@ -401,17 +388,15 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
             aborted, abort_reason = True, "non-finite test score before training"
         else:
             final_metric = metric
-    if metric_name == "auroc":
-        conv = convergence_time(zip(epoch_seconds, metrics), CONVERGE_AUROC, "ge")
-    else:
-        conv = convergence_time(zip(epoch_seconds, metrics), CONVERGE_MAPE, "le")
+    conv = convergence_time(zip(epoch_seconds, metrics), converge_at, direction)
     prevalence = (float(np.mean(bundle.y_test))
                   if bundle.task == "classification" else None)
     return RunResult(seed=spec.seed, metric_name=metric_name,
                      epochs_run=len(losses), losses=losses, metrics=metrics,
                      epoch_seconds=epoch_seconds, final_metric=final_metric,
                      convergence_s=conv, aborted=aborted,
-                     abort_reason=abort_reason, wall_seconds=clock.wall(),
+                     abort_reason=abort_reason,
+                     wall_seconds=time.perf_counter() - began,
                      test_prevalence=prevalence)
 
 
@@ -476,18 +461,27 @@ def msa_grid_entries(task: str = "classification") -> list[SweepEntry]:
 
 @dataclass
 class SweepRow:
-    family: str
-    attention: str
-    fraction: int
-    level: int
+    """An entry and its runs, one per seed (none for an entry that could not
+    be built), with their aggregates; a seed without a finished run counts
+    as aborted."""
+
+    entry: SweepEntry
     seed_count: int
-    metric_mean: float | None
-    metric_std: float | None
-    conv_time_mean_s: float | None
-    aborted: int
-    label: str = ""
-    error: str | None = None
-    runs: list[RunResult] = field(default_factory=list)
+    runs: list[RunResult]
+    metric_mean: float | None = field(init=False)
+    metric_std: float | None = field(init=False)
+    conv_time_mean_s: float | None = field(init=False)
+    aborted: int = field(init=False)
+
+    def __post_init__(self):
+        finished = [r for r in self.runs if not r.aborted]
+        finals = [r.final_metric for r in finished]
+        conv = [r.convergence_s for r in finished if r.convergence_s is not None]
+        self.metric_mean = float(np.mean(finals)) if finals else None
+        self.metric_std = (float(np.std(finals, ddof=1)) if len(finals) >= 2
+                           else (0.0 if finals else None))
+        self.conv_time_mean_s = float(np.mean(conv)) if conv else None
+        self.aborted = self.seed_count - len(finished)
 
 
 @dataclass
@@ -507,34 +501,16 @@ def run_sweep(entries: list[SweepEntry], bundle: ArrayBundle, epochs: int,
     and per-CPU batch-block threads already use every CPU.  Aborted runs and
     unbuildable entries are counted in the ``aborted`` column, never dropped.
     """
-    metric_name = "auroc" if bundle.task == "classification" else "mape"
     rows = []
     for e in entries:
-        if e.error is not None:
-            rows.append(SweepRow(e.family, e.attention, e.fraction, e.level,
-                                 seed_count=len(seeds), metric_mean=None,
-                                 metric_std=None, conv_time_mean_s=None,
-                                 aborted=len(seeds), label=e.label, error=e.error))
-            continue
         runs = []
-        for seed in seeds:
+        for seed in seeds if e.error is None else []:   # an invalid entry has no runs
             spec = TrainSpec.for_config(e.config, epochs=epochs, seed=seed,
                                         time_mode=time_mode, lr0=lr0,
                                         batch_size=batch_size)
             runs.append(train(build_model(e.config, rng=seed), bundle, spec))
-        finished = [r for r in runs if not r.aborted]
-        finals = [r.final_metric for r in finished]
-        conv = [r.convergence_s for r in finished if r.convergence_s is not None]
-        rows.append(SweepRow(
-            e.family, e.attention, e.fraction, e.level,
-            seed_count=len(seeds),
-            metric_mean=float(np.mean(finals)) if finals else None,
-            metric_std=(float(np.std(finals, ddof=1)) if len(finals) >= 2
-                        else (0.0 if finals else None)),
-            conv_time_mean_s=float(np.mean(conv)) if conv else None,
-            aborted=sum(r.aborted for r in runs),
-            label=e.label, runs=runs))
-    return SweepReport(bundle.task, metric_name, rows)
+        rows.append(SweepRow(e, len(seeds), runs))
+    return SweepReport(bundle.task, task_metric(bundle.task)[0], rows)
 
 
 def report_to_csv(report: SweepReport) -> str:
@@ -543,8 +519,9 @@ def report_to_csv(report: SweepReport) -> str:
 
     lines = [CSV_HEADER]
     for r in report.rows:
+        e = r.entry
         lines.append(",".join([
-            r.family, r.attention, str(r.fraction), str(r.level),
+            e.family, e.attention, str(e.fraction), str(e.level),
             str(r.seed_count), num(r.metric_mean, ".6f"),
             num(r.metric_std, ".6f"), num(r.conv_time_mean_s, ".3f"),
             str(r.aborted),
@@ -556,11 +533,12 @@ def report_to_jsonl(report: SweepReport) -> str:
     """Per-run histories, one JSON object per line (includes wall-clock)."""
     lines = []
     for row in report.rows:
-        base = {"family": row.family, "attention": row.attention,
-                "fraction": row.fraction, "level": row.level,
-                "label": row.label, "metric_name": report.metric_name}
-        if row.error is not None:
-            lines.append(json.dumps({**base, "error": row.error}, sort_keys=True))
+        e = row.entry
+        base = {"family": e.family, "attention": e.attention,
+                "fraction": e.fraction, "level": e.level,
+                "label": e.label, "metric_name": report.metric_name}
+        if e.error is not None:
+            lines.append(json.dumps({**base, "error": e.error}, sort_keys=True))
             continue
         for run in row.runs:
             lines.append(json.dumps({

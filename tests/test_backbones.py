@@ -168,12 +168,9 @@ def test_built_count_equals_closed_form(family, level, kind, fraction, float32_m
 def test_attention_slots_follow_placement():
     cfg = bb.ModelConfig(family="resnet", level=6, attention=AttentionKind.SE, fraction=50)
     model = bb.build_model(cfg, rng=0)
-    assert model.attention_indices == bb.attention_placement(6, 50)
-    for i, blk in enumerate(model.attn, start=1):
-        if i in model.attention_indices:
-            assert not isinstance(blk, bb.Identity)
-        else:
-            assert isinstance(blk, bb.Identity)
+    placed = {i for i, blk in enumerate(model.attn, start=1)
+              if not isinstance(blk, bb.Identity)}
+    assert len(model.attn) == 6 and placed == bb.attention_placement(6, 50)
 
 
 # ---------------------------------------------------------------------
@@ -210,7 +207,7 @@ def test_forward_shapes(cfg, float32_mode):
 def test_demographics_change_output(float32_mode):
     cfg = bb.ModelConfig(family="resnet", level=2)
     model = bb.build_model(cfg, rng=3)
-    model.eval()
+    model.train(False)
     rng = np.random.default_rng(11)
     x, demo = _inputs(rng)
     a = model(x, demo).data
@@ -309,29 +306,28 @@ def test_published_thresholds():
 
 
 def test_select_tie_goes_shallower():
-    table = bb.LevelTable("custom", ((1, 10), (2, 10), (3, 50)), 50)
+    table = bb.LevelTable("custom", (10, 10, 50), 50)
     assert bb.select_level(table) == 1
 
 
 def test_select_raises_when_nothing_reaches_threshold():
-    table = bb.LevelTable("custom", ((1, 5), (2, 8)), 100)
+    table = bb.LevelTable("custom", (5, 8), 100)
     with pytest.raises(ValueError, match="threshold"):
         bb.select_level(table)
 
 
 def test_trend_mixed_and_short():
-    assert bb.level_trend(bb.LevelTable("c", ((1, 5), (2, 9), (3, 7)), 7)) == "mixed"
+    assert bb.level_trend(bb.LevelTable("c", (5, 9, 7), 7)) == "mixed"
     with pytest.raises(ValueError):
-        bb.level_trend(bb.LevelTable("c", ((1, 5),), 5))
+        bb.level_trend(bb.LevelTable("c", (5,), 5))
 
 
 def test_level_table_validation():
     with pytest.raises(ValueError):
         bb.LevelTable("c", (), 1)
-    with pytest.raises(ValueError):
-        bb.LevelTable("c", ((2, 5), (1, 9)), 9)
-    with pytest.raises(ValueError):
-        bb.LevelTable("c", ((1, 5), (1, 9)), 9)
+    for counts, default in (((5, 0, 9), 9), ((5, -1), 9), ((5, 9), 0), ((5, 9), -9)):
+        with pytest.raises(ValueError, match="positive"):
+            bb.LevelTable("c", counts, default)
 
 
 @pytest.mark.parametrize("family", bb.CNN_FAMILIES)
@@ -339,9 +335,10 @@ def test_computed_table_matches_closed_form(family):
     # feature-extractor counts, the quantity the default/5 rule is stated on
     table = bb.computed_level_table(family)
     assert table.family == family
-    for level, count in table.counts:
+    assert len(table.counts) == bb.MAX_LEVEL[family]
+    for level, count in enumerate(table.counts, start=1):
         assert count == bb.feature_param_count(family, level)
-    assert table.default_count == dict(table.counts)[bb.MAX_LEVEL[family]]
+    assert table.default_count == table.counts[-1]
 
 
 @pytest.mark.parametrize("family", ["resnet", "inception"])

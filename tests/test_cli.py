@@ -121,7 +121,7 @@ def test_count_params_attention_column_is_count_plus_attention(family, capsys):
     counts = PUBLISHED_TABLES[family].counts
     assert len(rows) == len(counts)
     rng = np.random.default_rng(0)
-    for (level, count), row in zip(counts, rows):
+    for level, (count, row) in enumerate(zip(counts, rows), start=1):
         se = sum(make_attention(rng, AttentionKind.SE, c).num_params()
                  for c in module_channels(family, level))
         assert [int(v) for v in row[:3]] == [level, count, count + se]
@@ -163,6 +163,16 @@ def test_select_level_family(capsys):
 def test_select_level_usage_errors():
     assert cli.main(["select-level"]) == 2
     assert cli.main(["select-level", "--counts", "10,oops"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--counts", "5,7,9", "--default", "0"],
+                                  ["--counts", "5,0,9"],
+                                  ["--counts", "5,-7,9", "--default", "9"]])
+def test_select_level_rejects_counts_that_are_not_positive(argv, capsys):
+    assert cli.main(["select-level", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "positive" in captured.err
 
 
 # ---------------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_filter_reports_first_offender_and_checks_ecg_first():
     assert (d.channel, d.index) == ("ecg", 40)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channel", ["ecg", "ppg"])
+def test_filter_drops_nan_samples(channel, dtype):
+    ecg, ppg = (s.astype(dtype) for s in _clean_segment())
+    seg = ecg if channel == "ecg" else ppg
+    seg[1500] = np.nan
+    seg[123] = np.nan
+    d = dp.filter_segment(ecg, ppg)
+    assert not d.keep and (d.channel, d.index) == (channel, 123)
+    ecg[40] = 9.0   # an ECG offender still comes first
+    assert dp.filter_segment(ecg, ppg).channel == "ecg"
+
+
 def test_filter_rejects_wrong_length():
     with pytest.raises(ValueError, match="2000"):
         dp.filter_segment(np.zeros(100), np.ones(100))

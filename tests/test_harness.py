@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ def test_auroc_matches_brute_force_with_ties():
             _brute_auroc(labels, scores), abs=1e-12)
 
 
+def test_auroc_counts_each_tie_group_and_signed_zeros_as_ties():
+    # five tie groups, each holding both classes; -0.0 and 0.0 are equal
+    scores = np.array([-0.0, 0.0, 0.0, -0.0, 2.5, 2.5, 2.5, -1.0, -1.0,
+                       7.0, 7.0, 3.0, 3.0, 3.0, 0.5])
+    labels = np.array([1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1])
+    for order in (slice(None), slice(None, None, -1)):
+        for dtype in (np.float64, np.float32):
+            s, lab = scores[order].astype(dtype), labels[order]
+            assert hn.auroc(lab, s) == _brute_auroc(lab, s)
+    # -0.0 against 0.0 earns a half: (1 + 1 + 1 + 0.5) / 4
+    assert hn.auroc(np.array([1, 0, 0, 1]), np.array([-0.0, 0.0, -1.0, 1.0])) == 0.875
+
+
 def test_auroc_validation():
     with pytest.raises(ValueError, match="both classes"):
         hn.auroc([1, 1], [0.1, 0.2])
@@ -465,10 +479,12 @@ def test_train_records_convergence_clock(cls_bundle):
 
 def test_train_wall_clock_is_monotone(cls_bundle):
     model = LinearBaseline(np.random.default_rng(0))
+    began = time.perf_counter()
     res = hn.train(model, cls_bundle, _linear_spec(epochs=2, time_mode="wall"))
-    assert res.epoch_seconds[0] > 0
-    assert res.epoch_seconds[1] > res.epoch_seconds[0]
-    assert res.wall_seconds >= res.epoch_seconds[-1]
+    elapsed = time.perf_counter() - began
+    # every reading lies inside the call: a clock started at the wrong time
+    # reads outside [0, elapsed]
+    assert 0 < res.epoch_seconds[0] < res.epoch_seconds[1] <= res.wall_seconds <= elapsed
 
 
 # ---------------------------------------------------------------------

@@ -189,6 +189,53 @@ def test_log_sqrt_power_grad_check(seed):
     assert grad_check(f, [x]) < 1e-4
 
 
+def _softmax_reference(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+# op -> (forward, input gradient from (g, x, y)), each as the op wrote it
+# before the ops shared one recorder
+ELEMENTWISE = {
+    "exp": (T.exp, np.exp, lambda g, x, y: g * y),
+    "log": (T.log, np.log, lambda g, x, y: g / x),
+    "sqrt": (T.sqrt, np.sqrt, lambda g, x, y: g * 0.5 / y),
+    "power": (lambda t: T.power(t, 2.5), lambda x: x ** 2.5,
+              lambda g, x, y: g * 2.5 * x ** (2.5 - 1.0)),
+    "reciprocal": (lambda t: T.power(t, -1.0), lambda x: x ** -1.0,
+                   lambda g, x, y: g * -1.0 * x ** (-1.0 - 1.0)),
+    "sigmoid": (T.sigmoid, T._stable_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+    "tanh": (T.tanh, np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "softplus": (T.softplus,
+                 lambda x: np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                 lambda g, x, y: g * T._stable_sigmoid(x)),
+    "softmax": (lambda t: T.softmax(t, axis=-1), lambda x: _softmax_reference(x, -1),
+                lambda g, x, y: y * (g - (g * y).sum(axis=-1, keepdims=True))),
+    "softmax_axis0": (lambda t: T.softmax(t, axis=0), lambda x: _softmax_reference(x, 0),
+                      lambda g, x, y: y * (g - (g * y).sum(axis=0, keepdims=True))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ELEMENTWISE)
+def test_elementwise_ops_match_their_expressions_bit_for_bit(name, dtype):
+    op, forward, grad = ELEMENTWISE[name]
+    rng = np.random.default_rng(sorted(ELEMENTWISE).index(name))
+    x = rng.normal(size=(4, 9)) * 3
+    if name in ("log", "sqrt", "power", "reciprocal"):
+        x = np.abs(x) + 0.1
+    x, g = x.astype(dtype), rng.normal(size=(4, 9)).astype(dtype)
+    a = Tensor(x, requires_grad=True)
+    out = op(a)
+    y = forward(x)
+    assert out.dtype == y.dtype == dtype
+    npt.assert_array_equal(out.data, y)
+    out.backward(g)
+    want = grad(g, x, y)
+    assert a.grad.dtype == want.dtype == dtype
+    npt.assert_array_equal(a.grad, want)
+
+
 def test_softmax_rows_sum_to_one_and_match_reference():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 7)) * 3
