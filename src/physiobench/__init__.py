@@ -10,23 +10,23 @@ Subpackages/modules:
 * ``cli`` — command-line front end
 
 Importing the package sets one process policy for OpenBLAS, before anything
-in it imports numpy: ``OPENBLAS_THREAD_TIMEOUT=20``, unless the environment
-already sets it.  OpenBLAS reads the variable when it loads.  Its worker
-threads then spin for about 2^20 CPU cycles (under a millisecond) after each
-call before they sleep, instead of the compiled-in 2^28 (about 0.1 s), so
-they leave the CPUs to the elementwise passes that ``core.tensor`` runs on
-its own threads between GEMMs.  Of 20, 22 and 24, 20 gave the fastest
-ResNet + SE training step on a 2-CPU host.  The BLAS thread count and the
-way a GEMM is split are unchanged, so no bit changes.  Where numpy was
-imported before physiobench, OpenBLAS has already read its environment, so
-the package leaves the variable alone: ``os.environ``, and every child
-process started from it, then show the policy actually in effect.
+in it imports numpy: ``OPENBLAS_NUM_THREADS=1``, unless the environment
+already sets it.  OpenBLAS reads the variable when it loads, and then runs
+every GEMM on the thread that calls it.  ``core.tensor`` runs its
+convolutions, attention blocks and elementwise passes over batch blocks on
+one thread per CPU instead, cut so that no bit depends on the CPU count: a
+seed replays bit for bit on any CPU count, for a given numpy and BLAS build
+on a given CPU model.  Where numpy was imported before physiobench, OpenBLAS
+has already read its environment, so the package leaves the variable alone:
+``os.environ``, and every child process started from it, then show the
+thread count actually in effect, and that caller keeps its BLAS sums'
+dependence on it.
 """
 
 import os
 import sys
 
 if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

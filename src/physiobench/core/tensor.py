@@ -3,18 +3,18 @@
 Every differentiable value is a :class:`Tensor` wrapping a float ndarray.
 Operations record their parents and a closure that scatters the incoming
 gradient back to them; ``Tensor.backward()`` replays those closures in
-reverse topological order.  Math is plain numpy.  The BLAS-backed ops
-(matmul, the conv GEMM) may run on several threads, and how their sums are
-split depends on the thread count, so a given seed replays bit for bit for a
-fixed BLAS thread count.  The benchmark prints that count.  Max pooling,
-the elementwise passes of batchnorm1d and conv1d's bias, ReLU and ReLU
-mask split their batch rows into blocks run on one thread per CPU
-(:func:`_over_batch`); that changes no bit, because each row's work is
-independent of the others and keeps its order.  Per-channel sums stay whole
-arrays on the calling thread.  These threads share the CPUs with OpenBLAS's
-workers, which spin for a while after each GEMM before they sleep;
-importing ``physiobench`` shortens that wait (see its docstring), so the
-pool gets the CPUs between GEMMs.
+reverse topological order.  Math is plain numpy.  conv1d, attention, max
+pooling and batchnorm1d split their batch rows into blocks run on one
+thread per CPU (:func:`_over_batch`), and BLAS runs on the calling thread
+alone (importing ``physiobench`` sets ``OPENBLAS_NUM_THREADS=1``; see its
+docstring).  No bit depends on how rows are cut: each row's work is
+independent of the others and keeps its order, and the one sum over rows
+that runs on the pool, conv1d's kernel gradient, adds partials over a cut
+fixed by the shapes alone.  Per-channel sums stay whole arrays on the
+calling thread.  So a given seed replays bit for bit on any CPU count, for
+a given numpy and BLAS build on a given CPU model.  A caller that imports
+numpy before ``physiobench`` keeps its own BLAS thread count, and with it a
+dependence of the matmul and GEMM sums on that count.
 
 :func:`concat` holds each activation once: it rebinds every recorded input
 (an op's output, not a leaf) to that input's slice of the concatenated
@@ -34,8 +34,11 @@ allocates the same sizes again, so the kept heap serves it without page
 faults or kernel zeroing.  Both thresholds are set because setting either
 one turns off glibc's dynamic thresholds: with only the trim threshold set,
 the mmap threshold would stay at 128 KiB and every mid-sized array would be
-a fresh mmap.  Without glibc (no ``mallopt``) nothing is set.  A process's
-resident memory therefore stays at its peak once training ends.
+a fresh mmap.  Every thread allocates from the one main arena (at most one
+arena): the pool threads' temporaries, such as conv columns, would otherwise
+sit in arenas of their own, kept untrimmed beside the main one.  Without
+glibc (no ``mallopt``) nothing is set.  A process's resident memory
+therefore stays at its peak once training ends.
 """
 
 from __future__ import annotations
@@ -54,14 +57,15 @@ _GRAD_ENABLED = True
 # mallopt parameters (glibc's malloc.h) and values; mallopt takes C ints
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20    # bytes from which an array gets its own mmap
 _TRIM_THRESHOLD = 2**31 - 1   # the largest C int: freed heap is never trimmed
 
 
 def _keep_freed_heap() -> None:
     """Set the allocator policy of the module docstring, where glibc's
-    ``mallopt`` exists.  The trim threshold is set only once the mmap
-    threshold has been applied (``mallopt`` returns 1)."""
+    ``mallopt`` exists.  The trim threshold and the arena cap are set only
+    once the mmap threshold has been applied (``mallopt`` returns 1)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -70,6 +74,7 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_heap()
@@ -504,9 +509,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     q is [..., Lq, D], k is [..., Lk, D] and v is [..., Lk, Dv], with equal
     leading axes; P is :func:`attention_weights`.  The leading (batch, head)
     items run in blocks of at most ``ATTENTION_BLOCK`` score elements, and
-    at least one item, so P is never held whole.  Softmax keeps each row's
-    max and sum, and backward rebuilds each block's P from them bit for
-    bit.  Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor.
+    at least one item, so P is never held whole; the blocks run forward and
+    backward on one thread per CPU (:func:`_over_batch`), and each item's
+    arithmetic is the same in any block.  Softmax keeps each row's max and
+    sum, and backward rebuilds each block's P from them bit for bit.
+    Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor.
     """
     if not (q.ndim >= 2 and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
             and q.ndim == k.ndim == v.ndim):
@@ -519,16 +526,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     lq, lk = q.shape[-2], k.shape[-2]
     qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, k, v))
     n = qs.shape[0]
-    step = max(1, ATTENTION_BLOCK // (lq * lk))
-    blocks = [slice(i, i + step) for i in range(0, n, step)]
     dtype = np.result_type(q.dtype, k.dtype, v.dtype)
     out_shape = (n, lq, vs.shape[-1])
     out = np.empty(out_shape, dtype=dtype)
-    stats = []
-    for b in blocks:
+    stats = {}   # each block's (rowmax, rowsum), by its first item
+
+    def forward_items(b):
         p, rowmax, rowsum = _weights(qs[b], ks[b], scale, softmax)
+        stats[b.start] = rowmax, rowsum
         np.matmul(p, vs[b], out=out[b])
-        stats.append((rowmax, rowsum))
+
+    _over_batch(forward_items, n, lq * lk, ATTENTION_BLOCK, _cpus())
 
     def backward(g):
         y = result.data.reshape(out_shape)
@@ -536,12 +544,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         grads = [np.empty(a.shape, dtype=dtype) if t.requires_grad else None
                  for t, a in zip((q, k, v), (qs, ks, vs))]
         dq, dk, dv = grads
-        for b, (rowmax, rowsum) in zip(blocks, stats):
-            p = _weights(qs[b], ks[b], scale, softmax, rowmax, rowsum)[0]
+
+        def backward_items(b):
+            p = _weights(qs[b], ks[b], scale, softmax, *stats[b.start])[0]
             if dv is not None:
                 np.matmul(np.swapaxes(p, -1, -2), g[b], out=dv[b])
             if dq is None and dk is None:
-                continue
+                return
             ds = np.matmul(g[b], np.swapaxes(vs[b], -1, -2))      # dP
             if softmax:
                 # rowsum(dP * P) equals rowsum(g * out), which needs no
@@ -553,6 +562,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                 np.matmul(ds, ks[b], out=dq[b])
             if dk is not None:
                 np.matmul(np.swapaxes(ds, -1, -2), qs[b], out=dk[b])
+
+        _over_batch(backward_items, n, lq * lk, ATTENTION_BLOCK, _cpus())
         for t, grad in zip((q, k, v), grads):
             if grad is not None:
                 t._take(grad.reshape(t.shape))
@@ -735,13 +746,17 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, pad_left: int,
     return np.ascontiguousarray(windows).reshape(b, c * kernel, out_len)
 
 
-CONV_BLOCK = 1 << 24    # bytes of columns per batch block of conv1d (16 MiB)
+PARTIAL_BLOCK = 1 << 22   # bytes of g and x rows per kernel-gradient partial (4 MiB)
 
 
-def _batch_blocks(batch: int, row_bytes: int, limit: int) -> list[slice]:
+def _batch_blocks(batch: int, row_bytes: int, limit: int, parts: int = 1) -> list[slice]:
     """Slices of ``batch`` rows, each holding at most ``limit`` bytes of an
-    array whose rows take ``row_bytes`` (and at least one row)."""
-    step = max(1, limit // max(row_bytes, 1))
+    array whose rows take ``row_bytes`` (and at least one row).  Every slice
+    but a shorter last one takes the rows of an even split into the fewest
+    blocks that the limit allows, that count rounded up to a multiple of
+    ``parts``, so that ``parts`` threads get even shares."""
+    count = -(-batch // max(1, limit // max(row_bytes, 1)))
+    step = max(1, -(-batch // max(1, -(-count // parts) * parts)))
     return [slice(i, i + step) for i in range(0, batch, step)]
 
 
@@ -754,13 +769,15 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     two (its backward masks the incoming gradient with ``out > 0``, which
     equals the pre-activation's ``> 0``).
 
-    The im2col columns of the forward, of the transposed-convolution input
-    gradient and of the col2im GEMM are built over blocks of batch rows, each
-    block's columns at most ``CONV_BLOCK`` bytes, so they stay small enough
-    to reuse heap memory instead of being a fresh mmap on every call.  Each
-    sample gets the same GEMM as in one pass, so no bit depends on the block.
-    The bias and ReLU of the forward and the ReLU mask of the backward run
-    over batch blocks on one thread per CPU (:func:`_over_batch`).
+    The work runs over blocks of batch rows on one thread per CPU
+    (:func:`_over_batch`), at least one block per CPU where the batch has
+    the rows: the forward's im2col, GEMM, bias and ReLU, and the backward's
+    ReLU mask and the input gradient's transposed-convolution or col2im
+    GEMM.  Each block's columns take at most ``BATCH_BLOCK`` bytes, so they
+    reuse heap memory instead of being a fresh mmap on every call.  Each
+    sample gets its own GEMM, so no bit depends on the cut.  The kernel
+    gradient is a sum of partials (:func:`_kernel_grad`) over a cut that
+    depends on the shapes alone.
     """
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeError(f"conv1d expects 3D input and kernel, got {x.shape} and {kernel.shape}")
@@ -780,68 +797,99 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     out_len = (L + pad_left + pad_right - K) // stride + 1
     w2 = kernel.data.reshape(Cout, Cin * K)
-    # [Cout, Cin*K] @ [b, Cin*K, out_len] -> [b, Cout, out_len]: one GEMM per
-    # sample, written into the block's rows of y
     y = np.empty((B, Cout, out_len), dtype=np.result_type(w2, x.data))
-    for rows in _batch_blocks(B, Cin * K * out_len * x.dtype.itemsize, CONV_BLOCK):
-        np.matmul(w2, _im2col(x.data[rows], K, stride, pad_left, pad_right, out_len),
-                  out=y[rows])
-    if bias is not None or relu:
-        def epilogue_rows(rows):
-            yr = y[rows]
-            if bias is not None:
-                yr += bias.data[:, None]
-            if relu:
-                np.maximum(yr, 0, out=yr)
 
-        _over_batch(epilogue_rows, B, Cout * out_len * y.itemsize)
+    def forward_rows(rows):
+        # [Cout, Cin*K] @ [b, Cin*K, out_len] -> [b, Cout, out_len]: one GEMM
+        # per sample
+        yr = y[rows]
+        np.matmul(w2, _im2col(x.data[rows], K, stride, pad_left, pad_right, out_len),
+                  out=yr)
+        if bias is not None:
+            yr += bias.data[:, None]
+        if relu:
+            np.maximum(yr, 0, out=yr)
+
+    _over_batch(forward_rows, B, Cin * K * out_len * x.dtype.itemsize, parts=_cpus())
     out = Tensor(y)
 
     def backward(g):
-        if relu:
-            _mask_relu_grad(g, out.data)
         taps = _window_taps(L, K, stride, pad_left, out_len)
+        if not x.requires_grad:
+            gx, col_bytes = None, Cout * out_len * g.itemsize   # the mask alone
+        elif stride == 1 and (K == 1 or Cout <= Cin):
+            # transposed convolution: g, padded to L + K - 1, correlated with
+            # the flipped kernel in one GEMM per sample.  Its columns
+            # [b, Cout*K, L] are no larger than col2im's, and are g itself
+            # for a pointwise kernel.
+            wf = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
+            gx = np.empty((B, Cin, L), dtype=np.result_type(wf, g))
+            col_bytes = Cout * K * L * g.itemsize
+
+            def input_rows(rows):
+                gcols = _im2col(g[rows], K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
+                np.matmul(wf, gcols, out=gx[rows])
+        else:
+            # col2im: one GEMM to [b, Cin*K, out_len] columns, then tap k of
+            # every window adds back into the input it read
+            gx = np.zeros((B, Cin, L), dtype=np.result_type(w2, g))
+            col_bytes = Cin * K * out_len * gx.itemsize
+
+            def input_rows(rows):
+                gcols = np.matmul(w2.T, g[rows]).reshape(-1, Cin, K, out_len)
+                gx_rows = gx[rows]
+                for k, lo, hi, sl in taps:
+                    gx_rows[:, :, sl] += gcols[:, :, k, lo:hi]
+
+        def mask_and_input_rows(rows):
+            if relu:
+                np.multiply(g[rows], out.data[rows] > 0, out=g[rows])
+            if gx is not None:
+                input_rows(rows)
+
+        if relu or gx is not None:
+            _over_batch(mask_and_input_rows, B, col_bytes, parts=_cpus())
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         if kernel.requires_grad:
-            # per tap k, one GEMM per sample over the strided run of x that
-            # tap read (no columns are rebuilt or held since the forward),
-            # summed over B in ascending order as .sum(axis=0) would
-            gw = np.zeros(kernel.shape, dtype=g.dtype)
-            acc = np.zeros((Cout, Cin), dtype=np.result_type(g, x.data))
-            part = np.empty_like(acc)
-            for k, lo, hi, sl in taps:
-                x_k = x.data[:, :, sl].transpose(0, 2, 1)  # [B, hi-lo, Cin]
-                for b in range(B):
-                    np.matmul(g[b, :, lo:hi], x_k[b], out=part if b else acc)
-                    if b:
-                        acc += part
-                gw[:, :, k] = acc
-            kernel._take(gw)
-        if x.requires_grad:
-            if stride == 1 and (K == 1 or Cout <= Cin):
-                # transposed convolution: g, padded to L + K - 1, correlated
-                # with the flipped kernel in one GEMM per sample.  Its columns
-                # [b, Cout*K, L] are no larger than col2im's, and are g itself
-                # for a pointwise kernel.
-                wf = kernel.data[:, :, ::-1].transpose(1, 0, 2).reshape(Cin, Cout * K)
-                gx = np.empty((B, Cin, L), dtype=np.result_type(wf, g))
-                for rows in _batch_blocks(B, Cout * K * L * g.dtype.itemsize, CONV_BLOCK):
-                    gcols = _im2col(g[rows], K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
-                    np.matmul(wf, gcols, out=gx[rows])
-            else:
-                # col2im: one GEMM to [b, Cin*K, out_len] columns, then tap k
-                # of every window adds back into the input it read
-                gx = np.zeros((B, Cin, L), dtype=np.result_type(w2, g))
-                for rows in _batch_blocks(B, Cin * K * out_len * gx.itemsize, CONV_BLOCK):
-                    gcols = np.matmul(w2.T, g[rows]).reshape(-1, Cin, K, out_len)
-                    gx_rows = gx[rows]
-                    for k, lo, hi, sl in taps:
-                        gx_rows[:, :, sl] += gcols[:, :, k, lo:hi]
+            kernel._take(_kernel_grad(g, x.data, kernel.shape, taps))
+        if gx is not None:
             x._take(gx)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return out._record(parents, "conv1d", backward)
+
+
+def _kernel_grad(g: np.ndarray, x: np.ndarray, shape: tuple[int, int, int],
+                 taps) -> np.ndarray:
+    """conv1d's kernel gradient, of ``shape`` [Cout, Cin, K]: per tap k, one
+    GEMM per sample over the strided run of ``x`` that tap read (no columns
+    are rebuilt or held since the forward).  Each block of at most
+    ``PARTIAL_BLOCK`` bytes of ``g`` and ``x`` rows sums its samples in
+    ascending b on the pool; the partials are then added in block order."""
+    partials = {}   # by the block's first row
+
+    def partial_rows(rows):
+        gw = np.zeros(shape, dtype=g.dtype)
+        acc = np.empty(shape[:2], dtype=np.result_type(g, x))
+        part = np.empty_like(acc)
+        for k, lo, hi, sl in taps:
+            x_k = x[rows, :, sl].transpose(0, 2, 1)  # [b, hi-lo, Cin]
+            for b, g_b in enumerate(g[rows, :, lo:hi]):
+                np.matmul(g_b, x_k[b], out=part if b else acc)
+                if b:
+                    acc += part
+            gw[:, :, k] = acc
+        partials[rows.start] = gw
+
+    row_bytes = g.shape[1] * g.shape[2] * g.itemsize + x.shape[1] * x.shape[2] * x.itemsize
+    _over_batch(partial_rows, len(g), row_bytes, PARTIAL_BLOCK)
+    if not partials:   # an empty batch
+        return np.zeros(shape, dtype=g.dtype)
+    gw, *rest = (partials[start] for start in sorted(partials))
+    for part in rest:   # in block order
+        gw += part
+    return gw
 
 
 BATCH_BLOCK = 1 << 21   # bytes per array in one batch block of _over_batch (2 MiB)
@@ -858,18 +906,22 @@ def _drop_executor() -> None:
 os.register_at_fork(after_in_child=_drop_executor)
 
 
-def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int) -> None:
-    """Run ``fn(rows)`` over slices of ``batch`` rows, each holding at most
-    ``BATCH_BLOCK`` bytes of an array whose rows take ``row_bytes`` (at least
-    one row), on one thread per CPU.  Returns once every block has run, and
-    re-raises a block's exception.  A single block, or a single CPU, runs
-    inline."""
-    global _EXECUTOR
-    blocks = _batch_blocks(batch, row_bytes, BATCH_BLOCK)
+def _cpus() -> int:
+    """The CPUs this process may run on: the threads of :func:`_over_batch`."""
     if hasattr(os, "sched_getaffinity"):
-        threads = len(os.sched_getaffinity(0))
-    else:   # macOS and Windows
-        threads = os.cpu_count() or 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1   # macOS and Windows
+
+
+def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int,
+                limit: int | None = None, parts: int = 1) -> None:
+    """Run ``fn(rows)`` over the slices of ``batch`` rows that
+    :func:`_batch_blocks` cuts (``limit`` defaults to ``BATCH_BLOCK``), on
+    one thread per CPU.  Returns once every block has run, and re-raises a
+    block's exception.  A single block, or a single CPU, runs inline."""
+    global _EXECUTOR
+    blocks = _batch_blocks(batch, row_bytes, BATCH_BLOCK if limit is None else limit, parts)
+    threads = _cpus()
     if len(blocks) == 1 or threads == 1:
         for rows in blocks:
             fn(rows)
@@ -883,15 +935,6 @@ def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int) -> None
     wait(futures)
     for f in futures:
         f.result()
-
-
-def _mask_relu_grad(g: np.ndarray, y: np.ndarray) -> None:
-    """``g *= y > 0`` in place, over batch blocks: the backward of a ReLU
-    applied in place to an op's output ``y``."""
-    def rows_fn(rows):
-        np.multiply(g[rows], y[rows] > 0, out=g[rows])
-
-    _over_batch(rows_fn, len(g), math.prod(g.shape[1:]) * g.itemsize)
 
 
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
@@ -1065,8 +1108,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     out = Tensor(y)
 
     def backward(g):
-        if relu:
-            _mask_relu_grad(g, out.data)
+        if relu:   # the ReLU was applied to y in place: mask g with y > 0
+            _over_batch(lambda rows: np.multiply(g[rows], out.data[rows] > 0, out=g[rows]),
+                        B, C * L * g.itemsize)
         centred = xc if training else x.data - mu[:, None]
         sum_g = g.sum(axis=(0, 2))
         sum_gxc = np.einsum("bcl,bcl->c", g, centred)

@@ -1,11 +1,13 @@
 """Training loop, evaluation metrics, convergence timing, and seeded sweeps.
 
-Runs are deterministic: given the same seed, dataset, and BLAS thread count,
-loss histories repeat bitwise (BLAS sums may differ in the last bits between
-thread counts; the benchmark prints the count).  Sweeps therefore reproduce
-their report CSV byte-for-byte; wall-clock timings are kept out of the CSV (a
-virtual clock that advances one second per epoch is the default there) and
-live in the per-run JSON-lines log instead.
+Runs are deterministic: given the same seed and dataset, loss histories
+repeat bitwise on any CPU count, for a given numpy and BLAS build on a given
+CPU model (see ``physiobench``'s docstring; a caller that imports numpy
+before physiobench keeps its own BLAS thread count, and its BLAS sums then
+depend on that count).  Sweeps therefore reproduce their report CSV
+byte-for-byte; wall-clock timings are kept out of the CSV (a virtual clock
+that advances one second per epoch is the default there) and live in the
+per-run JSON-lines log instead.
 """
 
 from __future__ import annotations
@@ -497,8 +499,8 @@ def run_sweep(entries: list[SweepEntry], bundle: ArrayBundle, epochs: int,
     """Train every entry once per seed and aggregate mean / sample std /
     convergence times.
 
-    The (entry, seed) runs go one after another in this process, whose BLAS
-    and per-CPU batch-block threads already use every CPU.  Aborted runs and
+    The (entry, seed) runs go one after another in this process, whose
+    per-CPU batch-block threads already use every CPU.  Aborted runs and
     unbuildable entries are counted in the ``aborted`` column, never dropped.
     """
     rows = []

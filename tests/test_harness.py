@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +489,55 @@ def test_train_wall_clock_is_monotone(cls_bundle):
     # every reading lies inside the call: a clock started at the wrong time
     # reads outside [0, elapsed]
     assert 0 < res.epoch_seconds[0] < res.epoch_seconds[1] <= res.wall_seconds <= elapsed
+
+
+# One float32 training epoch of ResNet level 2 with SE and with NL at 50%,
+# and of Inception level 2, in a process pinned to the CPUs given as JSON on
+# the command line before numpy loads; prints each run's losses and a digest
+# of its state_dict bytes.
+PINNED_EPOCH = """
+import hashlib, json, os, sys
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
+from physiobench import backbones, datapipe as dp, harness as hn
+from physiobench.attention import AttentionKind
+from physiobench.backbones import ModelConfig
+from physiobench.core import tensor as T
+import numpy as np
+
+T.set_default_dtype(np.float32)
+data = dp.generate_synthetic(6, 8, "classification", seed=3, prevalence=0.5)
+bundle = hn.prepare(*dp.split_by_case(data, test_fraction=0.34, seed=3))
+runs = []
+for cfg in (ModelConfig("resnet", 2, AttentionKind.SE, 50),
+            ModelConfig("resnet", 2, AttentionKind.NL, 50),
+            ModelConfig("inception", 2, AttentionKind.NONE, 0)):
+    model = backbones.build_model(cfg, rng=3)
+    result = hn.train(model, bundle, hn.TrainSpec.for_config(cfg, epochs=1, seed=3,
+                                                             batch_size=16))
+    digest = hashlib.sha256()
+    for name, value in sorted(model.state_dict().items()):
+        digest.update(name.encode() + value.tobytes())
+    runs.append([result.losses, digest.hexdigest()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least two CPUs")
+def test_training_bits_do_not_depend_on_the_cpu_count():
+    # physiobench sets the BLAS thread count itself, so the variable is
+    # left out of the children's environment
+    src = str(Path(hn.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cpus = sorted(os.sched_getaffinity(0))
+    runs = [json.loads(subprocess.run([sys.executable, "-c", PINNED_EPOCH, json.dumps(pin)],
+                                      capture_output=True, text=True, check=True,
+                                      env=env).stdout)
+            for pin in (cpus[:1], cpus)]
+    assert runs[0] == runs[1]
+    assert all(len(losses) == 1 for losses, _ in runs[0])
 
 
 # ---------------------------------------------------------------------

@@ -30,6 +30,11 @@ def _param(rng, *shape):
     return nn.Parameter(rng.normal(size=shape))
 
 
+def _set_cpus(monkeypatch, n):
+    """Make ``T._over_batch`` and the cuts it runs see ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 # ---------------------------------------------------------------------
 # construction and bookkeeping
 # ---------------------------------------------------------------------
@@ -385,6 +390,56 @@ def test_attention_grad_check_across_blocks(softmax, monkeypatch):
     assert grad_check(f, [q, k, v]) < 1e-4
 
 
+def naive_attention_grads(q, k, v, g, scale, softmax):
+    """(dq, dk, dv) of ``sum(attention(q, k, v) * g)``, one item and one
+    score at a time."""
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for i in np.ndindex(q.shape[:-2]):
+        _, p = naive_attention(q[i], k[i], v[i], scale, softmax)
+        dp = g[i] @ v[i].T
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) if softmax else dp
+        for a, b in itertools.product(range(q.shape[-2]), range(k.shape[-2])):
+            dq[i][a] += scale * ds[a, b] * k[i][b]
+            dk[i][b] += scale * ds[a, b] * q[i][a]
+            dv[i][b] += p[a, b] * g[i][a]
+    return dq, dk, dv
+
+
+@pytest.mark.parametrize("softmax", [True, False])
+@pytest.mark.parametrize("rank", list(BLOCKED_SHAPES))
+def test_pooled_attention_matches_the_naive_oracle_and_one_block(rank, softmax,
+                                                                 monkeypatch):
+    # Blocks of one item and of several, on one CPU (inline) and on two (the
+    # pool), against the naive O(L^2) oracle and bit for bit against one
+    # inline block.
+    shapes, (whole, one_item, several, _) = BLOCKED_SHAPES[rank]
+    rng = np.random.default_rng(12)
+    arrays = [rng.normal(size=s) for s in shapes]
+    g = rng.normal(size=shapes[0][:-1] + shapes[2][-1:])
+    scale = 0.7 if softmax else 1.0 / shapes[1][-2]
+    want = (naive_attention(*arrays, scale, softmax)[0],
+            *naive_attention_grads(*arrays, g, scale, softmax))
+
+    def run(cpus, block):
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(T, "ATTENTION_BLOCK", block)
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.attention(*ts, scale, softmax=softmax)
+        out.backward(g)
+        return [out.data] + [t.grad for t in ts]
+
+    one_block = run(1, whole)
+    for cpus, block in itertools.product((1, 2), (one_item, several)):
+        got = run(cpus, block)
+        for a, ref, exact in zip(got, want, one_block):
+            npt.assert_allclose(a, ref, rtol=0, atol=1e-6)
+            _assert_same_bytes(a, exact)
+        ts = [nn.Parameter(a) for a in arrays]
+        probe = Tensor(g)
+        f = lambda: T.reduce_sum(T.attention(*ts, scale, softmax=softmax) * probe)
+        assert grad_check(f, ts) < 1e-4
+
+
 def test_attention_never_holds_the_whole_weights_array():
     # P is 32 x 512 x 512 float32 = 32 MiB; the forward and backward together
     # stay below that
@@ -593,7 +648,7 @@ def test_conv1d_grad_check(seed):
 
 
 # Each case's forward columns and input-gradient columns take the same bytes
-# per batch row, so one CONV_BLOCK sets the rows per block of all three: the
+# per batch row, so one BATCH_BLOCK sets the rows per block of all three: the
 # transposed-convolution cases have Cout * L == Cin * out_len, and col2im's
 # columns are shaped like the forward's.
 BLOCKED_CONV_CASES = [   # cin, cout, kernel, stride, padding, length
@@ -605,13 +660,18 @@ BLOCKED_CONV_CASES = [   # cin, cout, kernel, stride, padding, length
     (3, 4, 3, 2, "valid", 11),    # col2im, stride 2
 ]
 
+# rows per block of conv1d's cut of five batch rows, by (CPUs, the rows that
+# BATCH_BLOCK holds): on two CPUs a count of blocks rounds up to an even one
+CONV_CUTS = {(1, 1): [1] * 5, (1, 2): [2, 2, 1], (1, 5): [5],
+             (2, 1): [1] * 5, (2, 2): [2, 2, 1], (2, 5): [3, 2]}
+
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("cin,cout,kernel,stride,padding,length", BLOCKED_CONV_CASES)
 def test_blocked_conv1d_columns_change_no_bit(cin, cout, kernel, stride, padding,
                                               length, dtype, monkeypatch):
     # The five batch rows run as one-row blocks, as two-row blocks with a
-    # partial last one, and as one block.
+    # partial last one, and as one block, on one CPU and on two.
     rng = np.random.default_rng(6)
     x, w, b = (rng.normal(size=shape).astype(dtype)
                for shape in ((5, cin, length), (cout, cin, kernel), (cout,)))
@@ -626,43 +686,51 @@ def test_blocked_conv1d_columns_change_no_bit(cin, cout, kernel, stride, padding
     monkeypatch.setattr(T, "_im2col", counted_im2col)
     row_bytes = cin * kernel * out_len * np.dtype(dtype).itemsize
     runs = {}
-    for block_rows in (1, 2, 5):
-        monkeypatch.setattr(T, "CONV_BLOCK", block_rows * row_bytes)
+    for (cpus, block_rows), blocks in CONV_CUTS.items():
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * row_bytes)
         widths.clear()
         ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
         y = T.conv1d(*ts, stride=stride, padding=padding)
         y.backward(g)
-        blocks = [len(range(5)[i:i + block_rows]) for i in range(0, 5, block_rows)]
-        assert widths in (blocks, blocks * 2)   # forward, and a transposed backward
-        runs[block_rows] = [y.data] + [t.grad for t in ts]
-    for block_rows in (1, 2):
-        for got, want in zip(runs[block_rows], runs[5]):
+        # forward, and a transposed backward; the pool runs blocks in any order
+        assert sorted(widths) in (sorted(blocks), sorted(blocks * 2))
+        runs[cpus, block_rows] = [y.data] + [t.grad for t in ts]
+    for run in runs.values():
+        for got, want in zip(run, runs[1, 5]):
             assert got.dtype == dtype
             npt.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("stride,cout", [(1, 3), (2, 4)])   # transposed, col2im
 def test_blocked_conv1d_grad_check(stride, cout, monkeypatch):
-    monkeypatch.setattr(T, "CONV_BLOCK", 1)   # one batch row a block
+    # blocks and kernel-gradient partials of one row, of two rows with a
+    # partial last one, and of the whole batch, on one CPU and on two
     rng = np.random.default_rng(8)
     x = _param(rng, 3, 4, 11)
     w = _param(rng, cout, 4, 3)
     b = _param(rng, cout)
-    probe = Tensor(rng.normal(size=(3, cout, -(-11 // stride))))
+    out_len = -(-11 // stride)
+    probe = Tensor(rng.normal(size=(3, cout, out_len)))
 
     def f():
         return T.reduce_sum(T.conv1d(x, w, b, stride=stride, padding="same") * probe)
 
-    assert grad_check(f, [x, w, b]) < 1e-4
+    for cpus, block_rows in itertools.product((1, 2), (1, 2, 3)):
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * 4 * 3 * out_len * 8)
+        monkeypatch.setattr(T, "PARTIAL_BLOCK", block_rows * (cout * out_len + 4 * 11) * 8)
+        assert grad_check(f, [x, w, b]) < 1e-4
 
 
 def _counting_over_batch(monkeypatch):
     """Patch ``T._over_batch`` to record the number of blocks of each call."""
     over_batch, blocks = T._over_batch, []
 
-    def counted(fn, batch, row_bytes):
-        blocks.append(len(T._batch_blocks(batch, row_bytes, T.BATCH_BLOCK)))
-        over_batch(fn, batch, row_bytes)
+    def counted(fn, batch, row_bytes, limit=None, parts=1):
+        limit = T.BATCH_BLOCK if limit is None else limit
+        blocks.append(len(T._batch_blocks(batch, row_bytes, limit, parts)))
+        over_batch(fn, batch, row_bytes, limit, parts)
 
     monkeypatch.setattr(T, "_over_batch", counted)
     return blocks
@@ -672,7 +740,8 @@ def _counting_over_batch(monkeypatch):
 def test_blocked_conv1d_epilogue_changes_no_bit(dtype, monkeypatch):
     # The bias + ReLU epilogue and the backward ReLU mask, run as one-row
     # blocks, as two-row blocks with a partial last one, and as one block,
-    # against the same arithmetic on whole arrays after a bare conv.
+    # on one CPU and on two, against the same arithmetic on whole arrays
+    # after a bare conv.
     rng = np.random.default_rng(15)
     x, w, b = (rng.normal(size=shape).astype(dtype) for shape in ((5, 3, 12), (4, 3, 3), (4,)))
     g = rng.normal(size=(5, 4, 12)).astype(dtype)
@@ -684,13 +753,17 @@ def test_blocked_conv1d_epilogue_changes_no_bit(dtype, monkeypatch):
     want = [want_y, *(t.grad for t in bare), masked.sum(axis=(0, 2))]
     assert (want_y == 0).any() and (want_y > 0).any()
     blocks = _counting_over_batch(monkeypatch)
-    for block_rows, n_blocks in ((1, 5), (2, 3), (5, 1)):
-        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * g[0].nbytes)
+    col_bytes = 3 * 3 * 12 * np.dtype(dtype).itemsize   # forward's and col2im's
+    for (cpus, block_rows), cut in CONV_CUTS.items():
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * col_bytes)
         blocks.clear()
         ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
         y = T.conv1d(*ts, padding="same", relu=True)
         y.backward(g.copy())
-        assert blocks == [n_blocks, n_blocks]   # epilogue, then the mask
+        # the forward with its epilogue, the mask with the input gradient,
+        # then the kernel gradient's one partial
+        assert blocks == [len(cut), len(cut), 1]
         for got, ref in zip([y.data] + [t.grad for t in ts], want):
             assert got.dtype == dtype
             npt.assert_array_equal(got, ref)
@@ -846,55 +919,62 @@ def test_over_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
     assert run() == want
 
 
-# Prints OPENBLAS_THREAD_TIMEOUT after importing the modules named on the
-# command line in that order, and the timeout the loaded OpenBLAS read, or
-# None where it cannot be asked.
-BLAS_TIMEOUT = """
+# Prints OPENBLAS_NUM_THREADS after importing the modules named on the
+# command line in that order, and the thread count the loaded OpenBLAS
+# reports, or None where it cannot be asked.
+BLAS_THREADS = """
 import ctypes, json, os, sys
 for name in sys.argv[1:]:
     __import__(name)
-read = None
-if os.path.exists("/proc/self/maps"):
+
+
+def reported():
+    if not os.path.exists("/proc/self/maps"):
+        return None
     with open("/proc/self/maps") as maps:
         libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    for path in libs:
-        timeout = getattr(ctypes.CDLL(path), "openblas_thread_timeout", None)
-        if timeout is not None:
-            timeout.argtypes, timeout.restype = (), ctypes.c_int
-            read = timeout()
-print(json.dumps([os.environ.get("OPENBLAS_THREAD_TIMEOUT"), read]))
+    for path in sorted(libs):
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            threads = getattr(ctypes.CDLL(path), sym, None)
+            if threads is not None:
+                threads.argtypes, threads.restype = (), ctypes.c_int
+                return threads()
+    return None
+
+
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), reported()]))
 """
 
 
-def _blas_timeout(preset, order=("physiobench", "numpy")):
+def _blas_threads(preset, order=("physiobench", "numpy")):
     src = str(Path(T.__file__).resolve().parents[2])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if preset is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = preset
-    run = subprocess.run([sys.executable, "-c", BLAS_TIMEOUT, *order], capture_output=True,
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", BLAS_THREADS, *order], capture_output=True,
                          text=True, check=True, env=env)
     return json.loads(run.stdout)
 
 
-@pytest.mark.parametrize("preset,want", [(None, "20"), ("25", "25")])
-def test_import_sets_the_blas_thread_timeout_unless_set(preset, want):
-    assert _blas_timeout(preset)[0] == want
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_import_sets_one_blas_thread_unless_set(preset, want):
+    assert _blas_threads(preset)[0] == want
 
 
-@pytest.mark.parametrize("preset,want", [(None, None), ("25", "25")])
-def test_import_after_numpy_leaves_the_blas_thread_timeout_alone(preset, want):
+@pytest.mark.parametrize("preset,want", [(None, None), ("2", "2")])
+def test_import_after_numpy_leaves_the_blas_thread_count_alone(preset, want):
     # OpenBLAS has read its environment already: a variable set now would
-    # claim a policy the process and its children do not have
-    assert _blas_timeout(preset, ("numpy", "physiobench"))[0] == want
+    # claim a thread count the process and its children do not have
+    assert _blas_threads(preset, ("numpy", "physiobench"))[0] == want
 
 
-@pytest.mark.parametrize("preset,want", [(None, 20), ("25", 25)])
-def test_loaded_openblas_reads_the_thread_timeout(preset, want):
-    read = _blas_timeout(preset)[1]
+def test_loaded_openblas_runs_one_thread():
+    read = _blas_threads(None)[1]
     if read is None:
-        pytest.skip("no loaded OpenBLAS exports openblas_thread_timeout")
-    assert read == want
+        pytest.skip("no loaded OpenBLAS reports its thread count")
+    assert read == 1
 
 
 # Three rounds of eight 16 MiB arrays, made and freed, in a fresh process
@@ -1447,21 +1527,33 @@ def test_fused_relu_grad_check_off_the_kink(seed):
     assert grad_check(lambda: joined()[0], [x, w, b, gamma, beta]) < 1e-4
 
 
-def test_conv1d_weight_gradient_sums_samples_as_a_batched_sum():
-    # one GEMM per sample, added in ascending b, gives the bits of the
-    # batched GEMM summed over axis 0
+def test_conv1d_weight_gradient_sums_samples_as_a_batched_sum(monkeypatch):
+    # Each partial, one GEMM per sample added in ascending b, gives the bits
+    # of the batched GEMM over its rows summed over axis 0; the partials are
+    # added in block order.  PARTIAL_BLOCK alone sets their cut: neither the
+    # CPU count nor BATCH_BLOCK moves a bit.
     rng = np.random.default_rng(8)
     for dtype in (np.float32, np.float64):
         x = rng.normal(size=(5, 6, 40)).astype(dtype)
         w = rng.normal(size=(7, 6, 3)).astype(dtype)
-        wt = Tensor(w, requires_grad=True)
-        y = T.conv1d(Tensor(x), wt, stride=2, padding="same")
-        g = rng.normal(size=y.shape).astype(dtype)
-        y.backward(g)
-        want = np.zeros(w.shape, dtype=dtype)
-        for k, lo, hi, sl in T._window_taps(40, 3, 2, 0, y.shape[2]):
-            want[:, :, k] = np.matmul(g[:, :, lo:hi], x[:, :, sl].transpose(0, 2, 1)).sum(axis=0)
-        _assert_same_bytes(wt.grad, want)
+        g = rng.normal(size=(5, 7, 20)).astype(dtype)
+        row_bytes = (7 * 20 + 6 * 40) * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "PARTIAL_BLOCK", 2 * row_bytes)   # rows 0:2, 2:4, 4:5
+        partials = []
+        for rows in (slice(0, 2), slice(2, 4), slice(4, 5)):
+            part = np.zeros(w.shape, dtype=dtype)
+            for k, lo, hi, sl in T._window_taps(40, 3, 2, 0, 20):
+                part[:, :, k] = np.matmul(g[rows, :, lo:hi],
+                                          x[rows, :, sl].transpose(0, 2, 1)).sum(axis=0)
+            partials.append(part)
+        want = partials[0] + partials[1]
+        want += partials[2]
+        for cpus, batch_rows in itertools.product((1, 2), (1, 5)):
+            _set_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(T, "BATCH_BLOCK", batch_rows * row_bytes)
+            wt = Tensor(w, requires_grad=True)
+            T.conv1d(Tensor(x), wt, stride=2, padding="same").backward(g)
+            _assert_same_bytes(wt.grad, want)
 
 
 def test_backward_hands_over_gradients_without_sharing_them(monkeypatch):
