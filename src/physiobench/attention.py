@@ -71,14 +71,10 @@ class MsaConfig:
     n_layers: int
 
     def __post_init__(self):
-        if self.d_model not in MSA_D_MODEL_CHOICES:
-            raise ValueError(f"d_model must be one of {MSA_D_MODEL_CHOICES}, got {self.d_model}")
-        if self.n_heads not in MSA_N_HEADS_CHOICES:
-            raise ValueError(f"n_heads must be one of {MSA_N_HEADS_CHOICES}, got {self.n_heads}")
-        if self.d_ff not in MSA_D_FF_CHOICES:
-            raise ValueError(f"d_ff must be one of {MSA_D_FF_CHOICES}, got {self.d_ff}")
-        if self.n_layers not in MSA_N_LAYERS_CHOICES:
-            raise ValueError(f"n_layers must be one of {MSA_N_LAYERS_CHOICES}, got {self.n_layers}")
+        for name, choices in (("d_model", MSA_D_MODEL_CHOICES), ("n_heads", MSA_N_HEADS_CHOICES),
+                              ("d_ff", MSA_D_FF_CHOICES), ("n_layers", MSA_N_LAYERS_CHOICES)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} is not divisible by n_heads={self.n_heads}")
@@ -118,7 +114,6 @@ class SEBlock(nn.Module):
             raise ValueError(
                 f"reduction_ratio {reduction_ratio} exceeds channel count {channels}")
         self.channels = channels
-        self.reduction_ratio = reduction_ratio
         mid = channels // reduction_ratio
         self.fc1 = nn.Dense(rng, channels, mid, init="kaiming")
         self.fc2 = nn.Dense(rng, mid, channels)
@@ -148,7 +143,6 @@ class NLBlock(nn.Module):
             raise ValueError(f"non-local block needs at least 2 channels, got {channels}")
         if normalizer not in ("softmax", "dot"):
             raise ValueError(f"normalizer must be 'softmax' or 'dot', got {normalizer!r}")
-        self.channels = channels
         self.normalizer = normalizer
         self.record_attention = record_attention
         embed = channels // 2
@@ -190,7 +184,6 @@ class CBAMBlock(nn.Module):
                 f"reduction_ratio must be in [1, {channels}], got {reduction_ratio}")
         if spatial_kernel % 2 == 0:
             raise ValueError(f"spatial_kernel must be odd, got {spatial_kernel}")
-        self.channels = channels
         mid = channels // reduction_ratio
         self.mlp1 = nn.Dense(rng, channels, mid, init="kaiming")
         self.mlp2 = nn.Dense(rng, mid, channels)
@@ -234,7 +227,6 @@ class MsaLayer(nn.Module):
         super().__init__()
         if d_model % n_heads != 0:
             raise ValueError(f"d_model={d_model} not divisible by n_heads={n_heads}")
-        self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
         self.record_attention = record_attention

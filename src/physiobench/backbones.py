@@ -71,6 +71,8 @@ INCEPTION_MODULES = (
     (256, 160, 320, 32, 128, 128),
     (384, 192, 384, 48, 128, 128),
 )
+# output channels of each inception module: its four branches concatenated
+INCEPTION_WIDTHS = tuple(b1 + o3 + o5 + pp for b1, _, o3, _, o5, pp in INCEPTION_MODULES)
 INCEPTION_STEM_OUT = 192
 INCEPTION_POOL_AFTER = frozenset({2, 7})
 
@@ -84,9 +86,7 @@ def module_channels(family: str, level: int) -> list[int]:
     elif family == "resnet":
         chans = [c for c, _ in RESNET_BLOCKS]
     elif family == "inception":
-        chans = []
-        for b1, _, o3, _, o5, pp in INCEPTION_MODULES:
-            chans.append(b1 + o3 + o5 + pp)
+        chans = list(INCEPTION_WIDTHS)
     else:
         raise ValueError(f"no CNN modules for family {family!r}")
     if not 1 <= level <= len(chans):
@@ -259,9 +259,9 @@ def _backbone(family: str, level: int,
     elif family == "inception":
         stem = InceptionStem(rng, IN_CHANNELS)
         c = INCEPTION_STEM_OUT
-        for spec in INCEPTION_MODULES[:level]:
+        for spec, width in zip(INCEPTION_MODULES[:level], INCEPTION_WIDTHS):
             blocks.append(InceptionModule(rng, c, spec))
-            c = spec[0] + spec[2] + spec[4] + spec[5]
+            c = width
     else:
         raise ValueError(f"no CNN backbone for family {family!r}")
     return stem, blocks
@@ -315,8 +315,6 @@ class BuiltModel(nn.Module):
                               stride=MSA_STEM_STRIDE, padding="valid",
                               init="xavier")
         self.encoder = MsaEncoder(rng, cfg.msa)
-        self.blocks = nn.ModuleList([])
-        self.attn = nn.ModuleList([])
         self.head_fc1 = nn.Dense(rng, d, d, init="kaiming")
         self.head_fc2 = None
         self.head_out = nn.Dense(rng, d + DEMOGRAPHICS_DIM, 1)

@@ -175,8 +175,8 @@ def _out_file(path: Path, mode: str):
 
 
 def _make_out_dir(name: str) -> Path:
-    """Create ``--out-dir`` up front, so an unwritable one fails before any
-    training rather than after it."""
+    """Create ``--out-dir`` once the data is read and checked: an unwritable
+    one fails before any training, and a rejected flag leaves none behind."""
     out_dir = Path(name)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,8 +225,7 @@ def cmd_preprocess(args) -> int:
         decision = dp.filter_segment(rec.ecg, rec.ppg)
         reason = decision.reason
         if decision.keep and ds.task == "regression":
-            sv_ml = rec.label * dp.bsa_dubois(rec.height, rec.weight)
-            if not dp.SV_MIN_ML <= sv_ml <= dp.SV_MAX_ML:
+            if not dp.sv_in_range(rec.label * dp.bsa_dubois(rec.height, rec.weight)):
                 reason = "sv_out_of_range"
         if reason is None:
             kept.append(rec)
@@ -335,10 +334,10 @@ def cmd_train(args) -> int:
     _set_dtype(args.dtype)
     # the config and spec are checked before any directory or data is touched
     _train_spec(args, _model_config(args, _resolve_task(args.task or "cls")))
-    out_dir = _make_out_dir(args.out_dir)
     bundle, task = _bundle(args)
     if args.task and _resolve_task(args.task) != task:
         raise CliError(f"--task {args.task} does not match dataset task {task}")
+    out_dir = _make_out_dir(args.out_dir)
     cfg = _model_config(args, task)
     spec = _train_spec(args, cfg)
     model = build_model(cfg, rng=args.seed)
@@ -440,8 +439,8 @@ def cmd_sweep(args) -> int:
         print(f"total: {len(entries)}")
         return 0
 
-    out_dir = _make_out_dir(args.out_dir)
     bundle, task = _bundle(args)
+    out_dir = _make_out_dir(args.out_dir)
     entries = _sweep_entries(args, task, wanted)
     seeds = [args.base_seed + i for i in range(args.seeds)]
     report = hz.run_sweep(entries, bundle, epochs=args.epochs, seeds=seeds,

@@ -1,61 +1,3 @@
-"""Numpy-backed autodiff engine: tensors, modules, gradient checking."""
-
-from .tensor import (
-    ShapeError,
-    Tensor,
-    activation,
-    add,
-    attention,
-    attention_weights,
-    batchnorm1d,
-    concat,
-    conv1d,
-    conv_output_length,
-    default_dtype,
-    dense,
-    exp,
-    global_pool,
-    layer_norm,
-    log,
-    matmul,
-    mul,
-    no_grad,
-    pool1d,
-    power,
-    reduce_max,
-    reduce_mean,
-    reduce_sum,
-    relu,
-    reshape,
-    set_default_dtype,
-    sigmoid,
-    softmax,
-    softplus,
-    sqrt,
-    tanh,
-    topo_order,
-    transpose,
-)
-from .nn import (
-    BatchNorm1d,
-    Conv1d,
-    Dense,
-    LayerNorm,
-    Module,
-    ModuleList,
-    Parameter,
-    kaiming_uniform,
-    xavier_uniform,
-)
-from .gradcheck import grad_check
-
-__all__ = [
-    "ShapeError", "Tensor", "activation", "add", "attention", "attention_weights",
-    "batchnorm1d", "concat", "conv1d", "conv_output_length", "default_dtype",
-    "dense", "exp", "global_pool", "layer_norm", "log", "matmul", "mul",
-    "no_grad", "pool1d", "power", "reduce_max", "reduce_mean", "reduce_sum",
-    "relu", "reshape", "set_default_dtype", "sigmoid", "softmax", "softplus",
-    "sqrt", "tanh", "topo_order", "transpose",
-    "BatchNorm1d", "Conv1d", "Dense", "LayerNorm", "Module", "ModuleList",
-    "Parameter", "kaiming_uniform", "xavier_uniform", "grad_check",
-]
+"""Numpy-backed autodiff engine: tensors (``tensor``), modules (``nn``) and
+gradient checking (``gradcheck``); import the submodules, as there are no
+flat names here."""

@@ -167,9 +167,6 @@ class Conv1d(Module):
                  kernel_size: int, stride: int = 1, padding: str = "same",
                  init: str = "kaiming"):
         super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size
@@ -192,8 +189,6 @@ class Dense(Module):
     def __init__(self, rng: np.random.Generator, in_features: int, out_features: int,
                  init: str = "xavier"):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
         shape = (in_features, out_features)
         if init == "xavier":
             w = xavier_uniform(rng, shape, in_features, out_features)
@@ -214,7 +209,6 @@ class BatchNorm1d(Module):
 
     def __init__(self, channels: int):
         super().__init__()
-        self.channels = channels
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         # buffers share the parameter dtype so mixed-precision math never upcasts
@@ -234,7 +228,6 @@ class LayerNorm(Module):
 
     def __init__(self, features: int):
         super().__init__()
-        self.features = features
         self.gamma = Parameter(np.ones(features))
         self.beta = Parameter(np.zeros(features))
 

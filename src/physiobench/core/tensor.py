@@ -694,19 +694,30 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: str) -> int:
     """Closed-form output length: floor((L + pad_total - K)/stride) + 1."""
-    pad_left, pad_right = _conv_padding(length, kernel, stride, padding)
-    return (length + pad_left + pad_right - kernel) // stride + 1
+    return _window_geometry(length, kernel, stride, padding)[2]
 
 
-def _conv_padding(length: int, kernel: int, stride: int, padding: str) -> tuple[int, int]:
+def _window_geometry(length: int, window: int, stride: int,
+                     padding: str) -> tuple[int, int, int]:
+    """``(pad_left, pad_right, out_len)`` of a window sliding over ``length``
+    samples.  'same' pads to an output length of ceil(L/stride), an odd
+    total padding putting the extra sample on the right; 'valid' pads
+    nothing.  A window or stride that is not a positive int, or an unknown
+    padding, raises ValueError; a window longer than the padded length
+    raises ShapeError."""
+    if not (isinstance(window, int) and window > 0 and isinstance(stride, int) and stride > 0):
+        raise ValueError(f"window {window!r} and stride {stride!r} must be positive integers")
     if padding == "valid":
-        return 0, 0
-    if padding == "same":
-        # output length ceil(L/stride); odd total padding puts the extra on the right
-        out_len = -(-length // stride)
-        total = max((out_len - 1) * stride + kernel - length, 0)
-        return total // 2, total - total // 2
-    raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+        pad_left = pad_right = 0
+    elif padding == "same":
+        total = max((-(-length // stride) - 1) * stride + window - length, 0)
+        pad_left, pad_right = total // 2, total - total // 2
+    else:
+        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+    padded = length + pad_left + pad_right
+    if window > padded:
+        raise ShapeError(f"window {window} exceeds padded length {padded}")
+    return pad_left, pad_right, (padded - window) // stride + 1
 
 
 def _window_view(x: np.ndarray, out_len: int, window: int, stride: int) -> np.ndarray:
@@ -787,15 +798,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise ShapeError(
             f"conv1d channel mismatch: input has Cin={Cin} but kernel expects Cin={KCin} "
             f"(input {x.shape}, kernel {kernel.shape})")
-    if not isinstance(stride, int) or stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    pad_left, pad_right = _conv_padding(L, K, stride, padding)
-    if K > L + pad_left + pad_right:
-        raise ShapeError(f"kernel size {K} exceeds padded length {L + pad_left + pad_right}")
+    pad_left, pad_right, out_len = _window_geometry(L, K, stride, padding)
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout={Cout}")
 
-    out_len = (L + pad_left + pad_right - K) // stride + 1
     w2 = kernel.data.reshape(Cout, Cin * K)
     y = np.empty((B, Cout, out_len), dtype=np.result_type(w2, x.data))
 
@@ -952,20 +958,10 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
     if x.ndim != 3:
         raise ShapeError(f"pool1d expects [B,C,L], got {x.shape}")
-    if not isinstance(window, int) or window < 1 or not isinstance(stride, int) or stride < 1:
-        raise ValueError("window and stride must be positive integers")
+    if padding == "same" and kind != "max":
+        raise ValueError("padding='same' is only supported for max pooling")
     B, C, L = x.shape
-    if padding == "same":
-        if kind != "max":
-            raise ValueError("padding='same' is only supported for max pooling")
-        pad_left, _ = _conv_padding(L, window, stride, "same")
-    elif padding == "valid":
-        pad_left = 0
-        if window > L:
-            raise ShapeError(f"pool window {window} exceeds input length {L}")
-    else:
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    out_len = conv_output_length(L, window, stride, padding)
+    pad_left, _, out_len = _window_geometry(L, window, stride, padding)
     taps = _window_taps(L, window, stride, pad_left, out_len)
 
     if kind == "max":

@@ -92,7 +92,9 @@ class MapTrace:
             raise ValueError("timestamps and map_values must be 1D and equally long")
         if self.timestamps.size == 0:
             raise ValueError("empty trace")
-        if np.any(np.diff(self.timestamps) <= 0):
+        if not (np.isfinite(self.timestamps).all() and np.isfinite(self.map_values).all()):
+            raise ValueError("timestamps and map_values must be finite")
+        if not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
 
 
@@ -104,9 +106,9 @@ class HemoPoint:
     weight: float  # kg
 
     def __post_init__(self):
-        if self.co <= 0:
+        if not self.co > 0:
             raise ValueError(f"cardiac output must be positive, got {self.co}")
-        if self.hr <= 0:
+        if not self.hr > 0:
             raise ValueError(f"heart rate must be positive, got {self.hr}")
 
 
@@ -211,9 +213,15 @@ def label_hypotension(trace: MapTrace, segment_end: float) -> int:
 
 def bsa_dubois(height_cm: float, weight_kg: float) -> float:
     """Du Bois body surface area, m^2."""
-    if height_cm <= 0 or weight_kg <= 0:
+    if not (height_cm > 0 and weight_kg > 0):
         raise ValueError("height and weight must be positive")
     return 0.007184 * weight_kg ** 0.425 * height_cm ** 0.725
+
+
+def sv_in_range(sv_ml: float) -> bool:
+    """Whether a stroke volume lies in [20, 200] mL, bounds included (20 and
+    200 are kept); NaN lies outside."""
+    return SV_MIN_ML <= sv_ml <= SV_MAX_ML
 
 
 @dataclass(frozen=True)
@@ -228,11 +236,10 @@ def compute_svi(p: HemoPoint) -> SviResult:
     """Stroke volume (mL/beat) from CO/HR, then index by Du Bois body
     surface area.
 
-    Stroke volumes outside [20, 200] mL are dropped (bounds inclusive: 20
-    and 200 are kept).
+    Stroke volumes that fail :func:`sv_in_range` are dropped.
     """
     sv_ml = p.co * 1000.0 / p.hr
-    if sv_ml < SV_MIN_ML or sv_ml > SV_MAX_ML:
+    if not sv_in_range(sv_ml):
         return SviResult(False, sv_ml,
                          reason=f"stroke volume {sv_ml:.2f} mL outside "
                                 f"[{SV_MIN_ML:.0f}, {SV_MAX_ML:.0f}]")

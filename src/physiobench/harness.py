@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +29,8 @@ from .datapipe import SignalDataset, apply_demo_stats, demo_stats
 
 CONVERGE_AUROC = 0.7    # classification convergence threshold (reach or exceed)
 CONVERGE_MAPE = 27.0    # regression convergence threshold (reach or fall below)
+# whether metric meets threshold, by direction: 'ge' at or above, 'le' at or below
+MEETS = {"ge": operator.ge, "le": operator.le}
 # the paper's one training protocol (see README, "Training protocol")
 LR_DECAY_EVERY = 20     # epochs between learning-rate drops
 LR_DECAY_FACTOR = 0.1
@@ -236,10 +239,10 @@ def convergence_time(history, threshold: float, direction: str) -> float | None:
     ``history`` is (seconds, metric) pairs in time order; direction 'ge'
     requires metric >= threshold, 'le' requires metric <= threshold.
     """
-    if direction not in ("ge", "le"):
+    if direction not in MEETS:
         raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")
     for seconds, metric in history:
-        if (metric >= threshold) if direction == "ge" else (metric <= threshold):
+        if MEETS[direction](metric, threshold):
             return float(seconds)
     return None
 
@@ -377,11 +380,8 @@ def train(model: nn.Module, bundle: ArrayBundle, spec: TrainSpec,
         metrics.append(metric)
         epoch_seconds.append(float(epoch + 1) if spec.time_mode == "virtual"
                              else time.perf_counter() - began)
-        if stop_threshold is not None:
-            met = (metrics[-1] >= stop_threshold if direction == "ge"
-                   else metrics[-1] <= stop_threshold)
-            if met:
-                break
+        if stop_threshold is not None and MEETS[direction](metrics[-1], stop_threshold):
+            break
 
     final_metric = metrics[-1] if metrics else math.nan
     if spec.epochs == 0:  # only evaluate the model as built

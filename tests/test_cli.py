@@ -85,6 +85,26 @@ def test_preprocess_enforces_stroke_volume_bounds(tmp_path):
         "task": "regression", "n_in": "5", "n_kept": "4", "dropped_sv_out_of_range": "1"})
 
 
+@pytest.mark.parametrize("sv_ml", [np.nan, np.inf, -np.inf, 19.999, 20.0, 200.0, 200.001])
+def test_compute_svi_and_preprocess_apply_one_stroke_volume_rule(sv_ml, tmp_path,
+                                                                monkeypatch):
+    # A body surface area of 1 m^2 makes the stored label the stroke volume
+    # itself, so the float32 label keeps the 20 and 200 mL rows on their bounds.
+    monkeypatch.setattr(dp, "bsa_dubois", lambda height, weight: 1.0)
+    co, hr = (np.inf, np.inf) if np.isnan(sv_ml) else (sv_ml, 1000.0)   # SV = CO*1000/HR
+    try:
+        by_svi = dp.compute_svi(dp.HemoPoint(co, hr, 170.0, 70.0)).kept
+    except ValueError:   # no positive CO and HR give a negative stroke volume
+        by_svi = False
+    ds = dp.generate_synthetic(1, 1, "regression", seed=2)
+    ds.records[0].label = sv_ml
+    src, out = tmp_path / "raw.psd1", tmp_path / "clean.psd1"
+    src.write_bytes(dp.encode_dataset(ds))
+    assert cli.main(["preprocess", "--in", str(src), "--out", str(out)]) == 0
+    by_preprocess = len(dp.decode_dataset(out.read_bytes())) == 1
+    assert by_svi == by_preprocess == (sv_ml in (20.0, 200.0))
+
+
 def test_preprocess_missing_input(tmp_path):
     assert cli.main(["preprocess", "--in", str(tmp_path / "nope.psd1"),
                      "--out", str(tmp_path / "o.psd1")]) == 2
@@ -476,6 +496,19 @@ def test_unwritable_out_dir_exits_2_with_one_line(command, tmp_path, capsys, mon
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "1", "--test-fraction", "0"],
+    ["train", "--epochs", "1", "--synth-difficulty", "0"],
+    ["sweep", "--seeds", "1", "--synth-prevalence", "1.5"],
+])
+def test_rejected_data_flag_exits_2_and_leaves_no_out_dir(argv, tmp_path, capsys):
+    out = tmp_path / "D"
+    assert cli.main(argv + ["--synth-cases", "10", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()   # the data is read and checked before the directory is made
 
 
 def test_sweep_rejects_unknown_matrix(tmp_path):

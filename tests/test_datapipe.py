@@ -149,6 +149,17 @@ def test_map_trace_validation():
         dp.MapTrace([], [])
 
 
+@pytest.mark.parametrize("timestamps,map_values", [
+    ([0.0, np.nan, 400.0], [60.0, 60.0, 60.0]),   # np.diff(...) <= 0 is False for NaN
+    ([0.0, 100.0, np.inf], [60.0, 60.0, 60.0]),
+    ([0.0, 100.0, 400.0], [60.0, np.nan, 60.0]),
+    ([0.0, 100.0, 400.0], [60.0, 60.0, -np.inf]),
+])
+def test_map_trace_rejects_non_finite_timestamps_and_values(timestamps, map_values):
+    with pytest.raises(ValueError, match="finite"):
+        dp.MapTrace(timestamps, map_values)
+
+
 # ---------------------------------------------------------------------
 # body surface area and stroke volume index
 # ---------------------------------------------------------------------
@@ -163,6 +174,12 @@ def test_bsa_rejects_nonpositive():
         dp.bsa_dubois(0.0, 70.0)
     with pytest.raises(ValueError):
         dp.bsa_dubois(170.0, -1.0)
+
+
+@pytest.mark.parametrize("height,weight", [(np.nan, 70.0), (170.0, np.nan)])
+def test_bsa_rejects_nan(height, weight):
+    with pytest.raises(ValueError, match="positive"):
+        dp.bsa_dubois(height, weight)
 
 
 def test_svi_happy_path():
@@ -191,6 +208,16 @@ def test_hemo_point_validation():
         dp.HemoPoint(0.0, 60.0, 170.0, 70.0)
     with pytest.raises(ValueError):
         dp.HemoPoint(5.0, -1.0, 170.0, 70.0)
+
+
+def test_hemo_point_rejects_nan_cardiac_output():
+    with pytest.raises(ValueError, match="cardiac output"):
+        dp.HemoPoint(np.nan, 60.0, 170.0, 70.0)
+
+
+def test_hemo_point_rejects_nan_heart_rate():
+    with pytest.raises(ValueError, match="heart rate"):
+        dp.HemoPoint(5.0, np.nan, 170.0, 70.0)
 
 
 # ---------------------------------------------------------------------

@@ -305,6 +305,8 @@ def test_convergence_time_first_crossing():
     assert hn.convergence_time([], 0.7, "ge") is None
     with pytest.raises(ValueError):
         hn.convergence_time(hist, 0.7, "gt")
+    with pytest.raises(ValueError):   # even with no point to compare
+        hn.convergence_time([], 0.7, "gt")
 
 
 # ---------------------------------------------------------------------

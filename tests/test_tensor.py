@@ -1011,6 +1011,28 @@ def test_pool1d_same_padding_rejected_for_avg():
         T.pool1d(Tensor(np.ones((1, 1, 8))), "avg", 2, 2, padding="same")
 
 
+@pytest.mark.parametrize("op,window,stride,padding,error", [
+    ("conv1d", 3, 0, "valid", ValueError),
+    ("conv1d", 3, 1.0, "same", ValueError),     # not an int
+    ("conv1d", 0, 1, "valid", ValueError),      # a zero-width kernel
+    ("conv1d", 3, 1, "full", ValueError),
+    ("conv1d", 9, 1, "valid", ShapeError),      # longer than the 8 samples
+    ("pool1d", 0, 2, "valid", ValueError),
+    ("pool1d", 2.0, 2, "valid", ValueError),
+    ("pool1d", 2, -1, "same", ValueError),
+    ("pool1d", 2, 2, "full", ValueError),
+    ("pool1d", 9, 1, "valid", ShapeError),
+])
+def test_window_ops_keep_their_error_types(op, window, stride, padding, error):
+    x = Tensor(np.ones((1, 1, 8)))
+    with pytest.raises(ValueError) as raised:
+        if op == "conv1d":
+            T.conv1d(x, Tensor(np.ones((1, 1, window))), stride=stride, padding=padding)
+        else:
+            T.pool1d(x, "max", window, stride, padding=padding)
+    assert type(raised.value) is error   # ShapeError is a ValueError too
+
+
 def test_max_pool_tie_gradient_first_occurrence():
     x = Tensor(np.array([[[2.0, 2.0, 1.0, 5.0]]]), requires_grad=True)
     T.reduce_sum(T.pool1d(x, "max", 2, 2)).backward()
