@@ -197,7 +197,7 @@ class ResNetBlock(nn.Module):
         out = self.bn1(self.conv1(x), relu=True)
         out = self.bn2(self.conv2(out))
         skip = x if self.down_conv is None else self.down_bn(self.down_conv(x))
-        return T.relu(out + skip)
+        return T.add(out, skip, relu=True)
 
 
 class InceptionStem(nn.Module):

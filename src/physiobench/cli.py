@@ -225,8 +225,13 @@ def cmd_preprocess(args) -> int:
         decision = dp.filter_segment(rec.ecg, rec.ppg)
         reason = decision.reason
         if decision.keep and ds.task == "regression":
-            if not dp.sv_in_range(rec.label * dp.bsa_dubois(rec.height, rec.weight)):
-                reason = "sv_out_of_range"
+            try:
+                bsa = dp.bsa_dubois(rec.height, rec.weight)
+            except ValueError:   # a height or weight that is not positive, or NaN
+                reason = "height_or_weight_not_positive"
+            else:
+                if not dp.sv_in_range(rec.label * bsa):
+                    reason = "sv_out_of_range"
         if reason is None:
             kept.append(rec)
         else:

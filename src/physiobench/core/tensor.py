@@ -8,13 +8,13 @@ pooling and batchnorm1d split their batch rows into blocks run on one
 thread per CPU (:func:`_over_batch`), and BLAS runs on the calling thread
 alone (importing ``physiobench`` sets ``OPENBLAS_NUM_THREADS=1``; see its
 docstring).  No bit depends on how rows are cut: each row's work is
-independent of the others and keeps its order, and the one sum over rows
-that runs on the pool, conv1d's kernel gradient, adds partials over a cut
-fixed by the shapes alone.  Per-channel sums stay whole arrays on the
-calling thread.  So a given seed replays bit for bit on any CPU count, for
-a given numpy and BLAS build on a given CPU model.  A caller that imports
-numpy before ``physiobench`` keeps its own BLAS thread count, and with it a
-dependence of the matmul and GEMM sums on that count.
+independent of the others and keeps its order, and every sum over rows
+(conv1d's kernel gradient, batchnorm1d's per-channel sums) adds partials
+over a cut fixed by the shapes alone (:func:`_sum_partials`).  So a given
+seed replays bit for bit on any CPU count, for a given numpy and BLAS build
+on a given CPU model.  A caller that imports numpy before ``physiobench``
+keeps its own BLAS thread count, and with it a dependence of the matmul and
+GEMM sums on that count.
 
 :func:`concat` holds each activation once: it rebinds every recorded input
 (an op's output, not a leaf) to that input's slice of the concatenated
@@ -314,12 +314,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / linear algebra primitives
 # ---------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b, relu: bool = False) -> Tensor:
+    """``a + b`` with numpy broadcasting.  ``relu=True`` applies a ReLU to the
+    sum in place, as in :func:`conv1d`: the values and gradients of
+    ``relu(add(a, b))`` with one array on the tape."""
     a = _wrap(a)
     b = _wrap(b, a.dtype)  # a number or array operand takes a's dtype
-    out = Tensor(a.data + b.data)
+    data = a.data + b.data
+    if relu:
+        np.maximum(data, 0, out=data)
+    out = Tensor(data)
 
     def backward(g):
+        if relu:   # out > 0 equals the sum's > 0
+            np.multiply(g, out.data > 0, out=g)
         # g goes to the first parent shaped like it; the other gets a copy
         handed = False
         for p in (a, b):
@@ -692,11 +700,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 # signal ops
 # ---------------------------------------------------------------------
 
-def conv_output_length(length: int, kernel: int, stride: int, padding: str) -> int:
-    """Closed-form output length: floor((L + pad_total - K)/stride) + 1."""
-    return _window_geometry(length, kernel, stride, padding)[2]
-
-
 def _window_geometry(length: int, window: int, stride: int,
                      padding: str) -> tuple[int, int, int]:
     """``(pad_left, pad_right, out_len)`` of a window sliding over ``length``
@@ -757,7 +760,7 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, pad_left: int,
     return np.ascontiguousarray(windows).reshape(b, c * kernel, out_len)
 
 
-PARTIAL_BLOCK = 1 << 22   # bytes of g and x rows per kernel-gradient partial (4 MiB)
+PARTIAL_BLOCK = 1 << 22   # bytes of rows per partial of _sum_partials (4 MiB)
 
 
 def _batch_blocks(batch: int, row_bytes: int, limit: int, parts: int = 1) -> list[slice]:
@@ -870,10 +873,9 @@ def _kernel_grad(g: np.ndarray, x: np.ndarray, shape: tuple[int, int, int],
                  taps) -> np.ndarray:
     """conv1d's kernel gradient, of ``shape`` [Cout, Cin, K]: per tap k, one
     GEMM per sample over the strided run of ``x`` that tap read (no columns
-    are rebuilt or held since the forward).  Each block of at most
-    ``PARTIAL_BLOCK`` bytes of ``g`` and ``x`` rows sums its samples in
-    ascending b on the pool; the partials are then added in block order."""
-    partials = {}   # by the block's first row
+    are rebuilt or held since the forward).  Each partial of
+    :func:`_sum_partials`, over its block of ``g`` and ``x`` rows, sums its
+    samples in ascending b."""
 
     def partial_rows(rows):
         gw = np.zeros(shape, dtype=g.dtype)
@@ -886,16 +888,31 @@ def _kernel_grad(g: np.ndarray, x: np.ndarray, shape: tuple[int, int, int],
                 if b:
                     acc += part
             gw[:, :, k] = acc
-        partials[rows.start] = gw
+        return gw
 
     row_bytes = g.shape[1] * g.shape[2] * g.itemsize + x.shape[1] * x.shape[2] * x.itemsize
-    _over_batch(partial_rows, len(g), row_bytes, PARTIAL_BLOCK)
-    if not partials:   # an empty batch
-        return np.zeros(shape, dtype=g.dtype)
-    gw, *rest = (partials[start] for start in sorted(partials))
+    return _sum_partials(partial_rows, len(g), row_bytes, np.zeros(shape, dtype=g.dtype))
+
+
+def _sum_partials(fn: Callable[[slice], np.ndarray], batch: int, row_bytes: int,
+                  empty: np.ndarray | None = None) -> np.ndarray:
+    """The sum over rows of ``batch``: ``fn(rows)`` gives each block's
+    partial, one block per at most ``PARTIAL_BLOCK`` bytes of rows that take
+    ``row_bytes``.  The blocks run on the pool and their partials are added
+    in block order, so the cut, and every bit, depends on the shapes alone.
+    An empty batch gives ``empty``."""
+    partials = {}   # by the block's first row
+
+    def partial_rows(rows):
+        partials[rows.start] = fn(rows)
+
+    _over_batch(partial_rows, batch, row_bytes, PARTIAL_BLOCK)
+    if not partials:
+        return empty
+    total, *rest = (partials[start] for start in sorted(partials))
     for part in rest:   # in block order
-        gw += part
-    return gw
+        total += part
+    return total
 
 
 BATCH_BLOCK = 1 << 21   # bytes per array in one batch block of _over_batch (2 MiB)
@@ -1061,24 +1078,30 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     Eval mode normalizes by the running buffers.  ``relu=True`` applies a
     ReLU to the output in place, as in :func:`conv1d`.
 
-    The per-channel sums run on whole arrays on the calling thread.  Every
-    elementwise pass runs over batch blocks on one thread per CPU (see
-    :func:`_over_batch`), fused per block; each element gets the same
-    operations in the same order as in one pass, so no bit depends on the
-    block.
+    No centred copy of ``x`` is kept: each pass that needs ``x - mean``
+    recomputes it from ``x``, which the tape holds anyway, block by block.
+    The per-channel sums (the batch mean and variance, and the backward's
+    sums of ``g`` and ``g * (x - mean)``) add partials on the pool
+    (:func:`_sum_partials`).  Every elementwise pass runs over batch blocks
+    on one thread per CPU (see :func:`_over_batch`), fused per block; each
+    element gets the same operations in the same order as in one pass, so
+    no bit depends on the CPU count.
     """
     if x.ndim != 3:
         raise ShapeError(f"batchnorm1d expects [B,C,L], got {x.shape}")
     B, C, L = x.shape
     n = B * L
+    row_bytes = C * L * x.dtype.itemsize
     if training:
         if n < 2:
             raise ValueError(f"batchnorm1d train mode needs B*L >= 2, got {n}")
-        mu = x.data.mean(axis=(0, 2))
-        xc = np.empty(x.shape, dtype=np.result_type(x.data, mu))
-        _over_batch(lambda rows: np.subtract(x.data[rows], mu[:, None], out=xc[rows]),
-                    B, C * L * xc.itemsize)
-        var = np.einsum("bcl,bcl->c", xc, xc) / n
+        mu = _sum_partials(lambda rows: x.data[rows].sum(axis=(0, 2)), B, row_bytes) / n
+
+        def centred_squares(rows):
+            xc = x.data[rows] - mu[:, None]
+            return np.einsum("bcl,bcl->c", xc, xc)
+
+        var = _sum_partials(centred_squares, B, row_bytes) / n
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
         running_var *= momentum
@@ -1089,13 +1112,16 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var
     invstd = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * invstd
-    # y = src * scale + shift
-    src, shift = (xc, beta.data) if training else (x.data, beta.data - mu * scale)
-    y = np.empty(x.shape, dtype=np.result_type(src, scale))
+    shift = beta.data if training else beta.data - mu * scale
+    y = np.empty(x.shape, dtype=np.result_type(x.data, scale))
 
     def forward_rows(rows):
         yr = y[rows]
-        np.multiply(src[rows], scale[:, None], out=yr)
+        if training:   # (x - mu) * scale + beta
+            np.subtract(x.data[rows], mu[:, None], out=yr)
+            yr *= scale[:, None]
+        else:          # x * scale + (beta - mu * scale)
+            np.multiply(x.data[rows], scale[:, None], out=yr)
         yr += shift[:, None]
         if relu:
             np.maximum(yr, 0, out=yr)
@@ -1104,12 +1130,16 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     out = Tensor(y)
 
     def backward(g):
-        if relu:   # the ReLU was applied to y in place: mask g with y > 0
-            _over_batch(lambda rows: np.multiply(g[rows], out.data[rows] > 0, out=g[rows]),
-                        B, C * L * g.itemsize)
-        centred = xc if training else x.data - mu[:, None]
-        sum_g = g.sum(axis=(0, 2))
-        sum_gxc = np.einsum("bcl,bcl->c", g, centred)
+        def sums_rows(rows):
+            # the ReLU was applied to y in place: mask g with y > 0
+            gr = g[rows]
+            if relu:
+                np.multiply(gr, out.data[rows] > 0, out=gr)
+            return np.stack((gr.sum(axis=(0, 2)),
+                             np.einsum("bcl,bcl->c", gr, x.data[rows] - mu[:, None])))
+
+        sum_g, sum_gxc = _sum_partials(sums_rows, B, row_bytes,
+                                       np.zeros((2, C), dtype=np.result_type(g, x.data)))
         if gamma.requires_grad:
             gamma._accumulate(sum_gxc * invstd)
         if beta.requires_grad:
@@ -1117,14 +1147,15 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         if not x.requires_grad:
             return
         if training:
-            # scale * (g - sum_g/n - xc * invstd^2 * sum_gxc/n), in one buffer
+            # scale * (g - sum_g/n - (x - mu) * invstd^2 * sum_gxc/n), in one buffer
             a = (invstd * invstd * sum_gxc / n)[:, None]
             b = (sum_g / n)[:, None]
-            gx = np.empty(x.shape, dtype=np.result_type(xc, a))
+            gx = np.empty(x.shape, dtype=np.result_type(x.data, a))
 
             def backward_rows(rows):
                 gxr = gx[rows]
-                np.multiply(xc[rows], a, out=gxr)
+                np.subtract(x.data[rows], mu[:, None], out=gxr)
+                gxr *= a
                 gxr += b
                 np.subtract(g[rows], gxr, out=gxr)
                 gxr *= scale[:, None]

@@ -85,6 +85,20 @@ def test_preprocess_enforces_stroke_volume_bounds(tmp_path):
         "task": "regression", "n_in": "5", "n_kept": "4", "dropped_sv_out_of_range": "1"})
 
 
+def test_preprocess_drops_a_record_without_a_positive_height(tmp_path, capsys):
+    ds = dp.generate_synthetic(3, 1, "regression", seed=2)
+    ds.records[1].height = 0.0
+    src, out = tmp_path / "raw.psd1", tmp_path / "clean.psd1"
+    src.write_bytes(dp.encode_dataset(ds))
+    assert cli.main(["preprocess", "--in", str(src), "--out", str(out)]) == 0
+    assert "kept 2/3" in capsys.readouterr().out
+    kept = dp.decode_dataset(out.read_bytes()).records
+    assert [r.case_id for r in kept] == [ds.records[0].case_id, ds.records[2].case_id]
+    assert (tmp_path / "clean.psd1.manifest").read_text() == dp.format_manifest({
+        "task": "regression", "n_in": "3", "n_kept": "2",
+        "dropped_height_or_weight_not_positive": "1"})
+
+
 @pytest.mark.parametrize("sv_ml", [np.nan, np.inf, -np.inf, 19.999, 20.0, 200.0, 200.001])
 def test_compute_svi_and_preprocess_apply_one_stroke_volume_rule(sv_ml, tmp_path,
                                                                 monkeypatch):

@@ -621,11 +621,16 @@ def test_float32_conv1d_agrees_with_float64():
             npt.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-5)
 
 
+def conv_output_length(length: int, kernel: int, stride: int, padding: str) -> int:
+    """Closed-form output length: floor((L + pad_total - K)/stride) + 1."""
+    return T._window_geometry(length, kernel, stride, padding)[2]
+
+
 def test_conv_output_length_closed_form():
-    assert T.conv_output_length(2000, 7, 2, "same") == 1000
-    assert T.conv_output_length(2000, 20, 10, "valid") == 199
-    assert T.conv_output_length(10, 3, 1, "same") == 10
-    assert T.conv_output_length(10, 3, 1, "valid") == 8
+    assert conv_output_length(2000, 7, 2, "same") == 1000
+    assert conv_output_length(2000, 20, 10, "valid") == 199
+    assert conv_output_length(10, 3, 1, "same") == 10
+    assert conv_output_length(10, 3, 1, "valid") == 8
 
 
 def test_conv1d_channel_mismatch_raises():
@@ -675,7 +680,7 @@ def test_blocked_conv1d_columns_change_no_bit(cin, cout, kernel, stride, padding
     rng = np.random.default_rng(6)
     x, w, b = (rng.normal(size=shape).astype(dtype)
                for shape in ((5, cin, length), (cout, cin, kernel), (cout,)))
-    out_len = T.conv_output_length(length, kernel, stride, padding)
+    out_len = conv_output_length(length, kernel, stride, padding)
     g = rng.normal(size=(5, cout, out_len)).astype(dtype)
     im2col, widths = T._im2col, []
 
@@ -1231,15 +1236,29 @@ def test_float32_batchnorm_agrees_with_float64():
     npt.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
 
 
-def whole_array_batchnorm(x, gamma, beta, rm, rv, g, training, relu,
+def whole_array_batchnorm(x, gamma, beta, rm, rv, g, training, relu, partial_rows=None,
                           momentum=0.9, eps=1e-5):
     """batchnorm1d's arithmetic in whole-array passes: output, (x, gamma,
-    beta) gradients and the running buffers, updated in place."""
+    beta) gradients and the running buffers, updated in place.  Each
+    per-channel sum adds the partials of blocks of ``partial_rows`` batch
+    rows in block order; None takes each sum in one pass over the whole
+    array (the batch mean as ``x.mean``)."""
     n = x.shape[0] * x.shape[2]
+    step = x.shape[0] if partial_rows is None else partial_rows
+
+    def channel_sum(fn):
+        total, *rest = (fn(slice(i, i + step)) for i in range(0, x.shape[0], step))
+        for part in rest:
+            total += part
+        return total
+
     if training:
-        mu = x.mean(axis=(0, 2))
+        if partial_rows is None:
+            mu = x.mean(axis=(0, 2))
+        else:
+            mu = channel_sum(lambda r: x[r].sum(axis=(0, 2))) / n
         xc = x - mu[:, None]
-        var = np.einsum("bcl,bcl->c", xc, xc) / n
+        var = channel_sum(lambda r: np.einsum("bcl,bcl->c", xc[r], xc[r])) / n
         rm *= momentum
         rm += (1.0 - momentum) * mu
         rv *= momentum
@@ -1258,8 +1277,8 @@ def whole_array_batchnorm(x, gamma, beta, rm, rv, g, training, relu,
     if relu:
         np.maximum(y, 0, out=y)
         g = g * (y > 0)
-    sum_g = g.sum(axis=(0, 2))
-    sum_gxc = np.einsum("bcl,bcl->c", g, xc)
+    sum_g = channel_sum(lambda r: g[r].sum(axis=(0, 2)))
+    sum_gxc = channel_sum(lambda r: np.einsum("bcl,bcl->c", g[r], xc[r]))
     if training:
         gx = xc * (invstd * invstd * sum_gxc / n)[:, None]
         gx += (sum_g / n)[:, None]
@@ -1275,30 +1294,56 @@ def whole_array_batchnorm(x, gamma, beta, rm, rv, g, training, relu,
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("shape", [(5, 3, 9), (5, 1, 64), (7, 4, 2)])
 def test_blocked_batchnorm1d_changes_no_bit(shape, relu, training, dtype, monkeypatch):
-    # The batch rows run as one-row blocks, as two-row blocks with a partial
-    # last one, and as one block, against whole-array passes.
+    # The per-channel sums add partials of one row, of two rows with a
+    # partial last one, in block order; PARTIAL_BLOCK alone sets that cut.
+    # A batch in one partial keeps the bits of whole-array sums.  The
+    # elementwise passes run as one-row blocks, two-row blocks and one
+    # block, on one CPU and on two, and move no bit.
     rng = np.random.default_rng(16)
     B, C, L = shape
     x = rng.normal(loc=1.0, scale=2.0, size=shape).astype(dtype)
     gamma, beta = rng.uniform(0.5, 1.5, size=C).astype(dtype), rng.normal(size=C).astype(dtype)
     rm0, rv0 = rng.normal(size=C).astype(dtype), rng.uniform(0.5, 2.0, size=C).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
-    rm_want, rv_want = rm0.copy(), rv0.copy()
-    want = whole_array_batchnorm(x, gamma, beta, rm_want, rv_want, g, training, relu)
     blocks = _counting_over_batch(monkeypatch)
-    for block_rows in (1, 2, B):
-        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * x[0].nbytes)
-        blocks.clear()
-        ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-        rm, rv = rm0.copy(), rv0.copy()
-        y = T.batchnorm1d(*ts, rm, rv, training=training, relu=relu)
-        y.backward(g.copy())
-        # centring (train), output, ReLU mask, x gradient
-        assert blocks == [-(-B // block_rows)] * (2 + training + relu)
-        for got, ref in zip([y.data] + [t.grad for t in ts] + [rm, rv],
-                            list(want) + [rm_want, rv_want]):
-            assert got.dtype == dtype
-            npt.assert_array_equal(got, ref)
+    for partial_rows in (1, 2, B):
+        monkeypatch.setattr(T, "PARTIAL_BLOCK", partial_rows * x[0].nbytes)
+        rm_want, rv_want = rm0.copy(), rv0.copy()
+        want = whole_array_batchnorm(x, gamma, beta, rm_want, rv_want, g, training, relu,
+                                     None if partial_rows == B else partial_rows)
+        partials = -(-B // partial_rows)
+        for cpus, block_rows in itertools.product((1, 2), (1, 2, B)):
+            _set_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * x[0].nbytes)
+            blocks.clear()
+            ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            rm, rv = rm0.copy(), rv0.copy()
+            y = T.batchnorm1d(*ts, rm, rv, training=training, relu=relu)
+            y.backward(g.copy())
+            # train: mean and variance partials; the output; the sums of g
+            # (after the ReLU mask) and of g * (x - mu); the x gradient
+            rows = -(-B // block_rows)
+            assert blocks == [partials] * 2 * training + [rows, partials, rows]
+            for got, ref in zip([y.data] + [t.grad for t in ts] + [rm, rv],
+                                list(want) + [rm_want, rv_want]):
+                assert got.dtype == dtype
+                npt.assert_array_equal(got, ref)
+
+
+def test_train_batchnorm1d_holds_one_output_sized_array():
+    # the tape keeps the output and per-channel vectors, no centred copy of x
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(16, 8, 512)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8))
+    rm, rv = np.zeros(8), np.ones(8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.batchnorm1d(x, gamma, beta, rm, rv, training=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.data.nbytes <= held < 1.25 * y.data.nbytes, held / y.data.nbytes
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -1509,6 +1554,41 @@ def test_fused_relu_batchnorm1d_is_relu_of_batchnorm1d_bit_for_bit(dtype, traini
     assert (runs[1][0] == 0).any() and (runs[1][0] > 0).any()
     for got, want in zip(*runs):
         _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b_shape", [(3, 4, 5), (4, 1)])
+def test_fused_relu_add_is_relu_of_add_bit_for_bit(dtype, b_shape):
+    rng = np.random.default_rng(22)
+    # small integers make many sums exactly zero; signed zeros and NaN too
+    a = rng.integers(-1, 2, size=(3, 4, 5)).astype(dtype)
+    a[0, 0, :3] = [-0.0, 0.0, np.nan]
+    a[1, 2, :2] = -0.0
+    b = rng.integers(-1, 2, size=b_shape).astype(dtype)
+    b.flat[0] = -0.0
+    runs = []
+    for fused in (True, False):
+        ts = [Tensor(v, requires_grad=True) for v in (a, b)]
+        y = T.add(*ts, relu=True) if fused else T.relu(T.add(*ts))
+        g = np.random.default_rng(3).normal(size=y.shape).astype(dtype)
+        y.backward(g)
+        runs.append([y.data] + [t.grad for t in ts])
+    y = runs[1][0]
+    assert (y == 0).any() and (y > 0).any() and np.isnan(y).any()
+    assert np.signbit(a[0, 0, 0] + b.flat[0])   # -0.0 + -0.0 reaches the ReLU
+    for got, want in zip(*runs):
+        _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_relu_add_grad_check(seed):
+    rng = np.random.default_rng(seed)
+    a = _param(rng, 2, 3, 6)
+    b = _param(rng, 3, 1)
+    probe = Tensor(rng.normal(size=(2, 3, 6)))
+    # a central difference is only valid away from the ReLU kink
+    assert np.abs(a.data + b.data).min() > 1e-3
+    assert grad_check(lambda: T.reduce_sum(T.add(a, b, relu=True) * probe), [a, b]) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(5))
