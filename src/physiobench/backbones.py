@@ -168,6 +168,11 @@ class VggStage(nn.Module):
         return T.pool1d(x, "max", 2, 2)
 
 
+# Every ResNet conv (stem, block and downsample) keeps its bias although a
+# BatchNorm1d follows it, which subtracts the channel mean and so gives that
+# bias a zero gradient: the published level counts include these biases, and
+# computed_level_table matches PUBLISHED_TABLES["resnet"] (level 1: 26,048)
+# only with them.
 class ResNetStem(nn.Module):
     def __init__(self, rng, in_ch: int):
         super().__init__()

@@ -385,7 +385,7 @@ def cmd_evaluate(args) -> int:
         model.load_state_dict(state)
     except OSError as exc:
         raise CliError(f"cannot read weights {args.weights}: {exc}")
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise CliError(f"{args.weights} is not a weights file written by train: {exc}")
     ds = _load_or_generate(args)
     if cfg.task != ds.task:

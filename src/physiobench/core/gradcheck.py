@@ -21,6 +21,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
     parameters whose true gradient vanishes (e.g. a bias that only shifts
     softmax logits by a per-row constant).
     Float64 data is assumed; float32 noise swamps the difference entirely.
+    A parameter that the backward does not reach has zero analytic gradient.
     """
     out = f()
     if out.size != 1:
@@ -28,9 +29,10 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
     for p in params:
         if p.data.dtype != np.float64:
             raise ValueError("grad_check requires float64 parameters")
-        p.grad[...] = 0.0
+        p.grad = None
     out.backward()
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad
+                for p in params]
 
     worst = 0.0
     for p, ga in zip(params, analytic):

@@ -12,7 +12,7 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor: always requires grad and keeps a grad buffer.
+    """A trainable tensor: always requires grad.
 
     Without an explicit ``dtype`` its data takes ``T.default_dtype()``, so a
     model's dtype is the default at the time it was built.
@@ -23,7 +23,6 @@ class Parameter(Tensor):
     def __init__(self, data, dtype=None):
         super().__init__(data, requires_grad=True,
                          dtype=T.default_dtype() if dtype is None else dtype)
-        self.grad = np.zeros_like(self.data)
 
 
 class Module:
@@ -71,8 +70,10 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     def zero_grad(self) -> None:
+        """Drop every parameter's gradient; the next backward hands each one
+        a new array, and an optimizer reads a missing gradient as zeros."""
         for p in self.parameters():
-            p.grad[...] = 0.0
+            p.grad = None
 
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)

@@ -123,8 +123,8 @@ class Tensor:
     explicit ``dtype`` wins over both.  Op outputs therefore follow their
     inputs, and mixed float32/float64 operands follow numpy promotion while
     each parent's gradient comes back in that parent's own dtype.  ``grad`` is
-    allocated lazily during backward (except for Parameters, which keep a
-    permanent zero-initialised gradient buffer).
+    None until a backward hands this tensor its first gradient; Parameters
+    follow the same rule.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -362,14 +362,14 @@ def mul(a: Tensor, b) -> Tensor:
 
 def _elementwise(a: Tensor, data: np.ndarray, op: str,
                  grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Tensor:
-    """Record ``data`` as the output of ``op`` on ``a``; backward adds
-    ``grad(g, a.data, out.data)`` to ``a``.  Both arrays are read at backward
-    time, as the module docstring's concat rule asks."""
+    """Record ``data`` as the output of ``op`` on ``a``; backward hands
+    ``grad(g, a.data, out.data)``, a new array, to ``a``.  Both arrays are
+    read at backward time, as the module docstring's concat rule asks."""
     out = Tensor(data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(grad(g, a.data, out.data))
+            a._take(grad(g, a.data, out.data))
 
     return out._record((a,), op, backward)
 
@@ -388,10 +388,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._take(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._take(_unbroadcast(gb, b.shape))
 
     return out._record((a, b), "matmul", backward)
 
@@ -859,7 +859,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if relu or gx is not None:
             _over_batch(mask_and_input_rows, B, col_bytes, parts=_cpus())
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
+            bias._take(g.sum(axis=(0, 2)))
         if kernel.requires_grad:
             kernel._take(_kernel_grad(g, x.data, kernel.shape, taps))
         if gx is not None:
@@ -1141,7 +1141,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         sum_g, sum_gxc = _sum_partials(sums_rows, B, row_bytes,
                                        np.zeros((2, C), dtype=np.result_type(g, x.data)))
         if gamma.requires_grad:
-            gamma._accumulate(sum_gxc * invstd)
+            gamma._take(sum_gxc * invstd)
         if beta.requires_grad:
             beta._accumulate(sum_g)
         if not x.requires_grad:
@@ -1182,9 +1182,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def backward(g):
         if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
+            gamma._take(_unbroadcast(g * xhat, gamma.shape))
         if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.shape))
+            beta._take(_unbroadcast(g, beta.shape))
         if x.requires_grad:
             gxhat = g * gamma.data
             s1 = gxhat.sum(axis=-1, keepdims=True)

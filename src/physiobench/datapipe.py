@@ -459,8 +459,9 @@ class FormatError(DecodeError):
 def encode_dataset(dataset: SignalDataset) -> bytes:
     """Serialize to the PSD1 container; decode_dataset inverts losslessly.
 
-    A case id outside uint32, or a finite scalar past float32 range, raises
-    an ``ArithmeticError`` rather than being wrapped or written as inf.
+    A case id outside uint32, or a finite scalar or waveform sample past
+    float32 range, raises an ``ArithmeticError`` rather than being wrapped or
+    written as inf.  Infinite and NaN samples are kept as they are.
     """
     records = dataset.records
     n = len(records)
@@ -469,13 +470,13 @@ def encode_dataset(dataset: SignalDataset) -> bytes:
                       n, SEGMENT_LEN, IN_CHANNELS)
     body = np.frombuffer(buf, _RECORD, count=n, offset=_HEADER.size)
     ecg, ppg = body["ecg"], body["ppg"]
-    for i, r in enumerate(records):
-        if r.ecg.shape != (SEGMENT_LEN,) or r.ppg.shape != (SEGMENT_LEN,):
-            raise ValueError(f"record for case {r.case_id} has wrong segment length")
-        ecg[i] = r.ecg
-        ppg[i] = r.ppg
     body["case_id"] = [operator.index(r.case_id) for r in records]
     with np.errstate(over="raise"):
+        for i, r in enumerate(records):
+            if r.ecg.shape != (SEGMENT_LEN,) or r.ppg.shape != (SEGMENT_LEN,):
+                raise ValueError(f"record for case {r.case_id} has wrong segment length")
+            ecg[i] = r.ecg
+            ppg[i] = r.ppg
         body["fields"] = np.array([(r.age, r.sex, r.height, r.weight, r.label)
                                    for r in records], np.float64).reshape(n, 5)
     return bytes(buf)

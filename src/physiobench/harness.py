@@ -94,6 +94,9 @@ def lr_at(epoch: int, spec: TrainSpec) -> float:
 # ---------------------------------------------------------------------
 
 class Adam:
+    """Adam over ``params``; a parameter with no gradient (``grad`` None)
+    steps exactly as with a zero gradient: its moments decay."""
+
     def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
@@ -108,7 +111,7 @@ class Adam:
         for p, m, v in zip(self.params, self._m, self._v):
             # p -= lr * (m/c1) / (sqrt(v/c2) + eps), evaluated in that order
             # in two scratch buffers
-            g = p.grad
+            g = 0.0 if p.grad is None else p.grad
             a, b = np.empty_like(p.data), np.empty_like(p.data)
             np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             m *= ADAM_BETA1
@@ -127,6 +130,9 @@ class Adam:
 
 
 class RMSProp:
+    """RMSProp over ``params``; a missing gradient steps as zeros, as in
+    :class:`Adam`."""
+
     def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
@@ -135,7 +141,7 @@ class RMSProp:
     def step(self) -> None:
         for p, v in zip(self.params, self._v):
             # p -= lr * g / (sqrt(v) + eps), in two scratch buffers
-            g = p.grad
+            g = 0.0 if p.grad is None else p.grad
             a, b = np.empty_like(p.data), np.empty_like(p.data)
             np.multiply(g, 1.0 - RMSPROP_RHO, out=a)
             a *= g

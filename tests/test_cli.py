@@ -357,8 +357,14 @@ def _broken_weights(trained, tmp_path, kind):
         return path
     with np.load(trained / "weights.npz") as zf:
         arrays = {k: zf[k] for k in zf.files}
+    meta = json.loads(str(arrays["__meta__"]))
     if kind == "no_meta":
         del arrays["__meta__"]
+    elif kind == "meta_short_msa":   # valid JSON of the wrong shape
+        meta["config"]["msa"] = [32, 4]
+        arrays["__meta__"] = np.array(json.dumps(meta))
+    elif kind == "meta_list":
+        arrays["__meta__"] = np.array(json.dumps([meta]))
     else:  # arrays that do not fit the config they carry
         del arrays[next(k for k in arrays if not k.startswith("__"))]
     np.savez(path, **arrays)
@@ -366,7 +372,7 @@ def _broken_weights(trained, tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["not_a_zip", "no_meta", "arrays_off_config",
-                                  "empty", "npy_array"])
+                                  "empty", "npy_array", "meta_short_msa", "meta_list"])
 def test_evaluate_broken_weights_exits_2_with_one_line(kind, trained, tmp_path, capsys):
     path = _broken_weights(trained, tmp_path, kind)
     args = ["evaluate", "--weights", str(path)] + TINY_DATA_FLAGS + ["--task", "cls"]

@@ -482,12 +482,21 @@ def test_decoded_waveforms_do_not_share_the_input_buffer():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("case_id", -1), ("case_id", 2**32), ("case_id", np.int64(-1)), ("age", 1e39)])
+    ("case_id", -1), ("case_id", 2**32), ("case_id", np.int64(-1)), ("age", 1e39),
+    ("ecg", np.full(dp.SEGMENT_LEN, 1e39))])
 def test_encode_rejects_values_outside_the_record_types(field, value):
     ds = dp.generate_synthetic(2, 1, "classification", 0)
     setattr(ds.records[1], field, value)
     with pytest.raises(ArithmeticError):
         dp.encode_dataset(ds)
+
+
+def test_encode_keeps_infinite_and_nan_samples():
+    ds = dp.generate_synthetic(1, 1, "classification", 0)
+    ds.records[0].ecg = ds.records[0].ecg.astype(np.float64)
+    ds.records[0].ecg[:3] = [np.inf, -np.inf, np.nan]
+    back = dp.decode_dataset(dp.encode_dataset(ds))
+    np.testing.assert_array_equal(back.records[0].ecg, ds.records[0].ecg)
 
 
 def test_container_round_trip_empty():

@@ -1,0 +1,73 @@
+"""A gradient is None until backward hands a tensor its first one, and a
+handed-over array may be shared with nothing but its owner: so no code in
+``src/`` writes into a ``.grad`` array in place except
+``Tensor._accumulate``, which first checks for None."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALLOWED = {("core/tensor.py", "Tensor._accumulate")}
+
+
+def _is_grad(node) -> bool:
+    """``x.grad`` or a subscript of it (``x.grad[...]``, ``x.grad[i][j]``)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "grad"
+
+
+def _in_place_grad_writes(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(qualified function name, line)`` of every in-place write into a
+    ``.grad`` array: ``x.grad[...] = v``, ``x.grad op= v`` and
+    ``f(..., out=x.grad)``.  Rebinding ``x.grad = v`` is not one."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        writes = False
+        if isinstance(node, ast.AugAssign):
+            writes = _is_grad(node.target)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            writes = any(isinstance(t, ast.Subscript) and _is_grad(t) for t in targets)
+        elif isinstance(node, ast.Call):
+            writes = any(k.arg == "out" and _is_grad(k.value) for k in node.keywords)
+        if writes:
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_guard_sees_each_form_of_in_place_write():
+    code = """
+class Tensor:
+    def _accumulate(self, g):
+        self.grad += g
+
+def step(p, q, r, s):
+    p.grad[...] = 0.0
+    q.grad *= 2
+    r.grad[0][1] -= 1
+    np.multiply(s.grad, 2, out=s.grad)
+    p.grad = None
+"""
+    assert _in_place_grad_writes(ast.parse(code)) == [
+        ("Tensor._accumulate", 4), ("step", 7), ("step", 8), ("step", 9), ("step", 10)]
+
+
+def test_no_module_writes_into_a_gradient_in_place():
+    seen, outside = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC / "physiobench").as_posix()
+        for where, line in _in_place_grad_writes(ast.parse(path.read_text())):
+            if (name, where) in ALLOWED:
+                seen.add((name, where))
+            else:
+                outside.append(f"{name}:{line} in {where}")
+    assert outside == []
+    assert seen == ALLOWED

@@ -93,7 +93,7 @@ def test_lr_schedule_boundaries():
 
 def _param_with_grad(value, grad):
     p = nn.Parameter(np.array([value]))
-    p.grad[...] = grad
+    p.grad = np.full_like(p.data, grad)
     return p
 
 
@@ -133,8 +133,7 @@ def test_in_place_optimizer_steps_match_the_plain_formulas_bit_for_bit(dtype):
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, 6):
         g = (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
-        adam_p.grad[...] = g
-        rms_p.grad[...] = g
+        adam_p.grad = rms_p.grad = g
         adam.step()
         rms.step()
         m = b1 * m + (1.0 - b1) * g
@@ -146,6 +145,32 @@ def test_in_place_optimizer_steps_match_the_plain_formulas_bit_for_bit(dtype):
                           (rms_p.data, p2), (rms._v[0], r)):
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("optimizer", [hn.Adam, hn.RMSProp])
+def test_a_missing_gradient_steps_as_zeros_bit_for_bit(optimizer, dtype):
+    # after one nonzero step the moments are nonzero, so a zero-gradient
+    # step still decays them (and Adam's still moves the weights)
+    rng = np.random.default_rng(23)
+    first = rng.normal(size=(4, 6)).astype(dtype)
+    params = [nn.Parameter(rng.normal(size=(4, 6)), dtype=dtype) for _ in range(2)]
+    params[1].data[...] = params[0].data
+    opts = [optimizer([p], lr=3e-3) for p in params]
+    for p, opt in zip(params, opts):
+        p.grad = first
+        opt.step()
+    v_before = opts[0]._v[0].copy()
+    params[0].grad = None
+    params[1].grad = np.zeros_like(first)
+    for _ in range(2):
+        for opt in opts:
+            opt.step()
+    assert not np.array_equal(opts[0]._v[0], v_before)
+    missing, zeros = params[0].data, params[1].data
+    assert missing.dtype == dtype and missing.tobytes() == zeros.tobytes()
+    states = [[*getattr(o, "_m", []), *o._v] for o in opts]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*states))
 
 
 def test_make_optimizer_dispatch():

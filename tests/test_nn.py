@@ -1,5 +1,7 @@
 """Module system: registration, parameter naming, state dicts, layer modules."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,11 +21,28 @@ class TwoLayer(nn.Module):
         return self.fc2(T.relu(self.fc1(x)))
 
 
-def test_parameter_has_persistent_grad_buffer():
+def test_built_model_holds_no_gradient_arrays_before_backward():
     p = nn.Parameter(np.ones((2, 2)))
-    assert p.requires_grad
-    assert p.grad is not None and p.grad.shape == (2, 2)
-    npt.assert_array_equal(p.grad, 0.0)
+    assert p.requires_grad and p.grad is None
+    model = TwoLayer(np.random.default_rng(0))
+    assert all(p.grad is None for p in model.parameters())
+    T.reduce_sum(model(Tensor(np.ones((4, 3))))).backward()
+    assert all(p.grad.shape == p.shape for p in model.parameters())
+
+
+def test_building_a_layer_holds_its_weights_once():
+    # 64 MiB of float64 weights; the initializer's 8 MiB draw block is the
+    # rest of the peak, and a second, gradient-sized array would double it
+    rng = np.random.default_rng(0)
+    weight_bytes = 2048 * 4096 * 8
+    tracemalloc.start()
+    try:
+        layer = nn.Dense(rng, 2048, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layer.weight.data.nbytes == weight_bytes
+    assert peak < 1.25 * weight_bytes, peak / weight_bytes
 
 
 def test_named_parameters_use_slash_paths():
@@ -58,7 +77,7 @@ def test_zero_grad_clears_accumulated_gradients():
     out.backward()
     assert any(np.abs(p.grad).sum() > 0 for p in model.parameters())
     model.zero_grad()
-    assert all(np.abs(p.grad).sum() == 0 for p in model.parameters())
+    assert all(p.grad is None for p in model.parameters())
 
 
 def test_state_dict_round_trip():

@@ -151,6 +151,32 @@ def test_matmul_grad_check(seed):
     assert grad_check(lambda: T.reduce_sum(T.matmul(a, b)), [a, b]) < 1e-4
 
 
+def test_grad_check_reads_a_parameter_outside_the_graph_as_zero_gradient():
+    rng = np.random.default_rng(4)
+    a, unused = _param(rng, 3, 4), _param(rng, 2)
+    f = lambda: T.reduce_sum(a * a)
+    assert grad_check(f, [unused]) == 0.0   # analytic and numeric both zero
+    assert unused.grad is None
+    assert grad_check(f, [a, unused]) < 1e-4
+
+
+def test_matmul_hands_over_the_weight_gradient_without_a_copy():
+    # an 8 MiB weight gradient: a copy of it would double the backward's peak
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(8, 1024)))
+    w = _param(rng, 1024, 1024)
+    g = rng.normal(size=(8, 1024))
+    out = T.matmul(x, w)
+    tracemalloc.start()
+    try:
+        out.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    npt.assert_allclose(w.grad, x.data.T @ g, rtol=1e-12, atol=1e-12)
+    assert peak < 1.25 * w.data.nbytes, peak / w.data.nbytes
+
+
 # ---------------------------------------------------------------------
 # pointwise nonlinearities
 # ---------------------------------------------------------------------
