@@ -68,7 +68,7 @@ def load_config(path: str) -> dict:
     values: dict = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -434,8 +434,8 @@ def cmd_sweep(args) -> int:
     # the matrix and one spec are checked before any directory or data is
     # touched; the entries are built again for the data's own task
     entries = _sweep_entries(args, _resolve_task(args.task or "cls"), wanted)
-    hz.TrainSpec("bce", "adam", epochs=args.epochs, lr0=args.lr0,
-                 batch_size=args.batch_size, time_mode=args.time_mode)
+    hz.TrainSpec("bce", "adam", epochs=args.epochs, seed=args.base_seed,
+                 lr0=args.lr0, batch_size=args.batch_size, time_mode=args.time_mode)
     if args.list_only:  # listing needs no data
         for e in entries:
             status = "ok" if e.error is None else f"invalid: {e.error}"
@@ -494,7 +494,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     _opt(p, "--epochs", "epochs", "training epochs")
-    _opt(p, "--seed", "seed", "training seed")
     _opt(p, "--batch-size", "batch_size", "mini-batch size")
     _opt(p, "--lr0", "lr0", "initial learning rate")
     _opt(p, "--time-mode", "time_mode", "virtual (1 s/epoch, reproducible) or wall")
@@ -545,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model; writes history.jsonl, run.json, weights.npz")
     p.add_argument("--config", help="key=value config file (flags override)")
     _add_data_flags(p); _add_model_flags(p); _add_train_flags(p)
+    _opt(p, "--seed", "seed", "training seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score saved weights on a whole dataset file")
@@ -553,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="train a config matrix; writes report.csv + runs.jsonl")
+    # no abbreviations: --seed, a train flag, would otherwise read as --seeds
+    p = sub.add_parser("sweep", help="train a config matrix; writes report.csv + runs.jsonl",
+                       allow_abbrev=False)
     p.add_argument("--config", help="key=value config file (flags override)")
     _opt(p, "--matrix", "matrix", "paper13 or msa-grid")
     _opt(p, "--seeds", "seeds", "seeds per config (base_seed + 0..n-1)")

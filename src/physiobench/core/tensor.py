@@ -6,15 +6,13 @@ gradient back to them; ``Tensor.backward()`` replays those closures in
 reverse topological order.  Math is plain numpy.  conv1d, attention, max
 pooling and batchnorm1d split their batch rows into blocks run on one
 thread per CPU (:func:`_over_batch`), and BLAS runs on the calling thread
-alone (importing ``physiobench`` sets ``OPENBLAS_NUM_THREADS=1``; see its
+alone (importing ``physiobench`` sets OpenBLAS to one thread; see its
 docstring).  No bit depends on how rows are cut: each row's work is
 independent of the others and keeps its order, and every sum over rows
 (conv1d's kernel gradient, batchnorm1d's per-channel sums) adds partials
 over a cut fixed by the shapes alone (:func:`_sum_partials`).  So a given
 seed replays bit for bit on any CPU count, for a given numpy and BLAS build
-on a given CPU model.  A caller that imports numpy before ``physiobench``
-keeps its own BLAS thread count, and with it a dependence of the matmul and
-GEMM sums on that count.
+on a given CPU model.
 
 :func:`concat` holds each activation once: it rebinds every recorded input
 (an op's output, not a leaf) to that input's slice of the concatenated

@@ -312,6 +312,8 @@ def generate_synthetic(n_cases: int, samples_per_case: int, task: str, seed: int
         raise ValueError(f"difficulty must be in (0, 1], got {difficulty}")
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must be in (0, 1), got {prevalence}")
+    if seed < 0:
+        raise ValueError(f"generator seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     noise_sigma = 0.02 * (2.0 - difficulty)
@@ -406,6 +408,8 @@ def split_by_case(dataset: SignalDataset, test_fraction: float = 0.20,
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     cases = dataset.case_ids()
     if len(cases) < 2:
         raise ValueError(f"need at least 2 cases to split, got {len(cases)}")

@@ -2,12 +2,10 @@
 
 Runs are deterministic: given the same seed and dataset, loss histories
 repeat bitwise on any CPU count, for a given numpy and BLAS build on a given
-CPU model (see ``physiobench``'s docstring; a caller that imports numpy
-before physiobench keeps its own BLAS thread count, and its BLAS sums then
-depend on that count).  Sweeps therefore reproduce their report CSV
-byte-for-byte; wall-clock timings are kept out of the CSV (a virtual clock
-that advances one second per epoch is the default there) and live in the
-per-run JSON-lines log instead.
+CPU model (see ``physiobench``'s docstring).  Sweeps therefore reproduce
+their report CSV byte-for-byte; wall-clock timings are kept out of the CSV
+(a virtual clock that advances one second per epoch is the default there)
+and live in the per-run JSON-lines log instead.
 """
 
 from __future__ import annotations
@@ -65,6 +63,8 @@ class TrainSpec:
             raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"training seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.time_mode not in ("wall", "virtual"):

@@ -56,6 +56,10 @@ def test_gen_synthetic_usage_errors(tmp_path, capsys):
     assert cli.main(["gen-synthetic", "--task", "detection", "--cases", "1",
                      "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["gen-synthetic", "--task", "cls", "--cases", "1", "--seed", "-3",
+                     "--out", out]) == 2
+    assert capsys.readouterr().err == "error: generator seed must be >= 0, got -3\n"
+    assert not (tmp_path / "x.psd1").exists()
 
 
 def test_preprocess_drops_bad_segments(tmp_path, capsys):
@@ -269,6 +273,17 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("momentum=0.9\n")
     assert cli.main(_train_args(tmp_path / "x", ["--config", str(cfg)])) == 2
     assert "unknown config key 'momentum'" in capsys.readouterr().err
+
+
+def test_train_config_file_that_does_not_decode_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xffepochs=1\n")
+    out = tmp_path / "x"
+    assert cli.main(_train_args(out, ["--config", str(cfg)])) == 2
+    err = capsys.readouterr().err
+    # a UTF-8 locale cannot decode the file; a single-byte one reads a bad key
+    assert err.startswith("error: ") and str(cfg) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -522,12 +537,18 @@ def test_unwritable_out_dir_exits_2_with_one_line(command, tmp_path, capsys, mon
     ["train", "--epochs", "1", "--test-fraction", "0"],
     ["train", "--epochs", "1", "--synth-difficulty", "0"],
     ["sweep", "--seeds", "1", "--synth-prevalence", "1.5"],
+    ["train", "--epochs", "1", "--split-seed", "-1"],
+    ["sweep", "--seeds", "1", "--synth-seed", "-1"],
 ])
 def test_rejected_data_flag_exits_2_and_leaves_no_out_dir(argv, tmp_path, capsys):
     out = tmp_path / "D"
     assert cli.main(argv + ["--synth-cases", "10", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--split-seed" in argv:
+        assert err == "error: split seed must be >= 0, got -1\n"
+    if "--synth-seed" in argv:
+        assert err == "error: generator seed must be >= 0, got -1\n"
     assert not out.exists()   # the data is read and checked before the directory is made
 
 
@@ -546,6 +567,8 @@ def test_sweep_rejects_unknown_matrix(tmp_path):
     ["train", "--epochs", "-1"],
     ["sweep", "--seeds", "1", "--level", "99"],
     ["sweep", "--seeds", "1", "--lr0", "-1"],
+    ["train", "--epochs", "1", "--seed", "-1"],
+    ["sweep", "--seeds", "1", "--base-seed", "-2"],
 ])
 def test_bad_config_or_spec_exits_2_before_any_data_or_directory(argv, tmp_path,
                                                                  capsys, monkeypatch):
@@ -557,4 +580,14 @@ def test_bad_config_or_spec_exits_2_before_any_data_or_directory(argv, tmp_path,
     assert cli.main(argv + ["--synth-cases", "4", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--seed" in argv or "--base-seed" in argv:
+        assert err == f"error: training seed must be >= 0, got {argv[-1]}\n"
     assert not out.exists()
+
+
+def test_sweep_has_no_training_seed_flag(capsys):
+    # a sweep's seeds are --base-seed + 0..n-1
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["sweep", "--seed", "1", "--list-only"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

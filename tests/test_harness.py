@@ -520,11 +520,13 @@ def test_train_wall_clock_is_monotone(cls_bundle):
 
 # One float32 training epoch of ResNet level 2 with SE and with NL at 50%,
 # and of Inception level 2, in a process pinned to the CPUs given as JSON on
-# the command line before numpy loads; prints each run's losses and a digest
-# of its state_dict bytes.
+# the command line before numpy loads, after importing the modules named
+# after them; prints each run's losses and a digest of its state_dict bytes.
 PINNED_EPOCH = """
 import hashlib, json, os, sys
 os.sched_setaffinity(0, json.loads(sys.argv[1]))
+for name in sys.argv[2:]:
+    __import__(name)
 from physiobench import backbones, datapipe as dp, harness as hn
 from physiobench.attention import AttentionKind
 from physiobench.backbones import ModelConfig
@@ -549,22 +551,38 @@ print(json.dumps(runs))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs sched_setaffinity and at least two CPUs")
-def test_training_bits_do_not_depend_on_the_cpu_count():
+def _pinned_epoch(cpus, *first) -> str:
     # physiobench sets the BLAS thread count itself, so the variable is
-    # left out of the children's environment
+    # left out of the child's environment
     src = str(Path(hn.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cpus = sorted(os.sched_getaffinity(0))
-    runs = [json.loads(subprocess.run([sys.executable, "-c", PINNED_EPOCH, json.dumps(pin)],
-                                      capture_output=True, text=True, check=True,
-                                      env=env).stdout)
-            for pin in (cpus[:1], cpus)]
-    assert runs[0] == runs[1]
-    assert all(len(losses) == 1 for losses, _ in runs[0])
+    return subprocess.run([sys.executable, "-c", PINNED_EPOCH, json.dumps(cpus), *first],
+                          capture_output=True, text=True, check=True, env=env).stdout
+
+
+needs_two_cpus = pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                                    or len(os.sched_getaffinity(0)) < 2,
+                                    reason="needs sched_setaffinity and at least two CPUs")
+
+
+@pytest.fixture(scope="module")
+def every_cpu_epoch():
+    return _pinned_epoch(sorted(os.sched_getaffinity(0)))
+
+
+@needs_two_cpus
+def test_training_bits_do_not_depend_on_the_cpu_count(every_cpu_epoch):
+    one_cpu = _pinned_epoch(sorted(os.sched_getaffinity(0))[:1])
+    assert one_cpu == every_cpu_epoch
+    assert all(len(losses) == 1 for losses, _ in json.loads(one_cpu))
+
+
+@needs_two_cpus
+def test_training_bits_do_not_depend_on_the_import_order(every_cpu_epoch):
+    # numpy first loads OpenBLAS with a thread per CPU; physiobench then
+    # sets it to one thread, the configuration of a physiobench-first import
+    assert _pinned_epoch(sorted(os.sched_getaffinity(0)), "numpy") == every_cpu_epoch
 
 
 # ---------------------------------------------------------------------

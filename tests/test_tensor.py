@@ -18,6 +18,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from openblas_threads import loaded_openblas_threads
 from physiobench.core import nn
 from physiobench.core import tensor as T
 from physiobench.core.gradcheck import grad_check
@@ -951,37 +952,22 @@ def test_over_batch_counts_cpus_without_sched_getaffinity(monkeypatch):
 
 
 # Prints OPENBLAS_NUM_THREADS after importing the modules named on the
-# command line in that order, and the thread count the loaded OpenBLAS
-# reports, or None where it cannot be asked.
+# command line in that order, and the thread count each loaded OpenBLAS
+# reports.
 BLAS_THREADS = """
-import ctypes, json, os, sys
+import json, os, sys
 for name in sys.argv[1:]:
     __import__(name)
-
-
-def reported():
-    if not os.path.exists("/proc/self/maps"):
-        return None
-    with open("/proc/self/maps") as maps:
-        libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    for path in sorted(libs):
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
-            threads = getattr(ctypes.CDLL(path), sym, None)
-            if threads is not None:
-                threads.argtypes, threads.restype = (), ctypes.c_int
-                return threads()
-    return None
-
-
-print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), reported()]))
+from openblas_threads import loaded_openblas_threads
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), loaded_openblas_threads()]))
 """
 
 
 def _blas_threads(preset, order=("physiobench", "numpy")):
     src = str(Path(T.__file__).resolve().parents[2])
+    tests = str(Path(__file__).resolve().parent)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     run = subprocess.run([sys.executable, "-c", BLAS_THREADS, *order], capture_output=True,
@@ -994,18 +980,31 @@ def test_import_sets_one_blas_thread_unless_set(preset, want):
     assert _blas_threads(preset)[0] == want
 
 
-@pytest.mark.parametrize("preset,want", [(None, None), ("2", "2")])
-def test_import_after_numpy_leaves_the_blas_thread_count_alone(preset, want):
-    # OpenBLAS has read its environment already: a variable set now would
-    # claim a thread count the process and its children do not have
-    assert _blas_threads(preset, ("numpy", "physiobench"))[0] == want
+@pytest.mark.parametrize("preset,want", [(None, 1), ("2", 2)])
+def test_import_after_numpy_sets_the_loaded_openblas_unless_set(preset, want):
+    # numpy's OpenBLAS has read its environment already: physiobench sets
+    # the loaded library through its runtime setter instead
+    env, threads = _blas_threads(preset, ("numpy", "physiobench"))
+    assert env == str(want)
+    if not threads:
+        pytest.skip("no loaded OpenBLAS reports its thread count")
+    assert set(threads) == {want}
 
 
 def test_loaded_openblas_runs_one_thread():
-    read = _blas_threads(None)[1]
-    if read is None:
+    threads = _blas_threads(None)[1]
+    if not threads:
         pytest.skip("no loaded OpenBLAS reports its thread count")
-    assert read == 1
+    assert set(threads) == {1}
+
+
+def test_this_process_runs_the_blas_threads_its_environment_names():
+    # conftest imports numpy before physiobench, so this guards the suite
+    # against running a configuration the CLI never runs
+    threads = loaded_openblas_threads()
+    if not threads:
+        pytest.skip("no loaded OpenBLAS reports its thread count")
+    assert set(threads) == {int(os.environ["OPENBLAS_NUM_THREADS"])}
 
 
 # Three rounds of eight 16 MiB arrays, made and freed, in a fresh process
