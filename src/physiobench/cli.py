@@ -30,29 +30,62 @@ from .core import tensor as T
 TASK_ALIASES = {"cls": "classification", "classification": "classification",
                 "reg": "regression", "regression": "regression"}
 
-# config-file keys accepted by train/sweep: (type, documented default); a
-# key's flag and its config-file line both parse the value with that type
-CONFIG_KEYS = {
-    "family": (str, "resnet"), "level": (int, None),
-    "attention": (str, "none"), "fraction": (int, 0),
-    "msa_d_model": (int, 32), "msa_heads": (int, 4), "msa_ff": (int, 128),
-    "msa_layers": (int, 2),
-    "dataset": (str, None), "task": (str, None),
-    "synth_cases": (int, 0), "synth_samples_per_case": (int, 8),
-    "synth_seed": (int, 0), "synth_difficulty": (float, 1.0),
-    "synth_prevalence": (float, 0.05),
-    "test_fraction": (float, 0.2), "split_seed": (int, 0),
-    "epochs": (int, 20), "seed": (int, 0), "batch_size": (int, 128),
-    "lr0": (float, 1e-3), "time_mode": (str, "virtual"),
-    "dtype": (str, "float32"),
-    "matrix": (str, "paper13"), "seeds": (int, 5), "base_seed": (int, 0),
-    "out_dir": (str, "physiobench-out"), "workers": (int, 1),
-}
-
-
 # why sweep --workers accepts only 1
 ONE_PROCESS = ("a sweep runs in one process, whose per-CPU batch-block threads "
                "already use every CPU")
+
+
+_FRACTION_LIST = "/".join(map(str, FRACTIONS))
+
+# every setting of train, evaluate and sweep: key -> (type, documented
+# default, help).  Its flag is --key with "-" for "_"; the flag and a
+# config-file line both parse the value with that type.
+SETTINGS = {
+    "dataset": (str, None, "PSD1 dataset file"),
+    "task": (str, None, "expected task (classification/cls, regression/reg)"),
+    "synth_cases": (int, 0, "generate synthetic data with this many cases"),
+    "synth_samples_per_case": (int, 8, "segments per synthetic case"),
+    "synth_seed": (int, 0, "synthetic data seed"),
+    "synth_difficulty": (float, 1.0, "planted-feature difficulty"),
+    "synth_prevalence": (float, 0.05, "synthetic positive prevalence"),
+    "dtype": (str, "float32", "float32 or float64 math"),
+    "test_fraction": (float, 0.2, "case fraction held out for test"),
+    "split_seed": (int, 0, "case-split seed"),
+    "out_dir": (str, "physiobench-out", "directory for report artifacts"),
+    "family": (str, "resnet", "backbone family (vgg/resnet/inception/msa_only)"),
+    "level": (int, None, "backbone truncation level (sweep: --matrix paper13 only)"),
+    "attention": (str, "none", "attention kind (none/se/nl/cbam/msa)"),
+    "fraction": (int, 0, f"attention fraction percent ({_FRACTION_LIST})"),
+    "msa_d_model": (int, 32, "MSA token width (sweep: --matrix paper13 only)"),
+    "msa_heads": (int, 4, "MSA head count (sweep: --matrix paper13 only)"),
+    "msa_ff": (int, 128, "MSA feed-forward width (sweep: --matrix paper13 only)"),
+    "msa_layers": (int, 2, "MSA encoder depth (sweep: --matrix paper13 only)"),
+    "epochs": (int, 20, "training epochs"),
+    "batch_size": (int, 128, "mini-batch size"),
+    "lr0": (float, 1e-3, "initial learning rate"),
+    "time_mode": (str, "virtual", "virtual (1 s/epoch, reproducible) or wall"),
+    "seed": (int, 0, "training seed"),
+    "matrix": (str, "paper13", "paper13 or msa-grid"),
+    "seeds": (int, 5, "seeds per config (base_seed + 0..n-1)"),
+    "base_seed": (int, 0, "first seed"),
+    "workers": (int, 1, f"only 1 is accepted: {ONE_PROCESS}"),
+}
+
+# the settings each subcommand reads: its flags, and the keys its --config
+# file may hold
+_DATA = ("dataset", "task", "synth_cases", "synth_samples_per_case",
+         "synth_seed", "synth_difficulty", "synth_prevalence", "dtype")
+TAKES = {
+    "train": _DATA + ("test_fraction", "split_seed", "out_dir",
+                      "family", "level", "attention", "fraction",
+                      "msa_d_model", "msa_heads", "msa_ff", "msa_layers",
+                      "epochs", "batch_size", "lr0", "time_mode", "seed"),
+    "evaluate": _DATA,
+    "sweep": ("matrix", "seeds", "base_seed", "workers") + _DATA
+             + ("test_fraction", "split_seed", "out_dir",
+                "level", "msa_d_model", "msa_heads", "msa_ff", "msa_layers",
+                "epochs", "batch_size", "lr0", "time_mode"),
+}
 
 
 class CliError(Exception):
@@ -63,8 +96,9 @@ class CliError(Exception):
 # config files
 # ---------------------------------------------------------------------
 
-def load_config(path: str) -> dict:
-    """Parse a flat key=value file; unknown keys are rejected."""
+def load_config(path: str, keys: tuple[str, ...]) -> dict:
+    """Parse a flat key=value file whose keys are among the settings
+    ``keys``; any other key is rejected."""
     values: dict = {}
     try:
         text = Path(path).read_text()
@@ -78,38 +112,40 @@ def load_config(path: str) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key][0](value)
+            values[key] = SETTINGS[key][0](value)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flags the user left unset from --config, then from defaults."""
-    file_values = load_config(args.config) if getattr(args, "config", None) else {}
-    for key, (_, default) in CONFIG_KEYS.items():
-        if not hasattr(args, key):
-            continue
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill the settings the user left unset from --config, then from defaults."""
+    keys = TAKES[args.command]
+    file_values = load_config(args.config, keys) if args.config is not None else {}
+    for key in keys:
         if getattr(args, key) is None:
-            setattr(args, key, file_values.get(key, default))
-    return args
+            setattr(args, key, file_values.get(key, SETTINGS[key][1]))
 
 
-def _opt(parser, flag, key, help_text, choices=None):
-    typ, default = CONFIG_KEYS[key]
-    parser.add_argument(flag, dest=key, type=typ, default=None, choices=choices,
-                        help=f"{help_text} [config key: {key}, default: {default}]")
+def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument("--config", help="key=value config file (flags override)")
+    for key in TAKES[command]:
+        typ, default, help_text = SETTINGS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=typ, default=None,
+                       choices=FRACTIONS if key == "fraction" else None,
+                       help=f"{help_text} [config key: {key}, default: {default}]")
 
 
 # ---------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------
 
-def _resolve_task(value: str) -> str:
-    task = TASK_ALIASES.get(value)
+def _resolve_task(value: str | None) -> str:
+    """The task a --task value names; None, no --task, is classification."""
+    task = TASK_ALIASES.get("cls" if value is None else value)
     if task is None:
         raise CliError(f"unknown task {value!r} (use classification/cls or regression/reg)")
     return task
@@ -134,14 +170,17 @@ def _train_spec(args, cfg: ModelConfig) -> hz.TrainSpec:
 
 
 def _load_or_generate(args) -> dp.SignalDataset:
-    if args.dataset:
+    if args.dataset is not None:
         try:
             data = Path(args.dataset).read_bytes()
         except OSError as exc:
             raise CliError(f"cannot read dataset {args.dataset}: {exc}")
-        return dp.decode_dataset(data)
-    if args.synth_cases and args.synth_cases > 0:
-        task = _resolve_task(args.task or "classification")
+        ds = dp.decode_dataset(data)
+        if args.task is not None and _resolve_task(args.task) != ds.task:
+            raise CliError(f"--task {args.task} does not match dataset task {ds.task}")
+        return ds
+    if args.synth_cases > 0:
+        task = _resolve_task(args.task)
         return dp.generate_synthetic(
             n_cases=args.synth_cases, samples_per_case=args.synth_samples_per_case,
             task=task, seed=args.synth_seed, difficulty=args.synth_difficulty,
@@ -289,14 +328,14 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_select_level(args) -> int:
-    if args.counts:
+    if args.counts is not None:
         try:
             counts = [int(c) for c in args.counts.split(",")]
         except ValueError:
             raise CliError(f"--counts must be comma-separated integers: {args.counts!r}")
         default = args.default if args.default is not None else counts[-1]
         table = LevelTable("custom", tuple(counts), default)
-    elif args.family:
+    elif args.family is not None:
         table = _planning_table(args.family, args.table)
     else:
         raise CliError("pass --family or --counts")
@@ -338,10 +377,8 @@ def cmd_train(args) -> int:
     _merge_config(args)
     _set_dtype(args.dtype)
     # the config and spec are checked before any directory or data is touched
-    _train_spec(args, _model_config(args, _resolve_task(args.task or "cls")))
+    _train_spec(args, _model_config(args, _resolve_task(args.task)))
     bundle, task = _bundle(args)
-    if args.task and _resolve_task(args.task) != task:
-        raise CliError(f"--task {args.task} does not match dataset task {task}")
     out_dir = _make_out_dir(args.out_dir)
     cfg = _model_config(args, task)
     spec = _train_spec(args, cfg)
@@ -409,7 +446,7 @@ def _sweep_entries(args, task: str, wanted: set[str] | None) -> list[hz.SweepEnt
             hz.paper13_matrix(task=task, levels=levels, msa=msa))
     else:
         entries = hz.msa_grid_entries(task=task)
-    if wanted:
+    if wanted is not None:
         entries = [e for e in entries if e.family in wanted]
     if args.max_entries is not None:
         entries = entries[:args.max_entries]
@@ -426,14 +463,14 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--workers must be 1, got {args.workers}: {ONE_PROCESS}")
     if args.matrix not in ("paper13", "msa-grid"):
         raise CliError(f"--matrix must be paper13 or msa-grid, got {args.matrix!r}")
-    wanted = set(args.families.split(",")) if args.families else None
+    wanted = set(args.families.split(",")) if args.families is not None else None
     known = set(CNN_FAMILIES) | {"msa_only"}
-    if wanted and not wanted <= known:
+    if wanted is not None and not wanted <= known:
         raise CliError(f"unknown families: {sorted(wanted - known)}")
     _set_dtype(args.dtype)
     # the matrix and one spec are checked before any directory or data is
     # touched; the entries are built again for the data's own task
-    entries = _sweep_entries(args, _resolve_task(args.task or "cls"), wanted)
+    entries = _sweep_entries(args, _resolve_task(args.task), wanted)
     hz.TrainSpec("bce", "adam", epochs=args.epochs, seed=args.base_seed,
                  lr0=args.lr0, batch_size=args.batch_size, time_mode=args.time_mode)
     if args.list_only:  # listing needs no data
@@ -462,42 +499,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------
-
-_FRACTION_LIST = "/".join(map(str, FRACTIONS))
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--dataset", "dataset", "PSD1 dataset file")
-    _opt(p, "--task", "task", "expected task (classification/cls, regression/reg)")
-    _opt(p, "--synth-cases", "synth_cases", "generate synthetic data with this many cases")
-    _opt(p, "--synth-samples-per-case", "synth_samples_per_case", "segments per synthetic case")
-    _opt(p, "--synth-seed", "synth_seed", "synthetic data seed")
-    _opt(p, "--synth-difficulty", "synth_difficulty", "planted-feature difficulty")
-    _opt(p, "--synth-prevalence", "synth_prevalence", "synthetic positive prevalence")
-    _opt(p, "--test-fraction", "test_fraction", "case fraction held out for test")
-    _opt(p, "--split-seed", "split_seed", "case-split seed")
-    _opt(p, "--dtype", "dtype", "float32 or float64 math")
-    _opt(p, "--out-dir", "out_dir", "directory for report artifacts")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--family", "family", "backbone family (vgg/resnet/inception/msa_only)")
-    _opt(p, "--level", "level", "backbone truncation level")
-    _opt(p, "--attention", "attention", "attention kind (none/se/nl/cbam/msa)")
-    _opt(p, "--fraction", "fraction", f"attention fraction percent ({_FRACTION_LIST})",
-         choices=FRACTIONS)
-    _opt(p, "--msa-d-model", "msa_d_model", "MSA token width")
-    _opt(p, "--msa-heads", "msa_heads", "MSA head count")
-    _opt(p, "--msa-ff", "msa_ff", "MSA feed-forward width")
-    _opt(p, "--msa-layers", "msa_layers", "MSA encoder depth")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _opt(p, "--epochs", "epochs", "training epochs")
-    _opt(p, "--batch-size", "batch_size", "mini-batch size")
-    _opt(p, "--lr0", "lr0", "initial learning rate")
-    _opt(p, "--time-mode", "time_mode", "virtual (1 s/epoch, reproducible) or wall")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -542,30 +543,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select_level)
 
     p = sub.add_parser("train", help="train one model; writes history.jsonl, run.json, weights.npz")
-    p.add_argument("--config", help="key=value config file (flags override)")
-    _add_data_flags(p); _add_model_flags(p); _add_train_flags(p)
-    _opt(p, "--seed", "seed", "training seed")
+    _add_settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score saved weights on a whole dataset file")
-    p.add_argument("--config", help="key=value config file (flags override)")
     p.add_argument("--weights", required=True, help="weights.npz from train")
-    _add_data_flags(p)
+    _add_settings(p, "evaluate")
     p.set_defaults(func=cmd_evaluate)
 
     # no abbreviations: --seed, a train flag, would otherwise read as --seeds
     p = sub.add_parser("sweep", help="train a config matrix; writes report.csv + runs.jsonl",
                        allow_abbrev=False)
-    p.add_argument("--config", help="key=value config file (flags override)")
-    _opt(p, "--matrix", "matrix", "paper13 or msa-grid")
-    _opt(p, "--seeds", "seeds", "seeds per config (base_seed + 0..n-1)")
-    _opt(p, "--base-seed", "base_seed", "first seed")
-    _opt(p, "--workers", "workers", f"only 1 is accepted: {ONE_PROCESS}")
+    _add_settings(p, "sweep")
     p.add_argument("--max-entries", type=int, help="truncate the matrix (smoke tests)")
     p.add_argument("--families", help="comma-separated family filter, e.g. resnet,msa_only")
     p.add_argument("--list-only", action="store_true",
                    help="print the matrix entries without training")
-    _add_data_flags(p); _add_model_flags(p); _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
 

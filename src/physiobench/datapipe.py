@@ -189,11 +189,12 @@ def label_hypotension(trace: MapTrace, segment_end: float) -> int:
     contiguous seconds somewhere inside the 5 minutes after ``segment_end``.
 
     The trace must reach the whole horizon: first timestamp at or before
-    ``segment_end``, last at or after ``segment_end + 300``.
+    ``segment_end``, last at or after ``segment_end + 300``; a NaN
+    ``segment_end`` is covered by no trace.
     """
     ts, vals = trace.timestamps, trace.map_values
     start, end = float(segment_end), float(segment_end) + HORIZON_SECONDS
-    if ts[0] > start or ts[-1] < end:
+    if not (ts[0] <= start and end <= ts[-1]):
         raise ValueError(
             f"trace [{ts[0]}, {ts[-1]}] does not cover horizon [{start}, {end}]")
     run = 0.0

@@ -198,9 +198,14 @@ def test_select_level_family(capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
-def test_select_level_usage_errors():
+def test_select_level_usage_errors(capsys):
     assert cli.main(["select-level"]) == 2
     assert cli.main(["select-level", "--counts", "10,oops"]) == 2
+    capsys.readouterr()
+    # an empty value is given, not missing
+    assert cli.main(["select-level", "--counts", ""]) == 2
+    assert capsys.readouterr().err == (
+        "error: --counts must be comma-separated integers: ''\n")
 
 
 @pytest.mark.parametrize("argv", [["--counts", "5,7,9", "--default", "0"],
@@ -244,14 +249,21 @@ def test_train_reruns_identically(trained, tmp_path):
         assert (again / name).read_bytes() == (trained / name).read_bytes()
 
 
-def test_train_task_mismatch_exits_2(tmp_path):
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_task_that_does_not_match_the_dataset_exits_2(command, trained, tmp_path,
+                                                      capsys):
     data = tmp_path / "cls.psd1"
     assert cli.main(["gen-synthetic", "--task", "cls", "--cases", "4",
                      "--out", str(data)]) == 0
-    args = (["train"] + TINY_MSA_FLAGS
-            + ["--dataset", str(data), "--task", "reg", "--epochs", "1",
-               "--out-dir", str(tmp_path / "x")])
-    assert cli.main(args) == 2
+    capsys.readouterr()
+    out = tmp_path / "x"
+    args = {"train": _train_args(out, ["--epochs", "1"]),
+            "evaluate": ["evaluate", "--weights", str(trained / "weights.npz")],
+            "sweep": _sweep_args(out, ["--seeds", "1"])}[command]
+    assert cli.main(args + ["--dataset", str(data), "--task", "reg"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --task reg does not match dataset task classification\n")
+    assert not out.exists()
 
 
 def test_train_config_file_and_flag_precedence(tmp_path):
@@ -266,6 +278,86 @@ def test_train_config_file_and_flag_precedence(tmp_path):
         "--config", str(cfg)]
     assert cli.main(args) == 0
     assert len((tmp_path / "cfg-only" / "history.jsonl").read_text().splitlines()) == 1
+
+
+def _head(command):
+    """The shortest argv that ``command``'s parser accepts."""
+    return [command, "--weights", "w.npz"] if command == "evaluate" else [command]
+
+
+def _sample(key):
+    """A value of setting ``key`` that its flag accepts."""
+    if key == "fraction":
+        return "50"
+    return {str: "abc", int: "3", float: "0.25"}[cli.SETTINGS[key][0]]
+
+
+def _has_flag(command, key, capsys):
+    """Whether ``command`` takes the flag of setting ``key``."""
+    try:
+        cli.build_parser().parse_args(
+            _head(command) + ["--" + key.replace("_", "-"), _sample(key)])
+    except SystemExit as exit_:   # a usage error
+        assert exit_.code == 2
+        capsys.readouterr()
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(cli.SETTINGS))
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_config_key_loads_exactly_where_its_subcommand_has_the_flag(
+        command, key, tmp_path, capsys, monkeypatch):
+    typ, value = cli.SETTINGS[key][0], _sample(key)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# {command}\n{key}={value}\n")
+    if _has_flag(command, key, capsys):
+        args = cli.build_parser().parse_args(_head(command) + ["--config", str(cfg)])
+        cli._merge_config(args)
+        assert getattr(args, key) == typ(value)
+        return
+
+    def no_data(args):
+        raise AssertionError("read the data before checking the config")
+
+    monkeypatch.setattr(cli, "_load_or_generate", no_data)
+    out = tmp_path / "D"
+    argv = _head(command) + ["--config", str(cfg), "--synth-cases", "4"]
+    if command != "evaluate":
+        argv += ["--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
+def test_each_subcommand_takes_exactly_the_settings_it_reads(capsys):
+    # evaluate scores the whole dataset and writes no files, so it has no
+    # --test-fraction, --split-seed or --out-dir; a sweep's cells come from
+    # --matrix and --families (no --family, --attention or --fraction), and
+    # its seeds from --base-seed
+    takes = {command: {key for key in cli.SETTINGS if _has_flag(command, key, capsys)}
+             for command in ("train", "evaluate", "sweep")}
+    data = {"dataset", "task", "synth_cases", "synth_samples_per_case", "synth_seed",
+            "synth_difficulty", "synth_prevalence", "dtype"}
+    assert takes["evaluate"] == data
+    assert set(cli.SETTINGS) - takes["train"] == {"matrix", "seeds", "base_seed",
+                                                  "workers"}
+    assert set(cli.SETTINGS) - takes["sweep"] == {"family", "attention", "fraction",
+                                                  "seed"}
+
+
+@pytest.mark.parametrize("command,text,where", [
+    ("sweep", "seed=5\n", "1: unknown config key 'seed'"),   # seeds come from base_seed
+    ("train", "epochs=1\nseeds=9\nbase_seed=4\n", "2: unknown config key 'seeds'"),
+])
+def test_config_key_of_another_subcommand_exits_2(command, text, where, tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "D"
+    argv = _train_args(out) if command == "train" else _sweep_args(out, ["--list-only"])
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{where}\n"
+    assert not out.exists()
 
 
 def test_train_rejects_unknown_config_key(tmp_path, capsys):
@@ -347,6 +439,22 @@ def test_evaluate_trained_weights(trained, capsys):
     assert first["n"] == 20 and 0.0 <= first["auroc"] <= 1.0
     assert cli.main(args) == 0
     assert json.loads(capsys.readouterr().out) == first
+
+
+def test_train_and_evaluate_a_regression_model(tmp_path, capsys):
+    out = tmp_path / "reg"
+    args = (["train"] + TINY_MSA_FLAGS + TINY_DATA_FLAGS
+            + ["--task", "reg", "--epochs", "1", "--out-dir", str(out)])
+    assert cli.main(args) == 0
+    summary = json.loads((out / "run.json").read_text())
+    assert summary["task"] == "regression" and summary["metric_name"] == "mape"
+    assert summary["loss"] == "rmse" and summary["optimizer"] == "adam"
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--weights", str(out / "weights.npz")]
+                    + TINY_DATA_FLAGS + ["--task", "reg"]) == 0
+    scores = json.loads(capsys.readouterr().out)
+    assert sorted(scores) == ["mape", "n"] and scores["n"] == 20
+    assert np.isfinite(scores["mape"]) and scores["mape"] >= 0.0
 
 
 def test_evaluate_task_mismatch_exits_2(trained):
@@ -443,8 +551,20 @@ def test_sweep_family_filter(capsys):
                      "--families", "msa_only"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1] == "total: 1" and lines[0].startswith("msa_only,msa")
+    capsys.readouterr()
+    for families, unknown in [("densenet", "['densenet']"), ("", "['']"),
+                              ("resnet,", "['']")]:
+        assert cli.main(["sweep", "--matrix", "paper13", "--list-only",
+                         "--families", families]) == 2
+        assert capsys.readouterr().err == f"error: unknown families: {unknown}\n"
+
+
+def test_sweep_max_entries_truncates_the_matrix(capsys):
     assert cli.main(["sweep", "--matrix", "paper13", "--list-only",
-                     "--families", "densenet"]) == 2
+                     "--max-entries", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 4 and lines[-1] == "total: 3"
+    assert all(l.endswith(",ok") for l in lines[:3])
 
 
 def test_sweep_help_prints_the_workers_default(capsys):
@@ -455,7 +575,7 @@ def test_sweep_help_prints_the_workers_default(capsys):
 
 def _sweep_args(out_dir, extra=()):
     return (["sweep", "--matrix", "paper13", "--families", "msa_only"]
-            + TINY_MSA_FLAGS[2:]  # family is fixed by the filter
+            + TINY_MSA_FLAGS[4:]  # the filter fixes family and attention
             + TINY_DATA_FLAGS
             + ["--epochs", "1", "--seeds", "2", "--out-dir", str(out_dir)]
             + list(extra))

@@ -140,6 +140,14 @@ def test_hypotension_requires_horizon_coverage():
         dp.label_hypotension(dp.MapTrace([0.0, 299.0], [60.0, 60.0]), 0.0)
 
 
+@pytest.mark.parametrize("segment_end", [np.nan, np.inf, -np.inf])
+def test_hypotension_rejects_a_segment_end_that_is_not_finite(segment_end):
+    # a NaN end once passed the coverage check and labelled the whole trace
+    trace = dp.MapTrace([0.0, 100.0, 200.0, 1000.0], [80.0, 60.0, 60.0, 80.0])
+    with pytest.raises(ValueError, match="does not cover horizon"):
+        dp.label_hypotension(trace, segment_end)
+
+
 def test_map_trace_validation():
     with pytest.raises(ValueError):
         dp.MapTrace([0.0, 0.0], [60.0, 60.0])
