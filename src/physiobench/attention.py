@@ -79,10 +79,6 @@ class MsaConfig:
             raise ValueError(
                 f"d_model={self.d_model} is not divisible by n_heads={self.n_heads}")
 
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.n_heads
-
 
 def msa_grid() -> list[tuple[int, int, int, int]]:
     """All (d_model, n_heads, d_ff, n_layers) grid cells, 3*4*3*3 = 108.

@@ -30,6 +30,7 @@ published counts used as planner inputs live in :data:`PUBLISHED_TABLES`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
@@ -245,9 +246,10 @@ def vgg_out_length(level: int) -> int:
     return out
 
 
-def _backbone(family: str, level: int,
+def _backbone(family: str, level: int | None,
               rng) -> tuple[nn.Module | None, list[nn.Module]]:
-    """The stem (None for VGG) and the first ``level`` blocks of a CNN."""
+    """The stem (None for VGG) and the first ``level`` blocks of a CNN;
+    every block of the family when ``level`` is None."""
     blocks: list[nn.Module] = []
     if family == "vgg":
         stem = None
@@ -371,12 +373,6 @@ def attention_param_count(kind: AttentionKind, channels: int) -> int:
     return make_attention(np.random.default_rng(0), kind, channels).num_params()
 
 
-def feature_param_count(family: str, level: int) -> int:
-    """Backbone-only (attention-free, headless) trainable parameter count."""
-    stem, blocks = _backbone(family, level, np.random.default_rng(0))
-    return sum(m.num_params() for m in blocks + [stem] if m is not None)
-
-
 # ---------------------------------------------------------------------
 # level planning
 # ---------------------------------------------------------------------
@@ -443,10 +439,13 @@ PUBLISHED_TABLES = MappingProxyType({
 
 
 def computed_level_table(family: str) -> LevelTable:
-    """Level table from this package's own feature extractors: built
-    backbone counts without head or attention, as in the published tables."""
+    """Level table from this package's own feature extractor, built once
+    with every module and without head or attention, as in the published
+    tables: level l counts the stem and the first l modules, and the full
+    size counts all of them (Inception's ninth module lies past level 8)."""
     if family not in CNN_FAMILIES:
         raise ValueError(f"level tables exist for CNN families only, got {family!r}")
-    counts = tuple(feature_param_count(family, level)
-                   for level in range(1, MAX_LEVEL[family] + 1))
-    return LevelTable(family, counts, counts[-1])
+    stem, blocks = _backbone(family, None, np.random.default_rng(0))
+    sums = tuple(accumulate((b.num_params() for b in blocks),
+                            initial=0 if stem is None else stem.num_params()))
+    return LevelTable(family, sums[1:MAX_LEVEL[family] + 1], sums[-1])

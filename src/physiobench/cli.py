@@ -53,7 +53,8 @@ SETTINGS = {
     "split_seed": (int, 0, "case-split seed"),
     "out_dir": (str, "physiobench-out", "directory for report artifacts"),
     "family": (str, "resnet", "backbone family (vgg/resnet/inception/msa_only)"),
-    "level": (int, None, "backbone truncation level (sweep: --matrix paper13 only)"),
+    "level": (int, None, "backbone truncation level (sweep: --matrix paper13's "
+                         "kept CNN families)"),
     "attention": (str, "none", "attention kind (none/se/nl/cbam/msa)"),
     "fraction": (int, 0, f"attention fraction percent ({_FRACTION_LIST})"),
     "msa_d_model": (int, 32, "MSA token width (sweep: --matrix paper13 only)"),
@@ -75,15 +76,14 @@ SETTINGS = {
 # file may hold
 _DATA = ("dataset", "task", "synth_cases", "synth_samples_per_case",
          "synth_seed", "synth_difficulty", "synth_prevalence", "dtype")
+_MSA = ("msa_d_model", "msa_heads", "msa_ff", "msa_layers")
 TAKES = {
     "train": _DATA + ("test_fraction", "split_seed", "out_dir",
-                      "family", "level", "attention", "fraction",
-                      "msa_d_model", "msa_heads", "msa_ff", "msa_layers",
+                      "family", "level", "attention", "fraction", *_MSA,
                       "epochs", "batch_size", "lr0", "time_mode", "seed"),
     "evaluate": _DATA,
     "sweep": ("matrix", "seeds", "base_seed", "workers") + _DATA
-             + ("test_fraction", "split_seed", "out_dir",
-                "level", "msa_d_model", "msa_heads", "msa_ff", "msa_layers",
+             + ("test_fraction", "split_seed", "out_dir", "level", *_MSA,
                 "epochs", "batch_size", "lr0", "time_mode"),
 }
 
@@ -98,8 +98,9 @@ class CliError(Exception):
 
 def load_config(path: str, keys: tuple[str, ...]) -> dict:
     """Parse a flat key=value file whose keys are among the settings
-    ``keys``; any other key is rejected."""
+    ``keys``; any other key, or a key given twice, is rejected."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -114,6 +115,10 @@ def load_config(path: str, keys: tuple[str, ...]) -> dict:
         key, value = key.strip(), value.strip()
         if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise CliError(f"{path}:{lineno}: config key {key!r} is already set "
+                           f"on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = SETTINGS[key][0](value)
         except ValueError:
@@ -121,13 +126,25 @@ def load_config(path: str, keys: tuple[str, ...]) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill the settings the user left unset from --config, then from defaults."""
+def _merge_config(args: argparse.Namespace) -> set[str]:
+    """Fill the settings the user left unset from --config, then from
+    defaults; return the settings that a flag or the config file gave."""
     keys = TAKES[args.command]
     file_values = load_config(args.config, keys) if args.config is not None else {}
+    given = set(file_values)
     for key in keys:
         if getattr(args, key) is None:
             setattr(args, key, file_values.get(key, SETTINGS[key][1]))
+        else:
+            given.add(key)
+    return given
+
+
+def _reject_unread(given: set[str], keys: tuple[str, ...], why: str) -> None:
+    """Exit 2 naming the first of ``keys`` given although no run reads it."""
+    for key in keys:
+        if key in given:
+            raise CliError(f"--{key.replace('_', '-')} is not read {why}")
 
 
 def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
@@ -374,10 +391,12 @@ def _load_weights(path: Path):
 
 
 def cmd_train(args) -> int:
-    _merge_config(args)
+    given = _merge_config(args)
     _set_dtype(args.dtype)
     # the config and spec are checked before any directory or data is touched
     _train_spec(args, _model_config(args, _resolve_task(args.task)))
+    if args.family != "msa_only":
+        _reject_unread(given, _MSA, f"by family {args.family}")
     bundle, task = _bundle(args)
     out_dir = _make_out_dir(args.out_dir)
     cfg = _model_config(args, task)
@@ -435,26 +454,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_entries(args, task: str, wanted: set[str] | None) -> list[hz.SweepEntry]:
+def _sweep_entries(args, task: str, kept: set[str]) -> list[hz.SweepEntry]:
     if args.matrix == "paper13":
         levels = None
-        if args.level is not None:
-            levels = {f: args.level for f in CNN_FAMILIES}
+        if args.level is not None:   # the kept CNN families' level
+            levels = {f: args.level for f in CNN_FAMILIES if f in kept}
         msa = MsaConfig(args.msa_d_model, args.msa_heads, args.msa_ff,
                         args.msa_layers)
         entries = hz.entries_from_configs(
             hz.paper13_matrix(task=task, levels=levels, msa=msa))
     else:
         entries = hz.msa_grid_entries(task=task)
-    if wanted is not None:
-        entries = [e for e in entries if e.family in wanted]
+    entries = [e for e in entries if e.family in kept]
     if args.max_entries is not None:
         entries = entries[:args.max_entries]
     return entries
 
 
 def cmd_sweep(args) -> int:
-    _merge_config(args)
+    given = _merge_config(args)
     if args.seeds < 1:
         raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     if args.max_entries is not None and args.max_entries < 1:
@@ -463,14 +481,21 @@ def cmd_sweep(args) -> int:
         raise CliError(f"--workers must be 1, got {args.workers}: {ONE_PROCESS}")
     if args.matrix not in ("paper13", "msa-grid"):
         raise CliError(f"--matrix must be paper13 or msa-grid, got {args.matrix!r}")
-    wanted = set(args.families.split(",")) if args.families is not None else None
     known = set(CNN_FAMILIES) | {"msa_only"}
-    if wanted is not None and not wanted <= known:
-        raise CliError(f"unknown families: {sorted(wanted - known)}")
+    kept = set(args.families.split(",")) if args.families is not None else known
+    if not kept <= known:
+        raise CliError(f"unknown families: {sorted(kept - known)}")
+    if args.matrix == "msa-grid":
+        _reject_unread(given, ("level",) + _MSA,
+                       "by --matrix msa-grid, which fixes its own cells")
+    if kept.isdisjoint(CNN_FAMILIES):
+        _reject_unread(given, ("level",), "when --families keeps no CNN family")
+    if "msa_only" not in kept:
+        _reject_unread(given, _MSA, "when --families drops msa_only")
     _set_dtype(args.dtype)
     # the matrix and one spec are checked before any directory or data is
     # touched; the entries are built again for the data's own task
-    entries = _sweep_entries(args, _resolve_task(args.task), wanted)
+    entries = _sweep_entries(args, _resolve_task(args.task), kept)
     hz.TrainSpec("bce", "adam", epochs=args.epochs, seed=args.base_seed,
                  lr0=args.lr0, batch_size=args.batch_size, time_mode=args.time_mode)
     if args.list_only:  # listing needs no data
@@ -483,7 +508,7 @@ def cmd_sweep(args) -> int:
 
     bundle, task = _bundle(args)
     out_dir = _make_out_dir(args.out_dir)
-    entries = _sweep_entries(args, task, wanted)
+    entries = _sweep_entries(args, task, kept)
     seeds = [args.base_seed + i for i in range(args.seeds)]
     report = hz.run_sweep(entries, bundle, epochs=args.epochs, seeds=seeds,
                           time_mode=args.time_mode, lr0=args.lr0,

@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -494,7 +494,6 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    task: str
     metric_name: str
     rows: list[SweepRow]
 
@@ -518,7 +517,7 @@ def run_sweep(entries: list[SweepEntry], bundle: ArrayBundle, epochs: int,
                                         batch_size=batch_size)
             runs.append(train(build_model(e.config, rng=seed), bundle, spec))
         rows.append(SweepRow(e, len(seeds), runs))
-    return SweepReport(bundle.task, task_metric(bundle.task)[0], rows)
+    return SweepReport(task_metric(bundle.task)[0], rows)
 
 
 def report_to_csv(report: SweepReport) -> str:
@@ -538,7 +537,8 @@ def report_to_csv(report: SweepReport) -> str:
 
 
 def report_to_jsonl(report: SweepReport) -> str:
-    """Per-run histories, one JSON object per line (includes wall-clock)."""
+    """One JSON object per run: the row's keys and every RunResult field
+    (wall-clock included); an invalid row gets one line with its error."""
     lines = []
     for row in report.rows:
         e = row.entry
@@ -549,14 +549,5 @@ def report_to_jsonl(report: SweepReport) -> str:
             lines.append(json.dumps({**base, "error": e.error}, sort_keys=True))
             continue
         for run in row.runs:
-            lines.append(json.dumps({
-                **base, "seed": run.seed, "epochs_run": run.epochs_run,
-                "losses": run.losses, "metrics": run.metrics,
-                "epoch_seconds": run.epoch_seconds,
-                "final_metric": run.final_metric,
-                "convergence_s": run.convergence_s, "aborted": run.aborted,
-                "abort_reason": run.abort_reason,
-                "wall_seconds": run.wall_seconds,
-                "test_prevalence": run.test_prevalence,
-            }, sort_keys=True))
+            lines.append(json.dumps({**base, **asdict(run)}, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")

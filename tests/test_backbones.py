@@ -59,8 +59,9 @@ FEATURE_ORACLES = {"vgg": sym.vgg_feature, "resnet": sym.resnet_feature,
 
 @pytest.mark.parametrize("family", bb.CNN_FAMILIES)
 def test_feature_counts_match_oracle(family):
+    counts = bb.computed_level_table(family).counts
     for level in range(1, bb.MAX_LEVEL[family] + 1):
-        assert bb.feature_param_count(family, level) == FEATURE_ORACLES[family](level)
+        assert counts[level - 1] == FEATURE_ORACLES[family](level)
 
 
 @pytest.mark.parametrize("kind,oracle", [
@@ -104,8 +105,9 @@ def test_model_counts_match_oracle(family, kind, fraction):
     # the counts count-params adds up, at every level: built backbones and
     # attention blocks without heads (VGG's heads make most levels too large
     # to build; whole built models are checked below)
+    counts = bb.computed_level_table(family).counts
     for level in range(1, bb.MAX_LEVEL[family] + 1):
-        total = bb.feature_param_count(family, level)
+        total = counts[level - 1]
         if kind != "none":
             chans = bb.module_channels(family, level)
             total += sum(bb.attention_param_count(AttentionKind(kind), chans[i - 1])
@@ -330,15 +332,42 @@ def test_level_table_validation():
             bb.LevelTable("c", counts, default)
 
 
+# modules in each family's whole feature extractor; Inception's levels stop
+# one short of its nine modules
+ALL_MODULES = {"vgg": len(sym.VGG_STAGES), "resnet": len(sym.RESNET_BLOCKS),
+               "inception": len(sym.INCEPTION_MODULES)}
+
+
 @pytest.mark.parametrize("family", bb.CNN_FAMILIES)
 def test_computed_table_matches_closed_form(family):
-    # feature-extractor counts, the quantity the default/5 rule is stated on
+    # feature-extractor counts, the quantity the default/5 rule is stated on;
+    # the full-size count is the whole extractor, every module built
     table = bb.computed_level_table(family)
     assert table.family == family
     assert len(table.counts) == bb.MAX_LEVEL[family]
     for level, count in enumerate(table.counts, start=1):
-        assert count == bb.feature_param_count(family, level)
-    assert table.default_count == table.counts[-1]
+        assert count == FEATURE_ORACLES[family](level)
+    assert table.default_count == FEATURE_ORACLES[family](ALL_MODULES[family])
+
+
+@pytest.mark.parametrize("family", bb.CNN_FAMILIES)
+def test_computed_table_builds_the_backbone_once(family, monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args[:2])
+        return backbone(*args)
+
+    backbone = bb._backbone
+    monkeypatch.setattr(bb, "_backbone", counted)
+    bb.computed_level_table(family)
+    assert builds == [(family, None)]
+
+
+def test_computed_table_defaults_are_the_whole_networks():
+    defaults = {f: bb.computed_level_table(f).default_count for f in bb.CNN_FAMILIES}
+    assert defaults == {"vgg": 4_907_520, "resnet": 3_849_152, "inception": 3_417_264}
+    assert defaults["inception"] == bb.PUBLISHED_TABLES["inception"].default_count
 
 
 @pytest.mark.parametrize("family", ["resnet", "inception"])

@@ -198,6 +198,14 @@ def test_select_level_family(capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+@pytest.mark.parametrize("family,level", [("vgg", 4), ("resnet", 6), ("inception", 4)])
+def test_select_level_computed_table(family, level, capsys):
+    # ResNet and Inception pick their published levels: the full-size count
+    # is the whole extractor, Inception's ninth module included
+    assert cli.main(["select-level", "--family", family, "--table", "computed"]) == 0
+    assert capsys.readouterr().out.strip() == str(level)
+
+
 def test_select_level_usage_errors(capsys):
     assert cli.main(["select-level"]) == 2
     assert cli.main(["select-level", "--counts", "10,oops"]) == 2
@@ -357,6 +365,16 @@ def test_config_key_of_another_subcommand_exits_2(command, text, where, tmp_path
     argv = _train_args(out) if command == "train" else _sweep_args(out, ["--list-only"])
     assert cli.main(argv + ["--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}:{where}\n"
+    assert not out.exists()
+
+
+def test_config_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epochs=1\n# again\nepochs=2\n")
+    out = tmp_path / "D"
+    assert cli.main(_sweep_args(out, ["--list-only", "--config", str(cfg)])) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:3: config key 'epochs' is already set on line 1\n")
     assert not out.exists()
 
 
@@ -559,6 +577,15 @@ def test_sweep_family_filter(capsys):
         assert capsys.readouterr().err == f"error: unknown families: {unknown}\n"
 
 
+def test_sweep_level_sets_only_the_kept_cnn_families(capsys):
+    # VGG stops at level 5, but --families drops it
+    assert cli.main(["sweep", "--matrix", "paper13", "--families", "resnet",
+                     "--level", "8", "--list-only"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "total: 7"
+    assert all(l.startswith("resnet,") and l.split(",")[3] == "8" for l in lines[:-1])
+
+
 def test_sweep_max_entries_truncates_the_matrix(capsys):
     assert cli.main(["sweep", "--matrix", "paper13", "--list-only",
                      "--max-entries", "3"]) == 0
@@ -702,6 +729,40 @@ def test_bad_config_or_spec_exits_2_before_any_data_or_directory(argv, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     if "--seed" in argv or "--base-seed" in argv:
         assert err == f"error: training seed must be >= 0, got {argv[-1]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key,why", [
+    (["train", "--family", "resnet", "--epochs", "1"], "msa_d_model", "by family resnet"),
+    (["train", "--family", "vgg", "--level", "1", "--epochs", "1"], "msa_layers",
+     "by family vgg"),
+    (["sweep", "--matrix", "msa-grid"], "level",
+     "by --matrix msa-grid, which fixes its own cells"),
+    (["sweep", "--matrix", "msa-grid"], "msa_heads",
+     "by --matrix msa-grid, which fixes its own cells"),
+    (["sweep", "--families", "msa_only"], "level", "when --families keeps no CNN family"),
+    (["sweep", "--families", "resnet,vgg"], "msa_ff", "when --families drops msa_only"),
+], ids=["train-resnet", "train-vgg", "msa-grid-level", "msa-grid-msa",
+        "msa_only-level", "cnn-msa"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_setting_that_no_run_reads_exits_2_naming_it(argv, key, why, source, tmp_path,
+                                                     capsys, monkeypatch):
+    # an allowed value and one that is not (msa_d_model=9, msa_heads=7) alike
+    def no_data(args):
+        raise AssertionError("read the data before checking the config")
+
+    monkeypatch.setattr(cli, "_load_or_generate", no_data)
+    value = {"msa_d_model": "9", "msa_heads": "7"}.get(key, "2")
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv = argv + [flag, value]
+    else:
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "D"
+    assert cli.main(argv + ["--synth-cases", "4", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is not read {why}\n"
     assert not out.exists()
 
 

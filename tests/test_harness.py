@@ -661,6 +661,16 @@ def test_sweep_invalid_entry_becomes_aborted_row(cls_bundle):
     assert len(jsonl) == 1 and "error" in json.loads(jsonl[0])
 
 
+def test_sweep_jsonl_line_is_the_row_keys_and_every_run_field(tiny_sweep_report):
+    row_keys = {"family", "attention", "fraction", "level", "label", "metric_name"}
+    fields = {f.name for f in dataclasses.fields(hn.RunResult)}
+    for line, run in zip(hn.report_to_jsonl(tiny_sweep_report).splitlines(),
+                         tiny_sweep_report.rows[0].runs):
+        rec = json.loads(line)
+        assert set(rec) == row_keys | fields
+        assert {k: rec[k] for k in fields} == {k: getattr(run, k) for k in fields}
+
+
 def test_sweep_jsonl_carries_histories(tiny_sweep_report):
     lines = hn.report_to_jsonl(tiny_sweep_report).splitlines()
     assert len(lines) == 2  # one per seed
