@@ -74,8 +74,9 @@ SETTINGS = {
 
 # the settings each subcommand reads: its flags, and the keys its --config
 # file may hold
-_DATA = ("dataset", "task", "synth_cases", "synth_samples_per_case",
-         "synth_seed", "synth_difficulty", "synth_prevalence", "dtype")
+_SYNTH = ("synth_cases", "synth_samples_per_case", "synth_seed",
+          "synth_difficulty", "synth_prevalence")
+_DATA = ("dataset", "task", *_SYNTH, "dtype")
 _MSA = ("msa_d_model", "msa_heads", "msa_ff", "msa_layers")
 TAKES = {
     "train": _DATA + ("test_fraction", "split_seed", "out_dir",
@@ -145,6 +146,13 @@ def _reject_unread(given: set[str], keys: tuple[str, ...], why: str) -> None:
     for key in keys:
         if key in given:
             raise CliError(f"--{key.replace('_', '-')} is not read {why}")
+
+
+def _reject_synth_with_dataset(args, given: set[str]) -> None:
+    """Exit 2 on a --synth-* setting given with --dataset, whose file is the
+    data."""
+    if args.dataset is not None:
+        _reject_unread(given, _SYNTH, "with --dataset, which holds the data")
 
 
 def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
@@ -345,17 +353,21 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_select_level(args) -> int:
-    if args.counts is not None:
+    if (args.family is None) == (args.counts is None):
+        raise CliError("pass one of --family and --counts")
+    if args.counts is None:
+        if args.default is not None:
+            raise CliError("--default is read only with --counts")
+        table = _planning_table(args.family, args.table or "published")
+    else:
+        if args.table is not None:
+            raise CliError("--table is read only with --family")
         try:
             counts = [int(c) for c in args.counts.split(",")]
         except ValueError:
             raise CliError(f"--counts must be comma-separated integers: {args.counts!r}")
         default = args.default if args.default is not None else counts[-1]
         table = LevelTable("custom", tuple(counts), default)
-    elif args.family is not None:
-        table = _planning_table(args.family, args.table)
-    else:
-        raise CliError("pass --family or --counts")
     print(select_level(table))
     return 0
 
@@ -397,6 +409,7 @@ def cmd_train(args) -> int:
     _train_spec(args, _model_config(args, _resolve_task(args.task)))
     if args.family != "msa_only":
         _reject_unread(given, _MSA, f"by family {args.family}")
+    _reject_synth_with_dataset(args, given)
     bundle, task = _bundle(args)
     out_dir = _make_out_dir(args.out_dir)
     cfg = _model_config(args, task)
@@ -433,7 +446,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     """Score saved weights on a whole dataset file, using the demographic
     standardization captured at training time."""
-    _merge_config(args)
+    _reject_synth_with_dataset(args, _merge_config(args))
     _set_dtype(args.dtype)
     try:
         cfg, state, (demo_mean, demo_std) = _load_weights(Path(args.weights))
@@ -492,10 +505,13 @@ def cmd_sweep(args) -> int:
         _reject_unread(given, ("level",), "when --families keeps no CNN family")
     if "msa_only" not in kept:
         _reject_unread(given, _MSA, "when --families drops msa_only")
+    _reject_synth_with_dataset(args, given)
     _set_dtype(args.dtype)
     # the matrix and one spec are checked before any directory or data is
     # touched; the entries are built again for the data's own task
     entries = _sweep_entries(args, _resolve_task(args.task), kept)
+    if not entries:
+        raise CliError(f"--families {args.families} keeps no row of --matrix {args.matrix}")
     hz.TrainSpec("bce", "adam", epochs=args.epochs, seed=args.base_seed,
                  lr0=args.lr0, batch_size=args.batch_size, time_mode=args.time_mode)
     if args.list_only:  # listing needs no data
@@ -560,11 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_params)
 
     p = sub.add_parser("select-level", help="apply the default/5 level-selection rule")
-    p.add_argument("--family", help="use this family's level table")
+    p.add_argument("--family", help="use this family's level table (or pass --counts)")
     p.add_argument("--counts", help="comma-separated per-level counts (level 1 first)")
-    p.add_argument("--default", type=int, help="default (full) count; last of --counts if omitted")
-    p.add_argument("--table", choices=("published", "computed"), default="published",
-                   help="count source when using --family (default: published)")
+    p.add_argument("--default", type=int,
+                   help="default (full) count with --counts; last of --counts if omitted")
+    p.add_argument("--table", choices=("published", "computed"),
+                   help="count source with --family (default: published)")
     p.set_defaults(func=cmd_select_level)
 
     p = sub.add_parser("train", help="train one model; writes history.jsonl, run.json, weights.npz")

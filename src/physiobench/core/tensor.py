@@ -358,11 +358,16 @@ def mul(a: Tensor, b) -> Tensor:
     return out._record((a, b), "mul", backward)
 
 
-def _elementwise(a: Tensor, data: np.ndarray, op: str,
-                 grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Tensor:
-    """Record ``data`` as the output of ``op`` on ``a``; backward hands
-    ``grad(g, a.data, out.data)``, a new array, to ``a``.  Both arrays are
-    read at backward time, as the module docstring's concat rule asks."""
+def _unary(a: Tensor, data: np.ndarray, op: str,
+           grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> Tensor:
+    """Record ``data`` as the output of the one-input op ``op`` on ``a``.
+
+    Backward hands ``grad(g, a.data, out.data)`` to ``a`` without a copy, so
+    that array must be held by nothing else: a new array, or ``g`` itself
+    (written in place or reshaped), which backward drops once this node has
+    run.  An op that hands a view of anything else, such as ``reduce_sum``'s
+    broadcast, records its own closure through ``_accumulate``.  Both arrays
+    are read at backward time, as the module docstring's concat rule asks."""
     out = Tensor(data)
 
     def backward(g):
@@ -374,8 +379,8 @@ def _elementwise(a: Tensor, data: np.ndarray, op: str,
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
-    return _elementwise(a, a.data ** exponent, "pow",
-                        lambda g, x, y: g * exponent * x ** (exponent - 1.0))
+    return _unary(a, a.data ** exponent, "pow",
+                  lambda g, x, y: g * exponent * x ** (exponent - 1.0))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -395,15 +400,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    return _elementwise(a, np.exp(a.data), "exp", lambda g, x, y: g * y)
+    return _unary(a, np.exp(a.data), "exp", lambda g, x, y: g * y)
 
 
 def log(a: Tensor) -> Tensor:
-    return _elementwise(a, np.log(a.data), "log", lambda g, x, y: g / x)
+    return _unary(a, np.log(a.data), "log", lambda g, x, y: g / x)
 
 
 def sqrt(a: Tensor) -> Tensor:
-    return _elementwise(a, np.sqrt(a.data), "sqrt", lambda g, x, y: g * 0.5 / y)
+    return _unary(a, np.sqrt(a.data), "sqrt", lambda g, x, y: g * 0.5 / y)
 
 
 def activation(a: Tensor, kind: str) -> Tensor:
@@ -418,13 +423,8 @@ def activation(a: Tensor, kind: str) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-
-    def backward(g):
-        if a.requires_grad:
-            a._take(np.multiply(g, a.data > 0, out=g))
-
-    return out._record((a,), "relu", backward)
+    return _unary(a, np.maximum(a.data, 0.0), "relu",
+                  lambda g, x, y: np.multiply(g, x > 0, out=g))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -438,20 +438,20 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    return _elementwise(a, _stable_sigmoid(a.data), "sigmoid",
-                        lambda g, x, y: g * y * (1.0 - y))
+    return _unary(a, _stable_sigmoid(a.data), "sigmoid",
+                  lambda g, x, y: g * y * (1.0 - y))
 
 
 def tanh(a: Tensor) -> Tensor:
-    return _elementwise(a, np.tanh(a.data), "tanh",
-                        lambda g, x, y: g * (1.0 - y * y))
+    return _unary(a, np.tanh(a.data), "tanh",
+                  lambda g, x, y: g * (1.0 - y * y))
 
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x) computed without overflow; derivative is sigmoid(x)
     x = a.data
-    return _elementwise(a, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
-                        "softplus", lambda g, x, y: g * _stable_sigmoid(x))
+    return _unary(a, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+                  "softplus", lambda g, x, y: g * _stable_sigmoid(x))
 
 
 def flush_tiny_grad(a: Tensor, floor: float) -> Tensor:
@@ -462,25 +462,19 @@ def flush_tiny_grad(a: Tensor, floor: float) -> Tensor:
     flush-to-zero switch, so a value whose gradient can underflow (saturated
     logits) goes through this to stop subnormals where they start.
     """
-    out = Tensor(a.data)
+    def grad(g, x, y):
+        g[np.abs(g) < floor] = 0.0
+        return g
 
-    def backward(g):
-        if a.requires_grad:
-            g[np.abs(g) < floor] = 0.0
-            a._take(g)
-
-    return out._record((a,), "flush_tiny_grad", backward)
+    return _unary(a, a.data, "flush_tiny_grad", grad)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted stable softmax along ``axis``."""
     x = a.data
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return _elementwise(a, e / e.sum(axis=axis, keepdims=True), "softmax",
-                        lambda g, x, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-
-ATTENTION_BLOCK = 1 << 18   # score elements per attention block (1 MiB in float32)
+    return _unary(a, e / e.sum(axis=axis, keepdims=True), "softmax",
+                  lambda g, x, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
 
 def _weights(q: np.ndarray, k: np.ndarray, scale: float, softmax: bool,
@@ -514,11 +508,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     q is [..., Lq, D], k is [..., Lk, D] and v is [..., Lk, Dv], with equal
     leading axes; P is :func:`attention_weights`.  The leading (batch, head)
-    items run in blocks of at most ``ATTENTION_BLOCK`` score elements, and
-    at least one item, so P is never held whole; the blocks run forward and
-    backward on one thread per CPU (:func:`_over_batch`), and each item's
-    arithmetic is the same in any block.  Softmax keeps each row's max and
-    sum, and backward rebuilds each block's P from them bit for bit.
+    items run in blocks of at most ``BATCH_BLOCK`` bytes of P and of the
+    backward's dP, and at least one item, so P is never held whole; the
+    blocks run forward and backward on one thread per CPU
+    (:func:`_over_batch`), and each item's arithmetic is the same in any
+    block.  Softmax keeps each row's max and sum, and backward rebuilds each
+    block's P from them bit for bit.
     Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor.
     """
     if not (q.ndim >= 2 and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
@@ -534,6 +529,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     n = qs.shape[0]
     dtype = np.result_type(q.dtype, k.dtype, v.dtype)
     out_shape = (n, lq, vs.shape[-1])
+    item_bytes = 2 * lq * lk * dtype.itemsize   # P, and dP in backward
     out = np.empty(out_shape, dtype=dtype)
     stats = {}   # each block's (rowmax, rowsum), by its first item
 
@@ -542,7 +538,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         stats[b.start] = rowmax, rowsum
         np.matmul(p, vs[b], out=out[b])
 
-    _over_batch(forward_items, n, lq * lk, ATTENTION_BLOCK, _cpus())
+    _over_batch(forward_items, n, item_bytes, parts=_cpus())
 
     def backward(g):
         y = result.data.reshape(out_shape)
@@ -569,7 +565,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             if dk is not None:
                 np.matmul(np.swapaxes(ds, -1, -2), qs[b], out=dk[b])
 
-        _over_batch(backward_items, n, lq * lk, ATTENTION_BLOCK, _cpus())
+        _over_batch(backward_items, n, item_bytes, parts=_cpus())
         for t, grad in zip((q, k, v), grads):
             if grad is not None:
                 t._take(grad.reshape(t.shape))
@@ -610,13 +606,8 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     count = math.prod(a.shape[ax] for ax in axes)
-    out = Tensor(a.data.mean(axis=axes, keepdims=keepdims))
-
-    def backward(g):
-        if a.requires_grad:
-            a._take(_expand_reduced(g, a.shape, axes, keepdims) / count)
-
-    return out._record((a,), "mean", backward)
+    return _unary(a, a.data.mean(axis=axes, keepdims=keepdims), "mean",
+                  lambda g, x, y: _expand_reduced(g, x.shape, axes, keepdims) / count)
 
 
 def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -628,28 +619,21 @@ def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
     ax = axis % a.ndim
     idx = np.argmax(a.data, axis=ax)  # first occurrence on ties
     out_data = np.take_along_axis(a.data, np.expand_dims(idx, ax), axis=ax)
-    out = Tensor(out_data if keepdims else out_data.squeeze(ax))
 
-    def backward(g):
-        if a.requires_grad:
-            gg = g if keepdims else np.expand_dims(g, ax)
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(buf, np.expand_dims(idx, ax), gg, axis=ax)
-            a._take(buf)
+    def grad(g, x, y):
+        buf = np.zeros_like(x)
+        np.put_along_axis(buf, np.expand_dims(idx, ax),
+                          g if keepdims else np.expand_dims(g, ax), axis=ax)
+        return buf
 
-    return out._record((a,), "max", backward)
+    return _unary(a, out_data if keepdims else out_data.squeeze(ax), "max", grad)
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    out = Tensor(a.data.reshape(shape))
-
-    def backward(g):
-        if a.requires_grad:
-            a._take(g.reshape(a.shape))
-
-    return out._record((a,), "reshape", backward)
+    return _unary(a, a.data.reshape(shape), "reshape",
+                  lambda g, x, y: g.reshape(x.shape))
 
 
 def transpose(a: Tensor, *axes) -> Tensor:
@@ -994,11 +978,8 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 np.maximum(xr[:, :, sl], yr[:, :, lo:hi], out=yr[:, :, lo:hi])
 
         _over_batch(forward_rows, B, row_bytes)
-        out = Tensor(y)
 
-        def backward(g):
-            if not x.requires_grad:
-                return
+        def grad(g, xd, yd):
             gx = np.zeros((B, C, L), dtype=g.dtype)
             n_padded = -(-pad_left // stride)
 
@@ -1007,7 +988,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 # are common after ReLU).  A window that starts in the left
                 # padding and has maximum -inf gives it to the padding, that
                 # is, drops it.
-                xr, yr, gr, gxr = x.data[rows], out.data[rows], g[rows], gx[rows]
+                xr, yr, gr, gxr = xd[rows], yd[rows], g[rows], gx[rows]
                 claimed = np.zeros(yr.shape, dtype=bool)
                 claimed[:, :, :n_padded] = yr[:, :, :n_padded] == -np.inf
                 hits = []
@@ -1024,19 +1005,18 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                     gxr[:, :, sl] += gr[:, :, lo:hi] * hit
 
             _over_batch(backward_rows, B, row_bytes)
-            x._take(gx)
+            return gx
     else:
-        out = Tensor(_window_view(x.data, out_len, window, stride).mean(axis=3))
+        y = _window_view(x.data, out_len, window, stride).mean(axis=3)
 
-        def backward(g):
-            if x.requires_grad:
-                gx = np.zeros((B, C, L), dtype=g.dtype)
-                gw = g / window
-                for *_, sl in taps:
-                    gx[:, :, sl] += gw
-                x._take(gx)
+        def grad(g, xd, yd):
+            gx = np.zeros((B, C, L), dtype=g.dtype)
+            gw = g / window
+            for *_, sl in taps:
+                gx[:, :, sl] += gw
+            return gx
 
-    return out._record((x,), f"pool_{kind}", backward)
+    return _unary(x, y, f"pool_{kind}", grad)
 
 
 def global_pool(x: Tensor, kind: str = "avg") -> Tensor:

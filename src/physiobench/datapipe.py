@@ -168,8 +168,8 @@ def filter_segment(ecg: np.ndarray, ppg: np.ndarray) -> FilterDecision:
     PPG sample is strictly positive; a NaN sample is out of range.  Wrong
     lengths are an error, not a drop.
     """
-    ecg = np.asarray(ecg, dtype=np.float64)
-    ppg = np.asarray(ppg, dtype=np.float64)
+    ecg = np.asarray(ecg)
+    ppg = np.asarray(ppg)
     if ecg.shape != (SEGMENT_LEN,) or ppg.shape != (SEGMENT_LEN,):
         raise ValueError(
             f"segments must be exactly {SEGMENT_LEN} samples, "

@@ -17,8 +17,8 @@ TINY_DATA_FLAGS = ["--synth-cases", "10", "--synth-samples-per-case", "2",
                    "--synth-prevalence", "0.5", "--synth-seed", "3"]
 
 
-def _train_args(out_dir, extra=()):
-    return (["train"] + TINY_MSA_FLAGS + TINY_DATA_FLAGS
+def _train_args(out_dir, extra=(), data=TINY_DATA_FLAGS):
+    return (["train"] + TINY_MSA_FLAGS + data
             + ["--task", "cls", "--epochs", "2", "--out-dir", str(out_dir)]
             + list(extra))
 
@@ -216,6 +216,16 @@ def test_select_level_usage_errors(capsys):
         "error: --counts must be comma-separated integers: ''\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--family", "resnet", "--default", "5"], "--default is read only with --counts"),
+    (["--family", "vgg", "--counts", "1,2"], "pass one of --family and --counts"),
+    (["--counts", "1,2", "--table", "computed"], "--table is read only with --family"),
+], ids=["family-default", "family-counts", "counts-table"])
+def test_select_level_setting_it_would_not_read_exits_2(argv, err, capsys):
+    assert cli.main(["select-level", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("argv", [["--counts", "5,7,9", "--default", "0"],
                                   ["--counts", "5,0,9"],
                                   ["--counts", "5,-7,9", "--default", "9"]])
@@ -265,9 +275,10 @@ def test_task_that_does_not_match_the_dataset_exits_2(command, trained, tmp_path
                      "--out", str(data)]) == 0
     capsys.readouterr()
     out = tmp_path / "x"
-    args = {"train": _train_args(out, ["--epochs", "1"]),
+    # no --synth-* flags: --dataset holds the data
+    args = {"train": _train_args(out, ["--epochs", "1"], data=[]),
             "evaluate": ["evaluate", "--weights", str(trained / "weights.npz")],
-            "sweep": _sweep_args(out, ["--seeds", "1"])}[command]
+            "sweep": _sweep_args(out, ["--seeds", "1"], data=[])}[command]
     assert cli.main(args + ["--dataset", str(data), "--task", "reg"]) == 2
     assert capsys.readouterr().err == (
         "error: --task reg does not match dataset task classification\n")
@@ -600,10 +611,10 @@ def test_sweep_help_prints_the_workers_default(capsys):
     assert "[config key: workers, default: 1]" in " ".join(capsys.readouterr().out.split())
 
 
-def _sweep_args(out_dir, extra=()):
+def _sweep_args(out_dir, extra=(), data=TINY_DATA_FLAGS):
     return (["sweep", "--matrix", "paper13", "--families", "msa_only"]
             + TINY_MSA_FLAGS[4:]  # the filter fixes family and attention
-            + TINY_DATA_FLAGS
+            + data
             + ["--epochs", "1", "--seeds", "2", "--out-dir", str(out_dir)]
             + list(extra))
 
@@ -763,6 +774,54 @@ def test_setting_that_no_run_reads_exits_2_naming_it(argv, key, why, source, tmp
     out = tmp_path / "D"
     assert cli.main(argv + ["--synth-cases", "4", "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {flag} is not read {why}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["train", "--epochs", "1"], "synth_cases", "50"),
+    (["train", "--epochs", "1"], "synth_seed", "9"),
+    (["evaluate", "--weights", "w.npz"], "synth_difficulty", "0.3"),
+    (["sweep", "--list-only"], "synth_cases", "3"),
+    (["sweep", "--seeds", "1"], "synth_prevalence", "0.5"),
+], ids=["train-cases", "train-seed", "evaluate", "sweep-list-only", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_synth_setting_given_with_a_dataset_exits_2_naming_it(argv, key, value, source,
+                                                              tmp_path, capsys,
+                                                              monkeypatch):
+    def no_data(args):
+        raise AssertionError("read the data before checking the config")
+
+    monkeypatch.setattr(cli, "_load_or_generate", no_data)
+    flag = "--" + key.replace("_", "-")
+    data = tmp_path / "absent.psd1"
+    if source == "flag":
+        argv = argv + ["--dataset", str(data), flag, value]
+    else:
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(f"dataset={data}\n{key}={value}\n")
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "D"
+    if argv[0] != "evaluate":
+        argv += ["--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} is not read with --dataset, which holds the data\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("list_only", [False, True])
+def test_sweep_families_filter_that_keeps_no_row_exits_2(list_only, tmp_path, capsys,
+                                                         monkeypatch):
+    def no_data(args):
+        raise AssertionError("read the data before checking the filter")
+
+    monkeypatch.setattr(cli, "_load_or_generate", no_data)
+    out = tmp_path / "D"
+    argv = ["sweep", "--matrix", "msa-grid", "--families", "vgg", "--synth-cases", "4",
+            "--epochs", "1", "--seeds", "1", "--out-dir", str(out)]
+    assert cli.main(argv + (["--list-only"] if list_only else [])) == 2
+    assert capsys.readouterr() == (
+        "", "error: --families vgg keeps no row of --matrix msa-grid\n")
     assert not out.exists()
 
 

@@ -78,6 +78,23 @@ def test_filter_drops_nan_samples(channel, dtype):
     assert dp.filter_segment(ecg, ppg).channel == "ecg"
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_filter_bounds_hold_in_the_samples_own_dtype(dtype):
+    # the bounds are exact in these dtypes; the next value beyond each one
+    # is out, and the smallest positive subnormal is a positive PPG sample
+    ecg, ppg = (s.astype(dtype) for s in _clean_segment())
+    ecg[7], ecg[3], ppg[11] = 4.5, -2.0, np.nextafter(dtype(0), dtype(1))
+    assert dp.filter_segment(ecg, ppg).keep
+    for i, bound, away in [(7, 4.5, np.inf), (3, -2.0, -np.inf)]:
+        ecg[i] = np.nextafter(dtype(bound), dtype(away))
+        d = dp.filter_segment(ecg, ppg)
+        assert not d.keep and (d.channel, d.index) == ("ecg", i)
+        ecg[i] = bound
+    ppg[11] = -0.0
+    d = dp.filter_segment(ecg, ppg)
+    assert not d.keep and (d.channel, d.index) == ("ppg", 11)
+
+
 def test_filter_rejects_wrong_length():
     with pytest.raises(ValueError, match="2000"):
         dp.filter_segment(np.zeros(100), np.ones(100))

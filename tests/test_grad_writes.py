@@ -1,7 +1,9 @@
 """A gradient is None until backward hands a tensor its first one, and a
 handed-over array may be shared with nothing but its owner: so no code in
 ``src/`` writes into a ``.grad`` array in place except
-``Tensor._accumulate``, which first checks for None."""
+``Tensor._accumulate``, which first checks for None.  And every one-input
+op is recorded through ``_unary``, which states what it may hand over,
+except the two that hand views through ``_accumulate``."""
 
 import ast
 from pathlib import Path
@@ -71,3 +73,45 @@ def test_no_module_writes_into_a_gradient_in_place():
                 outside.append(f"{name}:{line} in {where}")
     assert outside == []
     assert seen == ALLOWED
+
+
+ONE_INPUT_RECORDERS = {("core/tensor.py", f) for f in ("_unary", "reduce_sum", "transpose")}
+
+
+def _one_input_records(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(qualified function name, line)`` of every ``x._record((p,), ...)``
+    call, whose parents are a one-element tuple."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_record" and node.args
+                and isinstance(node.args[0], ast.Tuple) and len(node.args[0].elts) == 1):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_recorder_guard_sees_only_one_input_records():
+    code = """
+def one(a):
+    return out._record((a,), "one", backward)
+
+def pair(a, b):
+    def inner():
+        return out._record((a,), "inner", backward)
+    return out._record((a, b), "pair", backward)
+"""
+    assert _one_input_records(ast.parse(code)) == [("one", 3), ("pair.inner", 7)]
+
+
+def test_one_input_ops_record_only_through_unary():
+    seen = {(path.relative_to(SRC / "physiobench").as_posix(), where)
+            for path in sorted(SRC.rglob("*.py"))
+            for where, _ in _one_input_records(ast.parse(path.read_text()))}
+    assert seen == ONE_INPUT_RECORDERS

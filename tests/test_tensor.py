@@ -226,8 +226,37 @@ def _softmax_reference(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-# op -> (forward, input gradient from (g, x, y)), each as the op wrote it
-# before the ops shared one recorder
+def _flushed(g, floor):
+    g[np.abs(g) < floor] = 0.0
+    return g
+
+
+def _max_forward(x, axis, keepdims):
+    y = np.take_along_axis(x, np.expand_dims(np.argmax(x, axis=axis), axis), axis=axis)
+    return y if keepdims else y.squeeze(axis)
+
+
+def _max_grad(g, x, axis, keepdims):
+    buf = np.zeros_like(x)
+    np.put_along_axis(buf, np.expand_dims(np.argmax(x, axis=axis), axis),
+                      g if keepdims else np.expand_dims(g, axis), axis=axis)
+    return buf
+
+
+def _avg_pool_grad(g, x, window, stride):
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    gw = g / window
+    for k in range(window):
+        gx[:, :, k:k + (g.shape[2] - 1) * stride + 1:stride] += gw
+    return gx
+
+
+# op -> (op, forward, input gradient from (g, x, y)), each as the op wrote it
+# before the one-input ops shared one recorder; the entries from relu on
+# recorded closures of their own until then.  Max pooling, whose blocked loops
+# do not fit an expression, is checked against its windows' maximum and
+# naive_max_pool1d_grad, bit for bit.  Inputs are [4, 9], or [2, 3, 9] for
+# pooling (windows of 3 at stride 2: 4 outputs).
 ELEMENTWISE = {
     "exp": (T.exp, np.exp, lambda g, x, y: g * y),
     "log": (T.log, np.log, lambda g, x, y: g / x),
@@ -245,6 +274,27 @@ ELEMENTWISE = {
                 lambda g, x, y: y * (g - (g * y).sum(axis=-1, keepdims=True))),
     "softmax_axis0": (lambda t: T.softmax(t, axis=0), lambda x: _softmax_reference(x, 0),
                       lambda g, x, y: y * (g - (g * y).sum(axis=0, keepdims=True))),
+    "relu": (T.relu, lambda x: np.maximum(x, 0.0),
+             lambda g, x, y: np.multiply(g, x > 0, out=g)),
+    "flush_tiny_grad": (lambda t: T.flush_tiny_grad(t, 0.5), lambda x: x,
+                        lambda g, x, y: _flushed(g, 0.5)),
+    "mean": (lambda t: T.reduce_mean(t, axis=1), lambda x: x.mean(axis=(1,)),
+             lambda g, x, y: np.broadcast_to(g.reshape(4, 1), x.shape) / 9),
+    "mean_all": (T.reduce_mean, lambda x: x.mean(axis=(0, 1)),
+                 lambda g, x, y: np.broadcast_to(g.reshape(1, 1), x.shape) / 36),
+    "max": (lambda t: T.reduce_max(t, axis=1), lambda x: _max_forward(x, 1, False),
+            lambda g, x, y: _max_grad(g, x, 1, False)),
+    "max_keepdims": (lambda t: T.reduce_max(t, axis=0, keepdims=True),
+                     lambda x: _max_forward(x, 0, True),
+                     lambda g, x, y: _max_grad(g, x, 0, True)),
+    "reshape": (lambda t: T.reshape(t, 2, 18), lambda x: x.reshape(2, 18),
+                lambda g, x, y: g.reshape(x.shape)),
+    "pool_max": (lambda t: T.pool1d(t, "max", 3, 2),
+                 lambda x: T._window_view(x, 4, 3, 2).max(axis=3),
+                 lambda g, x, y: naive_max_pool1d_grad(x, 3, 2, "valid", g)),
+    "pool_avg": (lambda t: T.pool1d(t, "avg", 3, 2),
+                 lambda x: T._window_view(x, 4, 3, 2).mean(axis=3),
+                 lambda g, x, y: _avg_pool_grad(g, x, 3, 2)),
 }
 
 
@@ -253,13 +303,14 @@ ELEMENTWISE = {
 def test_elementwise_ops_match_their_expressions_bit_for_bit(name, dtype):
     op, forward, grad = ELEMENTWISE[name]
     rng = np.random.default_rng(sorted(ELEMENTWISE).index(name))
-    x = rng.normal(size=(4, 9)) * 3
+    x = rng.normal(size=(2, 3, 9) if name.startswith("pool") else (4, 9)) * 3
     if name in ("log", "sqrt", "power", "reciprocal"):
         x = np.abs(x) + 0.1
-    x, g = x.astype(dtype), rng.normal(size=(4, 9)).astype(dtype)
+    x = x.astype(dtype)
+    y = forward(x)
+    g = rng.normal(size=y.shape).astype(dtype)
     a = Tensor(x, requires_grad=True)
     out = op(a)
-    y = forward(x)
     assert out.dtype == y.dtype == dtype
     npt.assert_array_equal(out.data, y)
     out.backward(g)
@@ -376,9 +427,10 @@ def whole_array_attention(q, k, v, g, scale, softmax):
     return out, np.matmul(ds, k), np.matmul(np.swapaxes(ds, -1, -2), q), dv
 
 
-# ATTENTION_BLOCK values for 5 NL-shaped items of 4x6 scores and 6 MSA-shaped
-# items of 4x6 scores: one block, whole blocks of one item, several blocks
-# with a partial last one, and a block smaller than one item
+# Block sizes, in score elements, for 5 NL-shaped items of 4x6 scores and 6
+# MSA-shaped items of 4x6 scores: one block, whole blocks of one item, several
+# blocks with a partial last one, and a block smaller than one item.  A block
+# of s score elements is BATCH_BLOCK = 2 * s * itemsize bytes (P and dP).
 BLOCKED_SHAPES = {
     "3d": (((5, 4, 3), (5, 6, 3), (5, 6, 2)), [1 << 18, 24, 48, 1]),
     "4d": (((2, 3, 4, 3), (2, 3, 6, 3), (2, 3, 6, 5)), [1 << 18, 24, 96, 1]),
@@ -397,7 +449,7 @@ def test_blocked_attention_equals_the_whole_array_formula_bit_for_bit(
     scale = 0.7 if softmax else 1.0 / shapes[1][-2]
     want = whole_array_attention(*arrays, g, scale, softmax)
     for block in block_sizes:
-        monkeypatch.setattr(T, "ATTENTION_BLOCK", block)
+        monkeypatch.setattr(T, "BATCH_BLOCK", 2 * block * np.dtype(dtype).itemsize)
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         out = T.attention(*ts, scale, softmax=softmax)
         out.backward(g)
@@ -407,8 +459,8 @@ def test_blocked_attention_equals_the_whole_array_formula_bit_for_bit(
 
 @pytest.mark.parametrize("softmax", [True, False])
 def test_attention_grad_check_across_blocks(softmax, monkeypatch):
-    # 2x3 items of 5x7 scores, two items per block: three blocks
-    monkeypatch.setattr(T, "ATTENTION_BLOCK", 70)
+    # 2x3 float64 items of 5x7 scores, two items per block: three blocks
+    monkeypatch.setattr(T, "BATCH_BLOCK", 2 * 70 * 8)
     rng = np.random.default_rng(4)
     q, k, v = _param(rng, 2, 3, 5, 4), _param(rng, 2, 3, 7, 4), _param(rng, 2, 3, 7, 3)
     probe = Tensor(rng.normal(size=(2, 3, 5, 3)))
@@ -449,7 +501,7 @@ def test_pooled_attention_matches_the_naive_oracle_and_one_block(rank, softmax,
 
     def run(cpus, block):
         _set_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(T, "ATTENTION_BLOCK", block)
+        monkeypatch.setattr(T, "BATCH_BLOCK", 2 * block * 8)   # float64
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         out = T.attention(*ts, scale, softmax=softmax)
         out.backward(g)
