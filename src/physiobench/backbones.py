@@ -72,27 +72,27 @@ INCEPTION_MODULES = (
     (256, 160, 320, 32, 128, 128),
     (384, 192, 384, 48, 128, 128),
 )
-# output channels of each inception module: its four branches concatenated
-INCEPTION_WIDTHS = tuple(b1 + o3 + o5 + pp for b1, _, o3, _, o5, pp in INCEPTION_MODULES)
 INCEPTION_STEM_OUT = 192
 INCEPTION_POOL_AFTER = frozenset({2, 7})
 
 GAP_FC_WIDTH = 1000  # head width for the globally pooled families
 
+# output channels of every module of each CNN family, module 1 first; an
+# inception module's four branches are concatenated
+MODULE_WIDTHS = MappingProxyType({
+    "vgg": tuple(c for c, _ in VGG_STAGES),
+    "resnet": tuple(c for c, _ in RESNET_BLOCKS),
+    "inception": tuple(b1 + o3 + o5 + pp for b1, _, o3, _, o5, pp in INCEPTION_MODULES),
+})
+
 
 def module_channels(family: str, level: int) -> list[int]:
     """Output channel width of each attachable module, modules 1..level."""
-    if family == "vgg":
-        chans = [c for c, _ in VGG_STAGES]
-    elif family == "resnet":
-        chans = [c for c, _ in RESNET_BLOCKS]
-    elif family == "inception":
-        chans = list(INCEPTION_WIDTHS)
-    else:
+    if family not in CNN_FAMILIES:
         raise ValueError(f"no CNN modules for family {family!r}")
-    if not 1 <= level <= len(chans):
-        raise ValueError(f"level {level} out of range 1..{len(chans)} for {family}")
-    return chans[:level]
+    if not 1 <= level <= MAX_LEVEL[family]:
+        raise ValueError(f"level {level} out of range 1..{MAX_LEVEL[family]} for {family}")
+    return list(MODULE_WIDTHS[family][:level])
 
 
 def attention_placement(n_modules: int, fraction: int) -> frozenset[int]:
@@ -240,38 +240,25 @@ class InceptionModule(nn.Module):
 
 def vgg_out_length(level: int) -> int:
     """Sequence length after ``level`` VGG stages, each halving (floor)."""
-    out = SEGMENT_LEN
-    for _ in range(level):
-        out //= 2
-    return out
+    return SEGMENT_LEN >> level
 
 
 def _backbone(family: str, level: int | None,
               rng) -> tuple[nn.Module | None, list[nn.Module]]:
     """The stem (None for VGG) and the first ``level`` blocks of a CNN;
-    every block of the family when ``level`` is None."""
-    blocks: list[nn.Module] = []
+    every block of the family when ``level`` is None.  Each block's input
+    width is the stem's output or the previous block's ``MODULE_WIDTHS``."""
     if family == "vgg":
-        stem = None
-        c = IN_CHANNELS
-        for out_ch, n_convs in VGG_STAGES[:level]:
-            blocks.append(VggStage(rng, c, out_ch, n_convs))
-            c = out_ch
+        stem, c, block, specs = None, IN_CHANNELS, VggStage, VGG_STAGES
     elif family == "resnet":
-        stem = ResNetStem(rng, IN_CHANNELS)
-        c = 64
-        for out_ch, stride in RESNET_BLOCKS[:level]:
-            blocks.append(ResNetBlock(rng, c, out_ch, stride))
-            c = out_ch
+        stem, c, block, specs = ResNetStem(rng, IN_CHANNELS), 64, ResNetBlock, RESNET_BLOCKS
     elif family == "inception":
-        stem = InceptionStem(rng, IN_CHANNELS)
-        c = INCEPTION_STEM_OUT
-        for spec, width in zip(INCEPTION_MODULES[:level], INCEPTION_WIDTHS):
-            blocks.append(InceptionModule(rng, c, spec))
-            c = width
+        stem, c, block = InceptionStem(rng, IN_CHANNELS), INCEPTION_STEM_OUT, InceptionModule
+        specs = [(spec,) for spec in INCEPTION_MODULES]   # one spec argument
     else:
         raise ValueError(f"no CNN backbone for family {family!r}")
-    return stem, blocks
+    widths = (c,) + MODULE_WIDTHS[family]
+    return stem, [block(rng, c_in, *spec) for c_in, spec in zip(widths, specs[:level])]
 
 
 # ---------------------------------------------------------------------

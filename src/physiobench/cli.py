@@ -312,33 +312,33 @@ def cmd_preprocess(args) -> int:
 
 
 def _planning_table(family: str, source: str) -> LevelTable:
-    if source == "published":
-        if family not in PUBLISHED_TABLES:
-            raise CliError(f"no published level table for family {family!r}")
-        return PUBLISHED_TABLES[family]
-    return computed_level_table(family)
+    if family not in CNN_FAMILIES:
+        raise CliError(f"level tables exist for CNN families only "
+                       f"({', '.join(CNN_FAMILIES)}), got --family {family!r}")
+    return PUBLISHED_TABLES[family] if source == "published" else computed_level_table(family)
 
 
 def cmd_count_params(args) -> int:
-    if args.family not in CNN_FAMILIES:
-        raise CliError(f"--family must be one of {CNN_FAMILIES}, got {args.family!r}")
     table = _planning_table(args.family, args.table)
     kind = AttentionKind(args.attention)
     if kind is AttentionKind.MSA:
         raise CliError("--attention msa has no feature-map block to count; "
                        "use none, se, nl or cbam")
+    if kind is AttentionKind.NONE and args.fraction is not None:
+        raise CliError("--fraction is read only with --attention se, nl or cbam")
+    fraction = 100 if args.fraction is None else args.fraction
     chosen = select_level(table)
     print(f"family: {args.family}  (counts: {args.table})")
     header = "level  feature_params"
     if kind is not AttentionKind.NONE:
-        header += f"  with_{kind.value}@{args.fraction}%"
+        header += f"  with_{kind.value}@{fraction}%"
     print(header)
     for level, count in enumerate(table.counts, start=1):
         line = f"{level:>5}  {count:>14}"
         if kind is not AttentionKind.NONE:
             chans = module_channels(args.family, level)
             extra = sum(attention_param_count(kind, chans[m - 1])
-                        for m in attention_placement(level, args.fraction))
+                        for m in attention_placement(level, fraction))
             line += f"  {count + extra:>14}"
         if level == len(table.counts) and count == table.default_count:
             line += "  (default)"
@@ -569,8 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="vgg, resnet, or inception")
     p.add_argument("--attention", default="none",
                    help="include attention parameters of this kind (default: none)")
-    p.add_argument("--fraction", type=int, default=100, choices=FRACTIONS,
-                   help=f"attention fraction percent ({_FRACTION_LIST}; default: 100)")
+    p.add_argument("--fraction", type=int, choices=FRACTIONS,
+                   help=f"attention fraction percent with --attention ({_FRACTION_LIST}; "
+                        "default: 100)")
     p.add_argument("--table", choices=("published", "computed"), default="published",
                    help="feature-count source for the selection rule (default: published)")
     p.set_defaults(func=cmd_count_params)

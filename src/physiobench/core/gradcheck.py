@@ -9,17 +9,18 @@ import numpy as np
 from .nn import Parameter
 from .tensor import Tensor
 
+STEP = 1e-5   # the central difference's step h
 
-def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
-               step: float = 1e-5) -> float:
+
+def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter]) -> float:
     """Compare analytic gradients of scalar ``f()`` against central differences.
 
     Returns the worst relative error over every element of every parameter,
     where rel = |analytic - numeric| / max(|analytic|, |numeric|, 1e-4).
     The 1e-4 floor keeps the metric absolute near zero: a central difference
-    with h=1e-5 carries ~1e-10 of roundoff, which would otherwise swamp
-    parameters whose true gradient vanishes (e.g. a bias that only shifts
-    softmax logits by a per-row constant).
+    with h = ``STEP`` = 1e-5 carries ~1e-10 of roundoff, which would otherwise
+    swamp parameters whose true gradient vanishes (e.g. a bias that only
+    shifts softmax logits by a per-row constant).
     Float64 data is assumed; float32 noise swamps the difference entirely.
     A parameter that the backward does not reach has zero analytic gradient.
     """
@@ -40,12 +41,12 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
         gflat = ga.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + step
+            flat[i] = saved + STEP
             up = f().item()
-            flat[i] = saved - step
+            flat[i] = saved - STEP
             down = f().item()
             flat[i] = saved
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * STEP)
             denom = max(abs(gflat[i]), abs(numeric), 1e-4)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst

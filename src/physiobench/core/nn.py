@@ -206,7 +206,7 @@ class Dense(Module):
 
 class BatchNorm1d(Module):
     """Channel-wise batch norm for [B,C,L] with running statistics, at
-    ``T.batchnorm1d``'s momentum and eps."""
+    ``T.BN_MOMENTUM`` and ``T.BN_EPS``."""
 
     def __init__(self, channels: int):
         super().__init__()
@@ -225,7 +225,7 @@ class BatchNorm1d(Module):
 
 
 class LayerNorm(Module):
-    """Layer norm over the last axis, at ``T.layer_norm``'s eps."""
+    """Layer norm over the last axis, at ``T.LN_EPS``."""
 
     def __init__(self, features: int):
         super().__init__()

@@ -531,14 +531,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     out_shape = (n, lq, vs.shape[-1])
     item_bytes = 2 * lq * lk * dtype.itemsize   # P, and dP in backward
     out = np.empty(out_shape, dtype=dtype)
-    stats = {}   # each block's (rowmax, rowsum), by its first item
 
     def forward_items(b):
         p, rowmax, rowsum = _weights(qs[b], ks[b], scale, softmax)
-        stats[b.start] = rowmax, rowsum
         np.matmul(p, vs[b], out=out[b])
+        return b.start, (rowmax, rowsum)   # by the block's first item
 
-    _over_batch(forward_items, n, item_bytes, parts=_cpus())
+    stats = dict(_over_batch(forward_items, n, item_bytes, parts=_cpus()))
 
     def backward(g):
         y = result.data.reshape(out_shape)
@@ -880,19 +879,11 @@ def _sum_partials(fn: Callable[[slice], np.ndarray], batch: int, row_bytes: int,
                   empty: np.ndarray | None = None) -> np.ndarray:
     """The sum over rows of ``batch``: ``fn(rows)`` gives each block's
     partial, one block per at most ``PARTIAL_BLOCK`` bytes of rows that take
-    ``row_bytes``.  The blocks run on the pool and their partials are added
-    in block order, so the cut, and every bit, depends on the shapes alone.
-    An empty batch gives ``empty``."""
-    partials = {}   # by the block's first row
-
-    def partial_rows(rows):
-        partials[rows.start] = fn(rows)
-
-    _over_batch(partial_rows, batch, row_bytes, PARTIAL_BLOCK)
-    if not partials:
-        return empty
-    total, *rest = (partials[start] for start in sorted(partials))
-    for part in rest:   # in block order
+    ``row_bytes``.  The blocks run on the pool, which returns their partials
+    in block order, and they are added in that order, so the cut, and every
+    bit, depends on the shapes alone.  An empty batch gives ``empty``."""
+    total, *rest = _over_batch(fn, batch, row_bytes, PARTIAL_BLOCK) or [empty]
+    for part in rest:
         total += part
     return total
 
@@ -918,19 +909,18 @@ def _cpus() -> int:
     return os.cpu_count() or 1   # macOS and Windows
 
 
-def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int,
-                limit: int | None = None, parts: int = 1) -> None:
+def _over_batch(fn: Callable[[slice], object], batch: int, row_bytes: int,
+                limit: int | None = None, parts: int = 1) -> list:
     """Run ``fn(rows)`` over the slices of ``batch`` rows that
     :func:`_batch_blocks` cuts (``limit`` defaults to ``BATCH_BLOCK``), on
-    one thread per CPU.  Returns once every block has run, and re-raises a
-    block's exception.  A single block, or a single CPU, runs inline."""
+    one thread per CPU.  Returns once every block has run, with each block's
+    ``fn(rows)`` in block order, and re-raises a block's exception.  A single
+    block, or a single CPU, runs inline."""
     global _EXECUTOR
     blocks = _batch_blocks(batch, row_bytes, BATCH_BLOCK if limit is None else limit, parts)
     threads = _cpus()
     if len(blocks) == 1 or threads == 1:
-        for rows in blocks:
-            fn(rows)
-        return
+        return [fn(rows) for rows in blocks]
     # imported here, not at the top: concurrent.futures (and the logging
     # module it loads) adds about 9 ms to every import of the package
     from concurrent.futures import ThreadPoolExecutor, wait
@@ -938,8 +928,7 @@ def _over_batch(fn: Callable[[slice], None], batch: int, row_bytes: int,
         _EXECUTOR = ThreadPoolExecutor(threads, thread_name_prefix="over_batch")
     futures = [_EXECUTOR.submit(fn, rows) for rows in blocks]
     wait(futures)
-    for f in futures:
-        f.result()
+    return [f.result() for f in futures]
 
 
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
@@ -1045,14 +1034,18 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
+BN_MOMENTUM = 0.9   # batchnorm1d's weight on the old running statistics
+BN_EPS = 1e-5       # added to batchnorm1d's variance
+LN_EPS = 1e-5       # added to layer_norm's variance
+
+
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, momentum: float = 0.9, eps: float = 1e-5,
-                relu: bool = False) -> Tensor:
+                training: bool, relu: bool = False) -> Tensor:
     """Per-channel batch normalization over [B,C,L].
 
     Train mode normalizes by batch statistics (biased variance) and updates
-    the running buffers in place: new = momentum*old + (1-momentum)*batch.
+    the running buffers in place: new = BN_MOMENTUM*old + (1-BN_MOMENTUM)*batch.
     Eval mode normalizes by the running buffers.  ``relu=True`` applies a
     ReLU to the output in place, as in :func:`conv1d`.
 
@@ -1080,15 +1073,15 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             return np.einsum("bcl,bcl->c", xc, xc)
 
         var = _sum_partials(centred_squares, B, row_bytes) / n
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mu
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         # a copy: a train-mode call before this node's backward moves the buffer
         mu = running_mean.copy()
         var = running_var
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * invstd
     shift = beta.data if training else beta.data - mu * scale
     y = np.empty(x.shape, dtype=np.result_type(x.data, scale))
@@ -1149,12 +1142,12 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     return out._record((x, gamma, beta), "batchnorm1d", backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     n = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * invstd
     out = Tensor(gamma.data * xhat + beta.data)
 

@@ -222,6 +222,8 @@ def mape(true, pred) -> float:
     pred = np.asarray(pred, dtype=np.float64).ravel()
     if true.shape != pred.shape:
         raise ValueError("true and pred must have equal length")
+    if not true.size:
+        raise ValueError("MAPE needs at least one value")
     if not (np.all(np.isfinite(true)) and np.all(np.isfinite(pred))):
         raise ValueError("MAPE needs finite values")
     if np.any(true == 0):
@@ -269,8 +271,8 @@ class ArrayBundle:
     x_test: np.ndarray
     demo_test: np.ndarray
     y_test: np.ndarray
-    demo_mean: np.ndarray | None = None
-    demo_std: np.ndarray | None = None
+    demo_mean: np.ndarray
+    demo_std: np.ndarray
 
 
 def prepare(train_ds: SignalDataset, test_ds: SignalDataset) -> ArrayBundle:

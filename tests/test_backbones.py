@@ -51,6 +51,9 @@ def test_module_channels_rejects_bad_args():
         bb.module_channels("vgg", 6)
     with pytest.raises(ValueError):
         bb.module_channels("resnet", 0)
+    # Inception builds nine modules, but its levels stop at 8
+    with pytest.raises(ValueError, match="level 9 out of range 1..8 for inception"):
+        bb.module_channels("inception", 9)
 
 
 FEATURE_ORACLES = {"vgg": sym.vgg_feature, "resnet": sym.resnet_feature,
@@ -89,6 +92,10 @@ def test_msa_layer_count_matches_oracle(d_model, d_ff):
 
 
 def test_vgg_out_length():
+    out = 2000
+    for level in range(1, bb.MAX_LEVEL["vgg"] + 1):
+        out //= 2   # each stage's max pool halves the length, floor
+        assert bb.vgg_out_length(level) == out
     assert bb.vgg_out_length(1) == 1000
     assert bb.vgg_out_length(5) == 62  # 125 // 2, integer halving
     assert 512 * bb.vgg_out_length(5) == sym.vgg_flat_width(5)

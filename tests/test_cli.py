@@ -177,6 +177,30 @@ def test_count_params_rejects_msa_family():
     assert cli.main(["count-params", "--family", "msa_only"]) == 2
 
 
+@pytest.mark.parametrize("family", ["msa_only", "lstm"])
+@pytest.mark.parametrize("argv", [["count-params"], ["select-level"],
+                                  ["select-level", "--table", "computed"]],
+                         ids=["count-params", "select-level", "select-level-computed"])
+def test_level_tables_exist_for_cnn_families_only(argv, family, capsys):
+    assert cli.main([*argv, "--family", family]) == 2
+    assert capsys.readouterr() == (
+        "", "error: level tables exist for CNN families only (vgg, resnet, inception), "
+            f"got --family {family!r}\n")
+
+
+def test_count_params_reads_fraction_only_with_an_attention_block(capsys):
+    assert cli.main(["count-params", "--family", "resnet", "--fraction", "50"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --fraction is read only with --attention se, nl or cbam\n")
+    # without --fraction, an attention column counts at 100%
+    assert cli.main(["count-params", "--family", "resnet", "--attention", "se"]) == 0
+    default = capsys.readouterr().out
+    assert "with_se@100%" in default
+    assert cli.main(["count-params", "--family", "resnet", "--attention", "se",
+                     "--fraction", "100"]) == 0
+    assert capsys.readouterr().out == default
+
+
 @pytest.mark.parametrize("fraction", ["100", "0"])
 def test_count_params_rejects_msa_attention_before_printing(fraction, capsys):
     # msa has no feature-map block: one error line, and no half table
@@ -470,11 +494,17 @@ def test_evaluate_trained_weights(trained, capsys):
     assert json.loads(capsys.readouterr().out) == first
 
 
-def test_train_and_evaluate_a_regression_model(tmp_path, capsys):
-    out = tmp_path / "reg"
+@pytest.fixture(scope="module")
+def trained_reg(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reg")
     args = (["train"] + TINY_MSA_FLAGS + TINY_DATA_FLAGS
             + ["--task", "reg", "--epochs", "1", "--out-dir", str(out)])
     assert cli.main(args) == 0
+    return out
+
+
+def test_train_and_evaluate_a_regression_model(trained_reg, capsys):
+    out = trained_reg
     summary = json.loads((out / "run.json").read_text())
     assert summary["task"] == "regression" and summary["metric_name"] == "mape"
     assert summary["loss"] == "rmse" and summary["optimizer"] == "adam"
@@ -484,6 +514,18 @@ def test_train_and_evaluate_a_regression_model(tmp_path, capsys):
     scores = json.loads(capsys.readouterr().out)
     assert sorted(scores) == ["mape", "n"] and scores["n"] == 20
     assert np.isfinite(scores["mape"]) and scores["mape"] >= 0.0
+
+
+def test_evaluate_on_a_regression_file_without_records_exits_2(trained_reg, tmp_path,
+                                                               capsys):
+    # an empty file, as a preprocess run that keeps no record writes: MAPE
+    # over no values is not a number, and NaN is not JSON
+    empty = tmp_path / "empty.psd1"
+    empty.write_bytes(dp.encode_dataset(dp.SignalDataset("regression", [])))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--weights", str(trained_reg / "weights.npz"),
+                     "--dataset", str(empty)]) == 2
+    assert capsys.readouterr() == ("", "error: MAPE needs at least one value\n")
 
 
 def test_evaluate_task_mismatch_exits_2(trained):

@@ -319,6 +319,13 @@ def test_mape_closed_form_and_validation():
         hn.mape([1.0], [1.0, 2.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_mape_needs_a_value():
+    # the mean over no values used to be NaN, after two RuntimeWarnings
+    with pytest.raises(ValueError, match="MAPE needs at least one value"):
+        hn.mape([], [])
+
+
 def test_convergence_time_first_crossing():
     hist = [(1.0, 0.5), (2.0, 0.7), (3.0, 0.9)]
     assert hn.convergence_time(hist, 0.7, "ge") == 2.0

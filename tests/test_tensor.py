@@ -814,7 +814,7 @@ def _counting_over_batch(monkeypatch):
     def counted(fn, batch, row_bytes, limit=None, parts=1):
         limit = T.BATCH_BLOCK if limit is None else limit
         blocks.append(len(T._batch_blocks(batch, row_bytes, limit, parts)))
-        over_batch(fn, batch, row_bytes, limit, parts)
+        return over_batch(fn, batch, row_bytes, limit, parts)
 
     monkeypatch.setattr(T, "_over_batch", counted)
     return blocks
@@ -947,17 +947,25 @@ def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtyp
 def test_over_batch_runs_every_row_once_and_reraises(batch, row_bytes, block, want,
                                                      monkeypatch):
     monkeypatch.setattr(T, "BATCH_BLOCK", block)
-    seen = []
-    T._over_batch(lambda rows: seen.append((rows.start, min(rows.stop, batch))),
-                  batch, row_bytes)
-    assert sorted(seen) == want
 
     def fail_on_last(rows):
         if rows.stop >= batch:
             raise RuntimeError("block failed")
 
-    with pytest.raises(RuntimeError, match="block failed"):
-        T._over_batch(fail_on_last, batch, row_bytes)
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        seen = []
+
+        def run(rows):
+            span = rows.start, min(rows.stop, batch)
+            seen.append(span)
+            return span
+
+        # each block's result comes back in block order, whatever order they ran in
+        assert T._over_batch(run, batch, row_bytes) == want
+        assert sorted(seen) == want
+        with pytest.raises(RuntimeError, match="block failed"):
+            T._over_batch(fail_on_last, batch, row_bytes)
 
 
 def _max_pool_bytes(x):
@@ -1190,9 +1198,9 @@ def test_batchnorm_eval_uses_running_stats():
     x = np.ones((2, 2, 3))
     rm, rv = np.array([1.0, 0.0]), np.array([1.0, 4.0])
     out = T.batchnorm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        rm, rv, training=False, eps=0.0)
+                        rm, rv, training=False)
     npt.assert_allclose(out.data[:, 0], 0.0)
-    npt.assert_allclose(out.data[:, 1], 0.5)
+    npt.assert_allclose(out.data[:, 1], 1.0 / np.sqrt(4.0 + T.BN_EPS))
 
 
 def test_batchnorm_train_needs_two_samples():
