@@ -16,8 +16,11 @@ search (see :func:`msa_grid`).
 NL and MSA share one primitive, :func:`physiobench.core.tensor.attention`,
 which computes the [B,(H,)L,L] weights in blocks of (batch, head) items,
 never all at once, and differentiates them analytically; neither block
-chains matmul and softmax itself.  The whole weights array is built only
-for a block made with ``record_attention=True``.
+chains matmul and softmax itself.  It keeps the softmax's exp weights
+unnormalised, each row's exponent floored relative to its max so that no
+weight is subnormal, and divides the [B,(H,)L,d] output by the row sums
+instead.  The whole, normalised weights array is built only for a block
+made with ``record_attention=True``.
 """
 
 from __future__ import annotations

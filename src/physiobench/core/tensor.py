@@ -458,15 +458,33 @@ def flush_tiny_grad(a: Tensor, floor: float) -> Tensor:
     """Identity whose backward zeroes the gradient entries below ``floor``
     in magnitude.
 
-    BLAS runs many times slower on subnormal operands and numpy has no
-    flush-to-zero switch, so a value whose gradient can underflow (saturated
-    logits) goes through this to stop subnormals where they start.
+    A value whose gradient can underflow (saturated logits) goes through
+    this to stop subnormals where they start (see :data:`GRAD_FLOOR`).
     """
     def grad(g, x, y):
         g[np.abs(g) < floor] = 0.0
         return g
 
     return _unary(a, a.data, "flush_tiny_grad", grad)
+
+
+# BLAS and numpy's elementwise loops run many times slower on subnormal
+# operands, and numpy has no flush-to-zero switch, so two floors keep
+# subnormals off the tape.  GRAD_FLOOR is absolute: flush_tiny_grad takes it
+# for a gradient of fixed scale, such as a BCE logit gradient (a probability
+# error over the batch size), where any entry that can move a weight is over
+# 20 orders of magnitude above it.  Attention's exponent floor is relative to
+# each row's max, because softmax sees only s - rowmax: its exp weights are
+# at most 1, and clamping s - rowmax at -_exp_floor(dtype) keeps them at or
+# above sqrt(finfo.tiny).  That leaves half the exponent range for what a
+# weight is multiplied by, and such a weight is far below the resolution of
+# its row sum, which is at least 1.
+GRAD_FLOOR = 1e-30
+
+
+def _exp_floor(dtype) -> float:
+    """-ln(finfo(dtype).tiny) / 2: about 43.7 for float32, 354 for float64."""
+    return -0.5 * math.log(np.finfo(dtype).tiny)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -477,29 +495,32 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
                   lambda g, x, y: y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
 
-def _weights(q: np.ndarray, k: np.ndarray, scale: float, softmax: bool,
-             rowmax: np.ndarray | None = None, rowsum: np.ndarray | None = None):
-    """``(P, rowmax, rowsum)``; a given row max and sum are reused, so a
-    rebuilt P is the first one bit for bit."""
-    p = np.matmul(q, np.swapaxes(k, -1, -2))
-    p *= scale
+def _weights(qs: np.ndarray, k: np.ndarray, softmax: bool,
+             rowmax: np.ndarray | None = None):
+    """``(E, rowmax)`` for the scaled queries ``qs``: the logits ``qs kᵀ``, or
+    with softmax the unnormalised ``E = exp(max(qs kᵀ - rowmax, -F))``, F from
+    :func:`_exp_floor`.  A given row max is reused, so a rebuilt E is the
+    first one bit for bit."""
+    e = np.matmul(qs, np.swapaxes(k, -1, -2))
     if softmax:
         if rowmax is None:
-            rowmax = p.max(axis=-1, keepdims=True)
-        p -= rowmax
-        np.exp(p, out=p)
-        if rowsum is None:
-            rowsum = p.sum(axis=-1, keepdims=True)
-        p /= rowsum
-    return p, rowmax, rowsum
+            rowmax = e.max(axis=-1, keepdims=True)
+        e -= rowmax
+        np.maximum(e, -_exp_floor(e.dtype), out=e)
+        np.exp(e, out=e)
+    return e, rowmax
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
                       softmax: bool = True) -> np.ndarray:
     """The weights P [..., Lq, Lk] of :func:`attention` for arrays q [..., Lq, D]
-    and k [..., Lk, D]: ``softmax(scale * q kᵀ)`` along the last axis, or
-    just ``scale * q kᵀ`` when ``softmax`` is False."""
-    return _weights(q, k, scale, softmax)[0]
+    and k [..., Lk, D]: ``softmax(scale * q kᵀ)`` along the last axis, with
+    :func:`attention`'s exponent floor, or just ``scale * q kᵀ`` when
+    ``softmax`` is False.  The whole array is built and normalised here."""
+    p = _weights(q * scale, k, softmax)[0]
+    if softmax:
+        p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
@@ -508,12 +529,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     q is [..., Lq, D], k is [..., Lk, D] and v is [..., Lk, Dv], with equal
     leading axes; P is :func:`attention_weights`.  The leading (batch, head)
-    items run in blocks of at most ``BATCH_BLOCK`` bytes of P and of the
-    backward's dP, and at least one item, so P is never held whole; the
-    blocks run forward and backward on one thread per CPU
+    items run in blocks of at most ``BATCH_BLOCK`` bytes of weights and of
+    the backward's dS, and at least one item, so the weights are never held
+    whole; the blocks run forward and backward on one thread per CPU
     (:func:`_over_batch`), and each item's arithmetic is the same in any
-    block.  Softmax keeps each row's max and sum, and backward rebuilds each
-    block's P from them bit for bit.
+    block.  ``scale`` multiplies q, and dq in backward; no [Lq, Lk] array is
+    scaled.  Softmax keeps the exp weights E unnormalised, each row's
+    exponent floored at -F below its max (:func:`_exp_floor`), so no weight
+    is subnormal, and divides the [Lq, Dv] product ``E @ v`` by the row sum
+    instead of dividing E.  Each row's max and sum are kept: backward
+    rebuilds each block's E from the max bit for bit, and divides the
+    incoming gradient by the sum.
     Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor.
     """
     if not (q.ndim >= 2 and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
@@ -529,12 +555,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     n = qs.shape[0]
     dtype = np.result_type(q.dtype, k.dtype, v.dtype)
     out_shape = (n, lq, vs.shape[-1])
-    item_bytes = 2 * lq * lk * dtype.itemsize   # P, and dP in backward
+    item_bytes = 2 * lq * lk * dtype.itemsize   # E, and dS in backward
     out = np.empty(out_shape, dtype=dtype)
 
     def forward_items(b):
-        p, rowmax, rowsum = _weights(qs[b], ks[b], scale, softmax)
-        np.matmul(p, vs[b], out=out[b])
+        e, rowmax = _weights(qs[b] * scale, ks[b], softmax)
+        np.matmul(e, vs[b], out=out[b])
+        if not softmax:
+            return b.start, (None, None)
+        rowsum = e.sum(axis=-1, keepdims=True)
+        out[b] /= rowsum
         return b.start, (rowmax, rowsum)   # by the block's first item
 
     stats = dict(_over_batch(forward_items, n, item_bytes, parts=_cpus()))
@@ -547,22 +577,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         dq, dk, dv = grads
 
         def backward_items(b):
-            p = _weights(qs[b], ks[b], scale, softmax, *stats[b.start])[0]
+            qb = qs[b] * scale
+            rowmax, rowsum = stats[b.start]
+            e = _weights(qb, ks[b], softmax, rowmax)[0]
+            gb = g[b] / rowsum if softmax else g[b]   # P = E / rowsum
             if dv is not None:
-                np.matmul(np.swapaxes(p, -1, -2), g[b], out=dv[b])
+                np.matmul(np.swapaxes(e, -1, -2), gb, out=dv[b])
             if dq is None and dk is None:
                 return
-            ds = np.matmul(g[b], np.swapaxes(vs[b], -1, -2))      # dP
+            ds = np.matmul(gb, np.swapaxes(vs[b], -1, -2))
             if softmax:
-                # rowsum(dP * P) equals rowsum(g * out), which needs no
+                # P * (dP - rowsum(dP * P)) with dP = g vᵀ equals
+                # E * (gb vᵀ - rowsum(gb * out)), which needs no
                 # [..., Lq, Lk] temporary
-                ds -= np.einsum("...ij,...ij->...i", g[b], y[b])[..., None]
-                ds *= p
-            ds *= scale
+                ds -= np.einsum("...ij,...ij->...i", gb, y[b])[..., None]
+                ds *= e
             if dq is not None:
                 np.matmul(ds, ks[b], out=dq[b])
+                dq[b] *= scale
             if dk is not None:
-                np.matmul(np.swapaxes(ds, -1, -2), qs[b], out=dk[b])
+                np.matmul(np.swapaxes(ds, -1, -2), qb, out=dk[b])
 
         _over_batch(backward_items, n, item_bytes, parts=_cpus())
         for t, grad in zip((q, k, v), grads):

@@ -35,7 +35,6 @@ LR_DECAY_FACTOR = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 RMSPROP_RHO, RMSPROP_EPS = 0.9, 1e-7
 PREDICT_BATCH = 256     # rows per eval-mode forward in predict
-BCE_GRAD_FLOOR = 1e-30  # smaller logit gradients are flushed to zero
 CSV_HEADER = ("family,attention,fraction,level,seed_count,"
               "metric_mean,metric_std,conv_time_mean_s,aborted")
 
@@ -167,7 +166,7 @@ def make_optimizer(spec: TrainSpec, params) -> Adam | RMSProp:
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Binary cross-entropy directly from logits: mean(softplus(z) - y*z).
 
-    Logit-gradient entries below ``BCE_GRAD_FLOOR`` in magnitude are zeroed.
+    Logit-gradient entries below ``T.GRAD_FLOOR`` in magnitude are zeroed.
     A confidently right sample's gradient, about e^-|z|/B, would otherwise
     turn every per-sample row of the backward subnormal.  A flushed entry is
     over 20 orders of magnitude below any unsaturated sample's 1/B-sized
@@ -178,7 +177,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     flush nothing are bit-identical.
     """
     y = Tensor(np.asarray(targets, dtype=logits.dtype).reshape(logits.shape))
-    z = T.flush_tiny_grad(logits, BCE_GRAD_FLOOR)
+    z = T.flush_tiny_grad(logits, T.GRAD_FLOOR)
     return T.reduce_mean(T.softplus(z) - z * y)
 
 

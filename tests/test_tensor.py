@@ -397,6 +397,42 @@ def test_float32_attention_agrees_with_float64(softmax):
             npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
 
+def _subnormal(a):
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
+# Integer-valued q and k, whose logits are exact in either dtype, bounded so
+# that each row's logits span far more than the dtype's normal exp range:
+# -261..301 in float32 (an NL block's logits at init span about -227..279)
+# and -1025..1178 in float64.
+SUBNORMAL_BOUNDS = {np.float32: 16, np.float64: 32}
+
+
+@pytest.mark.parametrize("dtype", list(SUBNORMAL_BOUNDS))
+def test_attention_holds_no_subnormal_where_the_weights_underflow(dtype):
+    bound = SUBNORMAL_BOUNDS[dtype]
+    shapes = ((2, 16, 4), (2, 24, 4), (2, 24, 3))
+    rng = np.random.default_rng(3)
+    q, k = (rng.integers(-bound, bound + 1, size=s).astype(dtype) for s in shapes[:2])
+    v = rng.normal(size=shapes[2]).astype(dtype)
+    g = rng.normal(size=shapes[0][:-1] + shapes[2][-1:]).astype(dtype)
+    wide = [a.astype(np.float64) for a in (q, k, v, g)]
+    want_out, want_p = naive_attention(*wide[:3], 0.5, True)
+    assert _subnormal(want_p.astype(dtype)).any()   # the plant took
+    want = [want_p, want_out, *naive_attention_grads(*wide, 0.5, True)]
+
+    ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = T.attention(*ts, 0.5)
+    out.backward(g)
+    got = [T.attention_weights(q, k, 0.5), out.data] + [t.grad for t in ts]
+    for a, ref in zip(got, want):
+        assert a.dtype == dtype and not _subnormal(a).any()
+        if dtype == np.float32:
+            npt.assert_allclose(a, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+        else:
+            npt.assert_allclose(a, ref, rtol=0, atol=1e-6)
+
+
 def test_attention_shape_errors():
     def t(*shape):
         return Tensor(np.zeros(shape))
@@ -415,22 +451,34 @@ def test_attention_shape_errors():
 
 def whole_array_attention(q, k, v, g, scale, softmax):
     """The attention op's output and (dq, dk, dv) with the whole weights
-    array at once, in the op's own order of operations."""
-    p = T.attention_weights(q, k, scale, softmax)
-    out = np.matmul(p, v)
-    dv = np.matmul(np.swapaxes(p, -1, -2), g)
+    array at once, in the op's own order of operations: scale q, keep the
+    floored exp weights E unnormalised and divide ``E @ v`` and g by the row
+    sum."""
+    qs = q * scale
+    e = np.matmul(qs, np.swapaxes(k, -1, -2))
+    if softmax:
+        e -= e.max(axis=-1, keepdims=True)
+        np.maximum(e, -T._exp_floor(e.dtype), out=e)
+        np.exp(e, out=e)
+        rowsum = e.sum(axis=-1, keepdims=True)
+    out = np.matmul(e, v)
+    if softmax:
+        out /= rowsum
+        g = g / rowsum
+    dv = np.matmul(np.swapaxes(e, -1, -2), g)
     ds = np.matmul(g, np.swapaxes(v, -1, -2))
     if softmax:
         ds -= np.einsum("...ij,...ij->...i", g, out)[..., None]
-        ds *= p
-    ds *= scale
-    return out, np.matmul(ds, k), np.matmul(np.swapaxes(ds, -1, -2), q), dv
+        ds *= e
+    dq = np.matmul(ds, k)
+    dq *= scale
+    return out, dq, np.matmul(np.swapaxes(ds, -1, -2), qs), dv
 
 
 # Block sizes, in score elements, for 5 NL-shaped items of 4x6 scores and 6
 # MSA-shaped items of 4x6 scores: one block, whole blocks of one item, several
 # blocks with a partial last one, and a block smaller than one item.  A block
-# of s score elements is BATCH_BLOCK = 2 * s * itemsize bytes (P and dP).
+# of s score elements is BATCH_BLOCK = 2 * s * itemsize bytes (E and dS).
 BLOCKED_SHAPES = {
     "3d": (((5, 4, 3), (5, 6, 3), (5, 6, 2)), [1 << 18, 24, 48, 1]),
     "4d": (((2, 3, 4, 3), (2, 3, 6, 3), (2, 3, 6, 5)), [1 << 18, 24, 96, 1]),
