@@ -3,16 +3,24 @@
 Every differentiable value is a :class:`Tensor` wrapping a float ndarray.
 Operations record their parents and a closure that scatters the incoming
 gradient back to them; ``Tensor.backward()`` replays those closures in
-reverse topological order.  Math is plain numpy.  conv1d, attention, max
-pooling and batchnorm1d split their batch rows into blocks run on one
-thread per CPU (:func:`_over_batch`), and BLAS runs on the calling thread
-alone (importing ``physiobench`` sets OpenBLAS to one thread; see its
-docstring).  No bit depends on how rows are cut: each row's work is
+reverse topological order.  Math is plain numpy.  One rule runs the
+batch-sized work: an op over [B, ...] arrays runs its numpy calls over
+blocks of batch rows, on one thread per CPU (:func:`_over_batch`), and BLAS
+runs on the calling thread alone (importing ``physiobench`` sets OpenBLAS to
+one thread; see its docstring).  conv1d, attention, max pooling and
+batchnorm1d cut their own blocks; ``matmul`` of a left operand with three or
+more axes by a 2-D right one, ``layer_norm``, ``add``, ``relu``, the copies
+of ``transpose`` that keep axis 0, and every gradient copy and add of
+``Tensor._accumulate`` go through :func:`_rowwise`, which cuts the operands
+that have the batch axis and passes broadcast ones whole.  The other ops
+(``mul``, the other pointwise functions, reductions, ``concat``, average
+pooling, other ``matmul`` shapes) run whole on the calling thread.  No bit depends on how rows are cut: each row's work is
 independent of the others and keeps its order, and every sum over rows
 (conv1d's kernel gradient, batchnorm1d's per-channel sums) adds partials
-over a cut fixed by the shapes alone (:func:`_sum_partials`).  So a given
-seed replays bit for bit on any CPU count, for a given numpy and BLAS build
-on a given CPU model.
+over a cut fixed by the shapes alone (:func:`_sum_partials`); the sums
+over rows of ``matmul``'s weight gradient and ``layer_norm``'s gamma and
+beta gradients run whole.  So a given seed replays bit for bit on any CPU
+count, for a given numpy and BLAS build on a given CPU model.
 
 :func:`concat` holds each activation once: it rebinds every recorded input
 (an op's output, not a leaf) to that input's slice of the concatenated
@@ -180,9 +188,11 @@ class Tensor:
         """Add ``grad`` in; a first gradient is a private C-contiguous copy
         (``grad`` may be a view, a slice or a broadcast)."""
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
+            self.grad = np.empty(self.data.shape, dtype=self.data.dtype)
+            _rowwise(lambda o, gr: np.copyto(o, gr, casting="unsafe"),
+                     self.grad.shape, self.grad, grad)
         else:
-            self.grad += grad
+            _rowwise(lambda o, gr: np.add(o, gr, out=o), self.grad.shape, self.grad, grad)
 
     def _take(self, buf: np.ndarray) -> None:
         """Add ``buf`` in, keeping it as the first gradient without a copy.
@@ -318,14 +328,20 @@ def add(a: Tensor, b, relu: bool = False) -> Tensor:
     ``relu(add(a, b))`` with one array on the tape."""
     a = _wrap(a)
     b = _wrap(b, a.dtype)  # a number or array operand takes a's dtype
-    data = a.data + b.data
-    if relu:
-        np.maximum(data, 0, out=data)
+    data = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                    dtype=np.result_type(a.data, b.data))
+
+    def forward_rows(o, x, y):
+        np.add(x, y, out=o)
+        if relu:
+            np.maximum(o, 0, out=o)
+
+    _rowwise(forward_rows, data.shape, data, a.data, b.data)
     out = Tensor(data)
 
     def backward(g):
         if relu:   # out > 0 equals the sum's > 0
-            np.multiply(g, out.data > 0, out=g)
+            _rowwise(_relu_mask, g.shape, g, out.data)
         # g goes to the first parent shaped like it; the other gets a copy
         handed = False
         for p in (a, b):
@@ -386,14 +402,23 @@ def power(a: Tensor, exponent: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    if b.ndim != 2 or a.ndim < 3:
+        product = np.matmul
+    else:
+        def product(x, y):   # per-item GEMMs over blocks of a's leading axis
+            out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+                           + (x.shape[-2], y.shape[-1]), dtype=np.result_type(x, y))
+            _rowwise(lambda o, xb, yb: np.matmul(xb, yb, out=o), out.shape, out, x, y)
+            return out
+    out = Tensor(product(a.data, b.data))
 
     def backward(g):
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            ga = product(g, np.swapaxes(b.data, -1, -2))
             a._take(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            # the per-item products [..., N, M], then one serial sum over items
+            gb = product(np.swapaxes(a.data, -1, -2), g)
             b._take(_unbroadcast(gb, b.shape))
 
     return out._record((a, b), "matmul", backward)
@@ -422,9 +447,20 @@ def activation(a: Tensor, kind: str) -> Tensor:
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
+def _relu_mask(g: np.ndarray, x: np.ndarray) -> None:
+    """Zero ``g`` in place where ``x`` is not positive."""
+    np.multiply(g, x > 0, out=g)
+
+
 def relu(a: Tensor) -> Tensor:
-    return _unary(a, np.maximum(a.data, 0.0), "relu",
-                  lambda g, x, y: np.multiply(g, x > 0, out=g))
+    y = np.empty_like(a.data)
+    _rowwise(lambda o, x: np.maximum(x, 0.0, out=o), y.shape, y, a.data)
+
+    def grad(g, x, y):
+        _rowwise(_relu_mask, g.shape, g, x)
+        return g
+
+    return _unary(a, y, "relu", grad)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -675,7 +711,13 @@ def transpose(a: Tensor, *axes) -> Tensor:
     if not axes:
         axes = tuple(reversed(range(a.ndim)))
     inverse = np.argsort(axes)
-    out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
+    view = a.data.transpose(axes)
+    if view.ndim and axes[0] == 0:   # the copy keeps the batch axis: copy by rows
+        data = np.empty(view.shape, dtype=view.dtype)
+        _rowwise(np.copyto, data.shape, data, view)
+    else:
+        data = np.ascontiguousarray(view)
+    out = Tensor(data)
 
     def backward(g):
         if a.requires_grad:
@@ -965,6 +1007,26 @@ def _over_batch(fn: Callable[[slice], object], batch: int, row_bytes: int,
     return [f.result() for f in futures]
 
 
+def _rowwise(fn: Callable[..., None], shape: tuple[int, ...], *arrays: np.ndarray) -> None:
+    """Run ``fn(*blocks)`` over the batch rows of an op whose result has
+    ``shape`` [B, ...], on :func:`_over_batch`.  An array with the batch axis
+    (as many axes as ``shape``, and B rows) is cut to the block's rows; a
+    broadcast operand (fewer axes, or one leading row), or None, is passed
+    whole.  The blocks take at most ``BATCH_BLOCK`` bytes of the widest
+    array's rows; arrays that fit in one block run inline, and more blocks
+    are rounded up to one per CPU.  An empty ``shape`` runs inline."""
+    if not shape:
+        fn(*arrays)
+        return
+    batch = shape[0]
+    cut = [a is not None and a.ndim == len(shape) and a.shape[0] == batch
+           for a in arrays]
+    row_bytes = max((a.itemsize * math.prod(a.shape[1:]) for a, c in zip(arrays, cut) if c),
+                    default=0)
+    _over_batch(lambda rows: fn(*(a[rows] if c else a for a, c in zip(arrays, cut))),
+                batch, row_bytes, parts=_cpus() if batch * row_bytes > BATCH_BLOCK else 1)
+
+
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
            padding: str = "valid") -> Tensor:
     """Windowed max/avg pooling over the length axis (no padding by default).
@@ -1177,23 +1239,58 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale by ``gamma`` and shift by
+    ``beta``, each of shape [N] for an input [..., N].  Forward and backward
+    run over blocks of the rows of the leading axis (:func:`_rowwise`); each
+    row's arithmetic is that of one whole-array pass.  The gamma and beta
+    gradients are sums over the whole array."""
     n = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    invstd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.data - mu) * invstd
-    out = Tensor(gamma.data * xhat + beta.data)
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        if t.shape != (n,):
+            raise ShapeError(f"layer_norm {name} shape {t.shape} does not match "
+                             f"input {x.shape}: expected ({n},)")
+    xhat = np.empty(x.shape, dtype=x.dtype)
+    invstd = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+    y = np.empty(x.shape, dtype=np.result_type(gamma.data, x.data, beta.data))
+    rows = x.shape if x.ndim > 1 else ()   # a 1-D input is one row
+
+    def forward_rows(xr, xhat_r, invstd_r, yr):
+        mu = xr.mean(axis=-1, keepdims=True)
+        var = xr.var(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + LN_EPS), out=invstd_r)
+        np.subtract(xr, mu, out=xhat_r)
+        xhat_r *= invstd_r
+        np.multiply(gamma.data, xhat_r, out=yr)
+        yr += beta.data
+
+    _rowwise(forward_rows, rows, x.data, xhat, invstd, y)
+    out = Tensor(y)
 
     def backward(g):
+        g_xhat = (np.empty(x.shape, dtype=np.result_type(g, xhat))
+                  if gamma.requires_grad else None)
+        gx = (np.empty(x.shape, dtype=np.result_type(x.data, g, gamma.data))
+              if x.requires_grad else None)
+
+        def backward_rows(gr, xhat_r, invstd_r, g_xhat_r, gxr):
+            if g_xhat_r is not None:
+                np.multiply(gr, xhat_r, out=g_xhat_r)
+            if gxr is not None:
+                # (invstd / n) * (n * gxhat - s1 - xhat * s2)
+                gxhat = gr * gamma.data
+                s1 = gxhat.sum(axis=-1, keepdims=True)
+                s2 = (gxhat * xhat_r).sum(axis=-1, keepdims=True)
+                gxhat *= n
+                gxhat -= s1
+                gxhat -= xhat_r * s2
+                np.multiply(invstd_r / n, gxhat, out=gxr)
+
+        _rowwise(backward_rows, rows, g, xhat, invstd, g_xhat, gx)
         if gamma.requires_grad:
-            gamma._take(_unbroadcast(g * xhat, gamma.shape))
+            gamma._take(_unbroadcast(g_xhat, gamma.shape))
         if beta.requires_grad:
             beta._take(_unbroadcast(g, beta.shape))
-        if x.requires_grad:
-            gxhat = g * gamma.data
-            s1 = gxhat.sum(axis=-1, keepdims=True)
-            s2 = (gxhat * xhat).sum(axis=-1, keepdims=True)
-            x._take((invstd / n) * (n * gxhat - s1 - xhat * s2))
+        if gx is not None:
+            x._take(gx)
 
     return out._record((x, gamma, beta), "layer_norm", backward)

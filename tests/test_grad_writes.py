@@ -21,8 +21,10 @@ def _is_grad(node) -> bool:
 
 def _in_place_grad_writes(tree: ast.AST) -> list[tuple[str, int]]:
     """``(qualified function name, line)`` of every in-place write into a
-    ``.grad`` array: ``x.grad[...] = v``, ``x.grad op= v`` and
-    ``f(..., out=x.grad)``.  Rebinding ``x.grad = v`` is not one."""
+    ``.grad`` array: ``x.grad[...] = v``, ``x.grad op= v``,
+    ``f(..., out=x.grad)`` and ``_rowwise(fn, shape, ..., x.grad, ...)``,
+    whose ``fn`` may write any block it is given.  Rebinding ``x.grad = v``
+    is not one."""
     found = []
 
     def visit(node, scope):
@@ -36,6 +38,8 @@ def _in_place_grad_writes(tree: ast.AST) -> list[tuple[str, int]]:
             writes = any(isinstance(t, ast.Subscript) and _is_grad(t) for t in targets)
         elif isinstance(node, ast.Call):
             writes = any(k.arg == "out" and _is_grad(k.value) for k in node.keywords)
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            writes |= name == "_rowwise" and any(_is_grad(a) for a in node.args)
         if writes:
             found.append((".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -56,10 +60,13 @@ def step(p, q, r, s):
     q.grad *= 2
     r.grad[0][1] -= 1
     np.multiply(s.grad, 2, out=s.grad)
+    T._rowwise(fn, p.shape, p.grad)
     p.grad = None
+    _rowwise(fn, p.shape, p.data)
 """
     assert _in_place_grad_writes(ast.parse(code)) == [
-        ("Tensor._accumulate", 4), ("step", 7), ("step", 8), ("step", 9), ("step", 10)]
+        ("Tensor._accumulate", 4), ("step", 7), ("step", 8), ("step", 9), ("step", 10),
+        ("step", 11)]
 
 
 def test_no_module_writes_into_a_gradient_in_place():

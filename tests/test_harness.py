@@ -526,16 +526,17 @@ def test_train_wall_clock_is_monotone(cls_bundle):
 
 
 # One float32 training epoch of ResNet level 2 with SE and with NL at 50%,
-# and of Inception level 2, in a process pinned to the CPUs given as JSON on
-# the command line before numpy loads, after importing the modules named
-# after them; prints each run's losses and a digest of its state_dict bytes.
+# of Inception level 2 and of a one-layer MSA encoder, in a process pinned
+# to the CPUs given as JSON on the command line before numpy loads, after
+# importing the modules named after them; prints each run's losses and a
+# digest of its state_dict bytes.
 PINNED_EPOCH = """
 import hashlib, json, os, sys
 os.sched_setaffinity(0, json.loads(sys.argv[1]))
 for name in sys.argv[2:]:
     __import__(name)
 from physiobench import backbones, datapipe as dp, harness as hn
-from physiobench.attention import AttentionKind
+from physiobench.attention import AttentionKind, MsaConfig
 from physiobench.backbones import ModelConfig
 from physiobench.core import tensor as T
 import numpy as np
@@ -546,7 +547,11 @@ bundle = hn.prepare(*dp.split_by_case(data, test_fraction=0.34, seed=3))
 runs = []
 for cfg in (ModelConfig("resnet", 2, AttentionKind.SE, 50),
             ModelConfig("resnet", 2, AttentionKind.NL, 50),
-            ModelConfig("inception", 2, AttentionKind.NONE, 0)):
+            ModelConfig("inception", 2, AttentionKind.NONE, 0),
+            ModelConfig("msa_only", 1, AttentionKind.MSA, 0, msa=MsaConfig(16, 2, 32, 1))):
+    if cfg.family == "msa_only":
+        # its batch-16 token arrays fit one 2 MiB block; 64 KiB cuts them
+        T.BATCH_BLOCK = 1 << 16
     model = backbones.build_model(cfg, rng=3)
     result = hn.train(model, bundle, hn.TrainSpec.for_config(cfg, epochs=1, seed=3,
                                                              batch_size=16))

@@ -892,7 +892,7 @@ def test_blocked_conv1d_epilogue_changes_no_bit(dtype, monkeypatch):
         blocks.clear()
         ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
         y = T.conv1d(*ts, padding="same", relu=True)
-        y.backward(g.copy())
+        y._backward(g.copy())   # the op's closure alone: no copy of the root gradient
         # the forward with its epilogue, the mask with the input gradient,
         # then the kernel gradient's one partial
         assert blocks == [len(cut), len(cut), 1]
@@ -1452,11 +1452,12 @@ def test_blocked_batchnorm1d_changes_no_bit(shape, relu, training, dtype, monkey
             ts = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             rm, rv = rm0.copy(), rv0.copy()
             y = T.batchnorm1d(*ts, rm, rv, training=training, relu=relu)
-            y.backward(g.copy())
+            y._backward(g.copy())   # the op's closure alone: no copy of the root gradient
             # train: mean and variance partials; the output; the sums of g
-            # (after the ReLU mask) and of g * (x - mu); the x gradient
+            # (after the ReLU mask) and of g * (x - mu); beta's copy of the
+            # sum of g, in one block; the x gradient
             rows = -(-B // block_rows)
-            assert blocks == [partials] * 2 * training + [rows, partials, rows]
+            assert blocks == [partials] * 2 * training + [rows, partials, 1, rows]
             for got, ref in zip([y.data] + [t.grad for t in ts] + [rm, rv],
                                 list(want) + [rm_want, rv_want]):
                 assert got.dtype == dtype
@@ -1516,6 +1517,139 @@ def test_layer_norm_grad_check(seed):
         return T.reduce_sum(T.layer_norm(x, gamma, beta) * probe)
 
     assert grad_check(f, [x, gamma, beta]) < 1e-4
+
+
+@pytest.mark.parametrize("gamma_shape,beta_shape", [((1,), (4,)), ((5,), (4,)),
+                                                    ((4,), (3, 4)), ((3, 4), (4,))])
+def test_layer_norm_rejects_gamma_and_beta_of_another_width(gamma_shape, beta_shape):
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError) as err:
+        T.layer_norm(x, Tensor(np.ones(gamma_shape)), Tensor(np.zeros(beta_shape)))
+    bad = gamma_shape if gamma_shape != (4,) else beta_shape
+    assert str(bad) in str(err.value) and "(2, 3, 4)" in str(err.value)
+
+
+# ---------------------------------------------------------------------
+# batch-row ops (T._rowwise): no bit depends on the cut or the CPU count
+# ---------------------------------------------------------------------
+
+ROW_B, ROW_L = 5, 6   # every batch-sized array below has rows of ROW_L * ROW_L items
+
+
+def _whole_layer_norm(x, gamma, beta, g):
+    n = x.shape[-1]
+    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    invstd = 1.0 / np.sqrt(var + T.LN_EPS)
+    xhat = (x - mu) * invstd
+    gxhat = g * gamma
+    s1 = gxhat.sum(axis=-1, keepdims=True)
+    s2 = (gxhat * xhat).sum(axis=-1, keepdims=True)
+    return [gamma * xhat + beta, (invstd / n) * (n * gxhat - s1 - xhat * s2),
+            (g * xhat).sum(axis=0).sum(axis=0), g.sum(axis=0).sum(axis=0)]
+
+
+def _relu_of(y, g):
+    return np.maximum(y, 0), g * (y > 0)
+
+
+# name: (input shapes, op on the input Tensors, the output and each input's
+# gradient from whole numpy arrays, given the inputs and the output gradient)
+ROW_L2 = (ROW_B, ROW_L, ROW_L)
+ROWWISE_CASES = {
+    "matmul": ([ROW_L2, (ROW_L, ROW_L)], T.matmul,
+               lambda a, w, g: [a @ w, g @ w.T, np.matmul(a.swapaxes(1, 2), g).sum(axis=0)]),
+    "dense, bias [N]": ([ROW_L2, (ROW_L, ROW_L), (ROW_L,)], T.dense,
+                        lambda a, w, b, g: [a @ w + b, g @ w.T,
+                                            np.matmul(a.swapaxes(1, 2), g).sum(axis=0),
+                                            g.sum(axis=0).sum(axis=0)]),
+    "add": ([ROW_L2, ROW_L2], T.add, lambda a, b, g: [a + b, g, g]),
+    "add, relu": ([ROW_L2, ROW_L2], lambda a, b: T.add(a, b, relu=True),
+                  lambda a, b, g: [*_relu_of(a + b, g), g * (a + b > 0)]),
+    "add, position table [L, d]": ([ROW_L2, (ROW_L, ROW_L)], T.add,
+                                   lambda a, pe, g: [a + pe, g, g.sum(axis=0)]),
+    "add, leading-1 batch": ([(1, ROW_L, ROW_L), ROW_L2], T.add,
+                             lambda a, b, g: [a + b, g.sum(axis=0, keepdims=True), g]),
+    "relu": ([ROW_L2], T.relu, lambda x, g: list(_relu_of(x, g))),
+    "transpose": ([ROW_L2], lambda x: T.transpose(x, 0, 2, 1),
+                  lambda x, g: [x.transpose(0, 2, 1).copy(), g.transpose(0, 2, 1).copy()]),
+    "transpose, heads": ([(ROW_B, ROW_L, 2, ROW_L // 2)], lambda x: T.transpose(x, 0, 2, 1, 3),
+                         lambda x, g: [x.transpose(0, 2, 1, 3).copy(),
+                                       g.transpose(0, 2, 1, 3).copy()]),
+    # x's first gradient is a copy of g, and the transpose's is added to it
+    "accumulate": ([ROW_L2], lambda x: T.add(T.transpose(x, 0, 2, 1), x),
+                   lambda x, g: [x.transpose(0, 2, 1) + x, g + g.transpose(0, 2, 1)]),
+    "layer_norm": ([ROW_L2, (ROW_L,), (ROW_L,)], T.layer_norm, _whole_layer_norm),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(ROWWISE_CASES))
+def test_rowwise_ops_change_no_bit(case, dtype, monkeypatch):
+    # one-row blocks, two-row blocks with a partial last one, and one block,
+    # on one CPU and on two, against the same arithmetic on whole arrays
+    shapes, op, whole = ROWWISE_CASES[case]
+    rng = np.random.default_rng(23)
+    inputs = [rng.normal(size=s).astype(dtype) for s in shapes]
+    if case == "layer_norm":
+        inputs[1] += 1.0
+    g = rng.normal(size=op(*map(Tensor, inputs)).shape).astype(dtype)
+    want = whole(*inputs, g)
+    blocks = _counting_over_batch(monkeypatch)
+    for cpus, block_rows in itertools.product((1, 2), (1, 2, ROW_B)):
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(T, "BATCH_BLOCK", block_rows * ROW_L * ROW_L * g.itemsize)
+        blocks.clear()
+        ts = [Tensor(v, requires_grad=True) for v in inputs]
+        y = op(*ts)
+        y.backward(g.copy())
+        assert max(blocks) == -(-ROW_B // block_rows)
+        for got, ref in zip([y.data] + [t.grad for t in ts], want):
+            _assert_same_bytes(got, ref)
+
+
+def test_layer_norm_of_a_one_dimensional_input_normalises_the_whole_row(monkeypatch):
+    rng = np.random.default_rng(25)
+    x, gamma, beta, g = (rng.normal(size=ROW_L) for _ in range(4))
+    want = T.layer_norm(Tensor(x[None]), Tensor(gamma), Tensor(beta))
+    monkeypatch.setattr(T, "BATCH_BLOCK", 8)   # one element a block, were it cut
+    _set_cpus(monkeypatch, 2)
+    _assert_same_bytes(T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data, want.data[0])
+
+
+@pytest.mark.parametrize("case", list(ROWWISE_CASES))
+def test_rowwise_ops_take_an_empty_batch(case):
+    shapes, op, whole = ROWWISE_CASES[case]
+    inputs = [np.ones((0,) + s[1:] if s[0] == ROW_B else s) for s in shapes]
+    ts = [Tensor(v, requires_grad=True) for v in inputs]
+    y = op(*ts)
+    g = np.ones(y.shape)
+    y.backward(g.copy())
+    for got, ref in zip([y.data] + [t.grad for t in ts], whole(*inputs, g)):
+        _assert_same_bytes(got, ref)
+
+
+def test_rowwise_first_gradient_casts_like_a_whole_copy(monkeypatch):
+    # a float32 input of a float64 sum gets its float64 gradient cast once
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=ROW_L2).astype(np.float32), requires_grad=True)
+    c = rng.normal(size=ROW_L2)
+    g = rng.normal(size=ROW_L2)
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(T, "BATCH_BLOCK", ROW_L * ROW_L * 8)   # one row a block
+    T.add(x, Tensor(c)).backward(g)
+    _assert_same_bytes(x.grad, np.array(g, dtype=np.float32))
+
+
+def test_rowwise_passes_broadcast_operands_whole(monkeypatch):
+    # only arrays with the batch axis are cut; a position table whose first
+    # axis happens to equal the batch is not
+    seen = []
+    monkeypatch.setattr(T, "BATCH_BLOCK", 8)   # one row a block
+    _set_cpus(monkeypatch, 2)
+    x, table, bias, lead = np.ones((3, 3, 2)), np.ones((3, 2)), np.ones(2), np.ones((1, 3, 2))
+    T._rowwise(lambda *arrays: seen.append([a.shape for a in arrays]), x.shape,
+               x, table, bias, lead)
+    assert seen == [[(1, 3, 2), (3, 2), (2,), (1, 3, 2)]] * 3
 
 
 # ---------------------------------------------------------------------
