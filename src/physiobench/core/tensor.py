@@ -3,24 +3,23 @@
 Every differentiable value is a :class:`Tensor` wrapping a float ndarray.
 Operations record their parents and a closure that scatters the incoming
 gradient back to them; ``Tensor.backward()`` replays those closures in
-reverse topological order.  Math is plain numpy.  One rule runs the
-batch-sized work: an op over [B, ...] arrays runs its numpy calls over
-blocks of batch rows, on one thread per CPU (:func:`_over_batch`), and BLAS
-runs on the calling thread alone (importing ``physiobench`` sets OpenBLAS to
-one thread; see its docstring).  conv1d, attention, max pooling and
-batchnorm1d cut their own blocks; ``matmul`` of a left operand with three or
-more axes by a 2-D right one, ``layer_norm``, ``add``, ``relu``, the copies
-of ``transpose`` that keep axis 0, and every gradient copy and add of
-``Tensor._accumulate`` go through :func:`_rowwise`, which cuts the operands
-that have the batch axis and passes broadcast ones whole.  The other ops
-(``mul``, the other pointwise functions, reductions, ``concat``, average
-pooling, other ``matmul`` shapes) run whole on the calling thread.  No bit depends on how rows are cut: each row's work is
-independent of the others and keeps its order, and every sum over rows
-(conv1d's kernel gradient, batchnorm1d's per-channel sums) adds partials
-over a cut fixed by the shapes alone (:func:`_sum_partials`); the sums
-over rows of ``matmul``'s weight gradient and ``layer_norm``'s gamma and
-beta gradients run whole.  So a given seed replays bit for bit on any CPU
-count, for a given numpy and BLAS build on a given CPU model.
+reverse topological order.  Math is plain numpy; BLAS runs on the calling
+thread alone (see the ``physiobench`` docstring).  One rule (:func:`_rowwise`)
+runs the batch-sized work of conv1d, attention, max pooling, batchnorm1d's
+elementwise passes, ``matmul`` of a left operand with three or more axes by
+a 2-D right one, ``layer_norm``, ``add``, ``relu``, ``transpose`` and
+``Tensor._accumulate``: their numpy calls run over blocks of batch rows,
+each holding at most ``BATCH_BLOCK`` bytes of the widest row among its cut
+arrays and its temporaries (conv1d's columns, attention's weights).  A batch
+that fits in one block runs inline; more blocks are rounded up to a multiple
+of the CPU count, one thread per CPU (:func:`_over_batch`).  Other ops run
+whole on the calling thread.  No bit depends on how rows are cut: each row's
+work is independent of the others and keeps its order, and every sum over
+rows (conv1d's kernel gradient, batchnorm1d's per-channel sums) adds
+partials over a cut fixed by the shapes alone (:func:`_sum_partials`); the
+sums over rows of ``matmul``'s weight gradient and ``layer_norm``'s gamma
+and beta gradients run whole.  So a given seed replays bit for bit on any
+CPU count, for a given numpy and BLAS build on a given CPU model.
 
 :func:`concat` holds each activation once: it rebinds every recorded input
 (an op's output, not a leaf) to that input's slice of the concatenated
@@ -400,7 +399,9 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs two or more axes on each side: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     if b.ndim != 2 or a.ndim < 3:
         product = np.matmul
@@ -565,17 +566,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     q is [..., Lq, D], k is [..., Lk, D] and v is [..., Lk, Dv], with equal
     leading axes; P is :func:`attention_weights`.  The leading (batch, head)
-    items run in blocks of at most ``BATCH_BLOCK`` bytes of weights and of
-    the backward's dS, and at least one item, so the weights are never held
-    whole; the blocks run forward and backward on one thread per CPU
-    (:func:`_over_batch`), and each item's arithmetic is the same in any
-    block.  ``scale`` multiplies q, and dq in backward; no [Lq, Lk] array is
+    items run forward and backward in :func:`_rowwise` blocks, whose
+    temporaries are the weights E and the backward's dS, so the weights are
+    never held whole; each item's arithmetic is the same in any block.
+    ``scale`` multiplies q, and dq in backward; no [Lq, Lk] array is
     scaled.  Softmax keeps the exp weights E unnormalised, each row's
     exponent floored at -F below its max (:func:`_exp_floor`), so no weight
     is subnormal, and divides the [Lq, Dv] product ``E @ v`` by the row sum
-    instead of dividing E.  Each row's max and sum are kept: backward
-    rebuilds each block's E from the max bit for bit, and divides the
-    incoming gradient by the sum.
+    instead of dividing E.  Each row's max and sum are kept in [n, Lq, 1]
+    arrays, cut like q: backward rebuilds each block's E from the max bit
+    for bit, and divides the incoming gradient by the sum, whatever cut the
+    forward ran.
     Returns ``P @ v`` [..., Lq, Dv] as a recorded Tensor.
     """
     if not (q.ndim >= 2 and q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
@@ -591,50 +592,51 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     n = qs.shape[0]
     dtype = np.result_type(q.dtype, k.dtype, v.dtype)
     out_shape = (n, lq, vs.shape[-1])
-    item_bytes = 2 * lq * lk * dtype.itemsize   # E, and dS in backward
+    score_bytes = 2 * lq * lk * dtype.itemsize   # E, and dS in backward
     out = np.empty(out_shape, dtype=dtype)
+    rowmax, rowsum = [np.empty((n, lq, 1), dtype) if softmax else None for _ in range(2)]
 
-    def forward_items(b):
-        e, rowmax = _weights(qs[b] * scale, ks[b], softmax)
-        np.matmul(e, vs[b], out=out[b])
-        if not softmax:
-            return b.start, (None, None)
-        rowsum = e.sum(axis=-1, keepdims=True)
-        out[b] /= rowsum
-        return b.start, (rowmax, rowsum)   # by the block's first item
+    def forward_items(qb, kb, vb, ob, maxb, sumb):
+        e, emax = _weights(qb * scale, kb, softmax)
+        np.matmul(e, vb, out=ob)
+        if softmax:
+            maxb[...] = emax
+            sumb[...] = e.sum(axis=-1, keepdims=True)
+            ob /= sumb
 
-    stats = dict(_over_batch(forward_items, n, item_bytes, parts=_cpus()))
+    _rowwise(forward_items, out_shape, qs, ks, vs, out, rowmax, rowsum,
+             temp_bytes=score_bytes)
 
     def backward(g):
         y = result.data.reshape(out_shape)
         g = g.reshape(out_shape)
         grads = [np.empty(a.shape, dtype=dtype) if t.requires_grad else None
                  for t, a in zip((q, k, v), (qs, ks, vs))]
-        dq, dk, dv = grads
 
-        def backward_items(b):
-            qb = qs[b] * scale
-            rowmax, rowsum = stats[b.start]
-            e = _weights(qb, ks[b], softmax, rowmax)[0]
-            gb = g[b] / rowsum if softmax else g[b]   # P = E / rowsum
-            if dv is not None:
-                np.matmul(np.swapaxes(e, -1, -2), gb, out=dv[b])
-            if dq is None and dk is None:
+        def backward_items(qb, kb, vb, gb, yb, maxb, sumb, dqb, dkb, dvb):
+            qb = qb * scale
+            e = _weights(qb, kb, softmax, maxb)[0]
+            if softmax:
+                gb = gb / sumb   # P = E / rowsum
+            if dvb is not None:
+                np.matmul(np.swapaxes(e, -1, -2), gb, out=dvb)
+            if dqb is None and dkb is None:
                 return
-            ds = np.matmul(gb, np.swapaxes(vs[b], -1, -2))
+            ds = np.matmul(gb, np.swapaxes(vb, -1, -2))
             if softmax:
                 # P * (dP - rowsum(dP * P)) with dP = g vᵀ equals
                 # E * (gb vᵀ - rowsum(gb * out)), which needs no
                 # [..., Lq, Lk] temporary
-                ds -= np.einsum("...ij,...ij->...i", gb, y[b])[..., None]
+                ds -= np.einsum("...ij,...ij->...i", gb, yb)[..., None]
                 ds *= e
-            if dq is not None:
-                np.matmul(ds, ks[b], out=dq[b])
-                dq[b] *= scale
-            if dk is not None:
-                np.matmul(np.swapaxes(ds, -1, -2), qb, out=dk[b])
+            if dqb is not None:
+                np.matmul(ds, kb, out=dqb)
+                dqb *= scale
+            if dkb is not None:
+                np.matmul(np.swapaxes(ds, -1, -2), qb, out=dkb)
 
-        _over_batch(backward_items, n, item_bytes, parts=_cpus())
+        _rowwise(backward_items, out_shape, qs, ks, vs, g, y, rowmax, rowsum, *grads,
+                 temp_bytes=score_bytes)
         for t, grad in zip((q, k, v), grads):
             if grad is not None:
                 t._take(grad.reshape(t.shape))
@@ -708,15 +710,10 @@ def reshape(a: Tensor, *shape) -> Tensor:
 def transpose(a: Tensor, *axes) -> Tensor:
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
         axes = tuple(axes[0])
-    if not axes:
-        axes = tuple(reversed(range(a.ndim)))
-    inverse = np.argsort(axes)
-    view = a.data.transpose(axes)
-    if view.ndim and axes[0] == 0:   # the copy keeps the batch axis: copy by rows
-        data = np.empty(view.shape, dtype=view.dtype)
-        _rowwise(np.copyto, data.shape, data, view)
-    else:
-        data = np.ascontiguousarray(view)
+    view = a.data.transpose(*axes)   # numpy checks the axes; none reverses them all
+    inverse = np.argsort(_norm_axes(axes, a.ndim)) if axes else None
+    data = np.empty(view.shape, dtype=view.dtype)
+    _rowwise(np.copyto, data.shape, data, view)
     out = Tensor(data)
 
     def backward(g):
@@ -824,10 +821,12 @@ def _batch_blocks(batch: int, row_bytes: int, limit: int, parts: int = 1) -> lis
     """Slices of ``batch`` rows, each holding at most ``limit`` bytes of an
     array whose rows take ``row_bytes`` (and at least one row).  Every slice
     but a shorter last one takes the rows of an even split into the fewest
-    blocks that the limit allows, that count rounded up to a multiple of
-    ``parts``, so that ``parts`` threads get even shares."""
+    blocks that the limit allows; a count above one is rounded up to a
+    multiple of ``parts``, so that ``parts`` threads get even shares."""
     count = -(-batch // max(1, limit // max(row_bytes, 1)))
-    step = max(1, -(-batch // max(1, -(-count // parts) * parts)))
+    if count > 1:
+        count = -(-count // parts) * parts
+    step = max(1, -(-batch // max(1, count)))
     return [slice(i, i + step) for i in range(0, batch, step)]
 
 
@@ -840,15 +839,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     two (its backward masks the incoming gradient with ``out > 0``, which
     equals the pre-activation's ``> 0``).
 
-    The work runs over blocks of batch rows on one thread per CPU
-    (:func:`_over_batch`), at least one block per CPU where the batch has
-    the rows: the forward's im2col, GEMM, bias and ReLU, and the backward's
-    ReLU mask and the input gradient's transposed-convolution or col2im
-    GEMM.  Each block's columns take at most ``BATCH_BLOCK`` bytes, so they
-    reuse heap memory instead of being a fresh mmap on every call.  Each
-    sample gets its own GEMM, so no bit depends on the cut.  The kernel
-    gradient is a sum of partials (:func:`_kernel_grad`) over a cut that
-    depends on the shapes alone.
+    The forward's im2col, GEMM, bias and ReLU, and the backward's ReLU mask
+    and the input gradient's transposed-convolution or col2im GEMM run in
+    :func:`_rowwise` blocks whose temporaries are the columns, so a block's
+    columns take at most ``BATCH_BLOCK`` bytes and reuse heap memory
+    instead of being a fresh mmap on every call.  Each sample gets its own
+    GEMM, so no bit depends on the cut.  The kernel gradient is a sum of
+    partials (:func:`_kernel_grad`) over a cut that depends on the shapes
+    alone.
     """
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeError(f"conv1d expects 3D input and kernel, got {x.shape} and {kernel.shape}")
@@ -865,24 +863,23 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     w2 = kernel.data.reshape(Cout, Cin * K)
     y = np.empty((B, Cout, out_len), dtype=np.result_type(w2, x.data))
 
-    def forward_rows(rows):
+    def forward_rows(xr, yr):
         # [Cout, Cin*K] @ [b, Cin*K, out_len] -> [b, Cout, out_len]: one GEMM
         # per sample
-        yr = y[rows]
-        np.matmul(w2, _im2col(x.data[rows], K, stride, pad_left, pad_right, out_len),
-                  out=yr)
+        np.matmul(w2, _im2col(xr, K, stride, pad_left, pad_right, out_len), out=yr)
         if bias is not None:
             yr += bias.data[:, None]
         if relu:
             np.maximum(yr, 0, out=yr)
 
-    _over_batch(forward_rows, B, Cin * K * out_len * x.dtype.itemsize, parts=_cpus())
+    _rowwise(forward_rows, y.shape, x.data, y,
+             temp_bytes=Cin * K * out_len * x.dtype.itemsize)
     out = Tensor(y)
 
     def backward(g):
         taps = _window_taps(L, K, stride, pad_left, out_len)
         if not x.requires_grad:
-            gx, col_bytes = None, Cout * out_len * g.itemsize   # the mask alone
+            gx, col_bytes = None, 0   # the mask alone: no columns
         elif stride == 1 and (K == 1 or Cout <= Cin):
             # transposed convolution: g, padded to L + K - 1, correlated with
             # the flipped kernel in one GEMM per sample.  Its columns
@@ -892,29 +889,29 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             gx = np.empty((B, Cin, L), dtype=np.result_type(wf, g))
             col_bytes = Cout * K * L * g.itemsize
 
-            def input_rows(rows):
-                gcols = _im2col(g[rows], K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
-                np.matmul(wf, gcols, out=gx[rows])
+            def input_rows(gr, gxr):
+                gcols = _im2col(gr, K, 1, K - 1 - pad_left, L + pad_left - out_len, L)
+                np.matmul(wf, gcols, out=gxr)
         else:
             # col2im: one GEMM to [b, Cin*K, out_len] columns, then tap k of
             # every window adds back into the input it read
             gx = np.zeros((B, Cin, L), dtype=np.result_type(w2, g))
             col_bytes = Cin * K * out_len * gx.itemsize
 
-            def input_rows(rows):
-                gcols = np.matmul(w2.T, g[rows]).reshape(-1, Cin, K, out_len)
-                gx_rows = gx[rows]
+            def input_rows(gr, gxr):
+                gcols = np.matmul(w2.T, gr).reshape(-1, Cin, K, out_len)
                 for k, lo, hi, sl in taps:
-                    gx_rows[:, :, sl] += gcols[:, :, k, lo:hi]
+                    gxr[:, :, sl] += gcols[:, :, k, lo:hi]
 
-        def mask_and_input_rows(rows):
+        def mask_and_input_rows(gr, yr, gxr):
             if relu:
-                np.multiply(g[rows], out.data[rows] > 0, out=g[rows])
-            if gx is not None:
-                input_rows(rows)
+                np.multiply(gr, yr > 0, out=gr)
+            if gxr is not None:
+                input_rows(gr, gxr)
 
         if relu or gx is not None:
-            _over_batch(mask_and_input_rows, B, col_bytes, parts=_cpus())
+            _rowwise(mask_and_input_rows, g.shape, g, out.data if relu else None, gx,
+                     temp_bytes=col_bytes)
         if bias is not None and bias.requires_grad:
             bias._take(g.sum(axis=(0, 2)))
         if kernel.requires_grad:
@@ -958,13 +955,13 @@ def _sum_partials(fn: Callable[[slice], np.ndarray], batch: int, row_bytes: int,
     ``row_bytes``.  The blocks run on the pool, which returns their partials
     in block order, and they are added in that order, so the cut, and every
     bit, depends on the shapes alone.  An empty batch gives ``empty``."""
-    total, *rest = _over_batch(fn, batch, row_bytes, PARTIAL_BLOCK) or [empty]
+    total, *rest = _over_batch(fn, _batch_blocks(batch, row_bytes, PARTIAL_BLOCK)) or [empty]
     for part in rest:
         total += part
     return total
 
 
-BATCH_BLOCK = 1 << 21   # bytes per array in one batch block of _over_batch (2 MiB)
+BATCH_BLOCK = 1 << 21   # bytes of the widest rows in one _rowwise block (2 MiB)
 
 _EXECUTOR = None   # the concurrent.futures.ThreadPoolExecutor of _over_batch
 
@@ -985,17 +982,14 @@ def _cpus() -> int:
     return os.cpu_count() or 1   # macOS and Windows
 
 
-def _over_batch(fn: Callable[[slice], object], batch: int, row_bytes: int,
-                limit: int | None = None, parts: int = 1) -> list:
-    """Run ``fn(rows)`` over the slices of ``batch`` rows that
-    :func:`_batch_blocks` cuts (``limit`` defaults to ``BATCH_BLOCK``), on
-    one thread per CPU.  Returns once every block has run, with each block's
+def _over_batch(fn: Callable[[slice], object], blocks: list[slice]) -> list:
+    """Run ``fn(rows)`` for each slice of batch rows in ``blocks``, on one
+    thread per CPU.  Returns once every block has run, with each block's
     ``fn(rows)`` in block order, and re-raises a block's exception.  A single
     block, or a single CPU, runs inline."""
     global _EXECUTOR
-    blocks = _batch_blocks(batch, row_bytes, BATCH_BLOCK if limit is None else limit, parts)
     threads = _cpus()
-    if len(blocks) == 1 or threads == 1:
+    if len(blocks) < 2 or threads == 1:
         return [fn(rows) for rows in blocks]
     # imported here, not at the top: concurrent.futures (and the logging
     # module it loads) adds about 9 ms to every import of the package
@@ -1007,24 +1001,28 @@ def _over_batch(fn: Callable[[slice], object], batch: int, row_bytes: int,
     return [f.result() for f in futures]
 
 
-def _rowwise(fn: Callable[..., None], shape: tuple[int, ...], *arrays: np.ndarray) -> None:
+def _rowwise(fn: Callable[..., None], shape: tuple[int, ...], *arrays: np.ndarray | None,
+             temp_bytes: int = 0) -> None:
     """Run ``fn(*blocks)`` over the batch rows of an op whose result has
-    ``shape`` [B, ...], on :func:`_over_batch`.  An array with the batch axis
-    (as many axes as ``shape``, and B rows) is cut to the block's rows; a
-    broadcast operand (fewer axes, or one leading row), or None, is passed
-    whole.  The blocks take at most ``BATCH_BLOCK`` bytes of the widest
-    array's rows; arrays that fit in one block run inline, and more blocks
-    are rounded up to one per CPU.  An empty ``shape`` runs inline."""
+    ``shape`` [B, ...].  An array with the batch axis (as many axes as
+    ``shape``, and B rows) is cut to the block's rows; a broadcast operand
+    (fewer axes, or one leading row), or None, is passed whole.
+    ``temp_bytes`` is what ``fn`` allocates per row, such as conv1d's
+    columns.  The one rule: a block holds at most ``BATCH_BLOCK`` bytes of
+    the widest row among the cut arrays and the temporaries.  A batch that
+    fits in one block runs inline; more blocks are rounded up to a multiple
+    of the CPU count and run on :func:`_over_batch`.  An empty ``shape``
+    runs inline."""
     if not shape:
         fn(*arrays)
         return
     batch = shape[0]
     cut = [a is not None and a.ndim == len(shape) and a.shape[0] == batch
            for a in arrays]
-    row_bytes = max((a.itemsize * math.prod(a.shape[1:]) for a, c in zip(arrays, cut) if c),
-                    default=0)
+    row_bytes = max([temp_bytes] + [a.itemsize * math.prod(a.shape[1:])
+                                    for a, c in zip(arrays, cut) if c])
     _over_batch(lambda rows: fn(*(a[rows] if c else a for a, c in zip(arrays, cut))),
-                batch, row_bytes, parts=_cpus() if batch * row_bytes > BATCH_BLOCK else 1)
+                _batch_blocks(batch, row_bytes, BATCH_BLOCK, _cpus()))
 
 
 def pool1d(x: Tensor, kind: str, window: int, stride: int,
@@ -1033,10 +1031,9 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
 
     ``padding='same'`` is supported for max pooling only (pads with -inf);
     it exists for pooling branches that must preserve length.  Max pooling
-    runs its forward and backward over blocks of batch rows (see
-    :func:`_over_batch`) on one thread per CPU; every output and gradient
-    bit is the same as in one pass, because each row's work is independent
-    and keeps its tap order.
+    runs its forward and backward over blocks of batch rows
+    (:func:`_rowwise`); every output and gradient bit is the same as in one
+    pass, because each row's work is independent and keeps its tap order.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
@@ -1049,31 +1046,28 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
     taps = _window_taps(L, window, stride, pad_left, out_len)
 
     if kind == "max":
-        row_bytes = C * L * x.dtype.itemsize   # out_len <= L
         y = np.empty((B, C, out_len), dtype=x.dtype)
 
-        def forward_rows(rows):
+        def forward_rows(xr, yr):
             # Padding reads as -inf, so the running maximum starts there.  It
             # is np.maximum's second operand: ties return the second operand,
             # so the earliest tap wins, as with argmax (this keeps the sign of
             # tied zeros).
-            xr, yr = x.data[rows], y[rows]
             yr.fill(-np.inf)
             for _, lo, hi, sl in taps:
                 np.maximum(xr[:, :, sl], yr[:, :, lo:hi], out=yr[:, :, lo:hi])
 
-        _over_batch(forward_rows, B, row_bytes)
+        _rowwise(forward_rows, y.shape, x.data, y)
 
         def grad(g, xd, yd):
             gx = np.zeros((B, C, L), dtype=g.dtype)
             n_padded = -(-pad_left // stride)
 
-            def backward_rows(rows):
+            def backward_rows(xr, yr, gr, gxr):
                 # The first tap equal to the maximum takes the gradient (ties
                 # are common after ReLU).  A window that starts in the left
                 # padding and has maximum -inf gives it to the padding, that
                 # is, drops it.
-                xr, yr, gr, gxr = xd[rows], yd[rows], g[rows], gx[rows]
                 claimed = np.zeros(yr.shape, dtype=bool)
                 claimed[:, :, :n_padded] = yr[:, :, :n_padded] == -np.inf
                 hits = []
@@ -1089,7 +1083,7 @@ def pool1d(x: Tensor, kind: str, window: int, stride: int,
                 for (_, lo, hi, sl), hit in zip(reversed(taps), reversed(hits)):
                     gxr[:, :, sl] += gr[:, :, lo:hi] * hit
 
-            _over_batch(backward_rows, B, row_bytes)
+            _rowwise(backward_rows, gx.shape, xd, yd, g, gx)
             return gx
     else:
         y = _window_view(x.data, out_len, window, stride).mean(axis=3)
@@ -1150,9 +1144,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     The per-channel sums (the batch mean and variance, and the backward's
     sums of ``g`` and ``g * (x - mean)``) add partials on the pool
     (:func:`_sum_partials`).  Every elementwise pass runs over batch blocks
-    on one thread per CPU (see :func:`_over_batch`), fused per block; each
-    element gets the same operations in the same order as in one pass, so
-    no bit depends on the CPU count.
+    (:func:`_rowwise`), fused per block; each element gets the same
+    operations in the same order as in one pass, so no bit depends on the
+    CPU count.
     """
     if x.ndim != 3:
         raise ShapeError(f"batchnorm1d expects [B,C,L], got {x.shape}")
@@ -1182,18 +1176,17 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     shift = beta.data if training else beta.data - mu * scale
     y = np.empty(x.shape, dtype=np.result_type(x.data, scale))
 
-    def forward_rows(rows):
-        yr = y[rows]
+    def forward_rows(xr, yr):
         if training:   # (x - mu) * scale + beta
-            np.subtract(x.data[rows], mu[:, None], out=yr)
+            np.subtract(xr, mu[:, None], out=yr)
             yr *= scale[:, None]
         else:          # x * scale + (beta - mu * scale)
-            np.multiply(x.data[rows], scale[:, None], out=yr)
+            np.multiply(xr, scale[:, None], out=yr)
         yr += shift[:, None]
         if relu:
             np.maximum(yr, 0, out=yr)
 
-    _over_batch(forward_rows, B, C * L * y.itemsize)
+    _rowwise(forward_rows, y.shape, x.data, y)
     out = Tensor(y)
 
     def backward(g):
@@ -1219,20 +1212,19 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
             b = (sum_g / n)[:, None]
             gx = np.empty(x.shape, dtype=np.result_type(x.data, a))
 
-            def backward_rows(rows):
-                gxr = gx[rows]
-                np.subtract(x.data[rows], mu[:, None], out=gxr)
+            def backward_rows(xr, gr, gxr):
+                np.subtract(xr, mu[:, None], out=gxr)
                 gxr *= a
                 gxr += b
-                np.subtract(g[rows], gxr, out=gxr)
+                np.subtract(gr, gxr, out=gxr)
                 gxr *= scale[:, None]
         else:
             gx = np.empty(x.shape, dtype=np.result_type(g, scale))
 
-            def backward_rows(rows):
-                np.multiply(g[rows], scale[:, None], out=gx[rows])
+            def backward_rows(xr, gr, gxr):
+                np.multiply(gr, scale[:, None], out=gxr)
 
-        _over_batch(backward_rows, B, C * L * gx.itemsize)
+        _rowwise(backward_rows, gx.shape, x.data, g, gx)
         x._take(gx)
 
     return out._record((x, gamma, beta), "batchnorm1d", backward)

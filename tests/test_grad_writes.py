@@ -3,7 +3,9 @@ handed-over array may be shared with nothing but its owner: so no code in
 ``src/`` writes into a ``.grad`` array in place except
 ``Tensor._accumulate``, which first checks for None.  And every one-input
 op is recorded through ``_unary``, which states what it may hand over,
-except the two that hand views through ``_accumulate``."""
+except the two that hand views through ``_accumulate``.  And only the two
+block helpers, ``_rowwise`` and ``_sum_partials``, run ``_over_batch``, so
+no op cuts its batch rows by a rule of its own."""
 
 import ast
 from pathlib import Path
@@ -122,3 +124,44 @@ def test_one_input_ops_record_only_through_unary():
             for path in sorted(SRC.rglob("*.py"))
             for where, _ in _one_input_records(ast.parse(path.read_text()))}
     assert seen == ONE_INPUT_RECORDERS
+
+
+BLOCK_CUTTERS = {("core/tensor.py", f) for f in ("_rowwise", "_sum_partials")}
+
+
+def _calls_of(tree: ast.AST, callee: str) -> list[tuple[str, int]]:
+    """``(qualified function name, line)`` of every call of ``callee``, by
+    bare name or as an attribute (``T._over_batch(...)``)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == callee):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_block_guard_sees_every_call_of_over_batch():
+    code = """
+def _rowwise(fn, shape):
+    _over_batch(lambda rows: fn(rows), blocks)
+
+def op(x):
+    def rows_of(rows):
+        return T._over_batch(fn, blocks)
+    return over_batch(x)
+"""
+    assert _calls_of(ast.parse(code), "_over_batch") == [("_rowwise", 3), ("op.rows_of", 7)]
+
+
+def test_only_the_block_helpers_run_over_batch():
+    seen = {(path.relative_to(SRC / "physiobench").as_posix(), where)
+            for path in sorted(SRC.rglob("*.py"))
+            for where, _ in _calls_of(ast.parse(path.read_text()), "_over_batch")}
+    assert seen == BLOCK_CUTTERS

@@ -132,6 +132,16 @@ def test_matmul_shape_error():
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+@pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3,), (3, 4))])
+def test_matmul_rejects_a_one_axis_operand_naming_both_shapes(shapes):
+    # numpy's matmul takes a 1-D side, but the backward swaps the last two
+    # axes of each operand
+    a, b = (Tensor(np.ones(s), requires_grad=True) for s in shapes)
+    with pytest.raises(ShapeError) as err:
+        T.matmul(a, b)
+    assert f"{shapes[0]} @ {shapes[1]}" in str(err.value)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_arithmetic_grad_check(seed):
     rng = np.random.default_rng(seed)
@@ -567,6 +577,33 @@ def test_pooled_attention_matches_the_naive_oracle_and_one_block(rank, softmax,
         assert grad_check(f, ts) < 1e-4
 
 
+@pytest.mark.parametrize("softmax", [True, False])
+def test_attention_backward_takes_a_cut_other_than_the_forwards(softmax, monkeypatch):
+    # 7 items at 3 a block: the forward on one CPU runs blocks of 3, 3 and 1
+    # items, the backward on two rounds three blocks up to four, of 2, 2, 2
+    # and 1.  Each row's kept max and sum are cut like q, so the backward
+    # gives the bytes of a run that keeps one cut.
+    rng = np.random.default_rng(27)
+    arrays = [rng.normal(size=s) for s in ((7, 4, 3), (7, 6, 3), (7, 6, 2))]
+    g = rng.normal(size=(7, 4, 2))
+    monkeypatch.setattr(T, "BATCH_BLOCK", 3 * 2 * 4 * 6 * 8)   # E and dS, float64
+    blocks = _counting_over_batch(monkeypatch)
+
+    def run(backward_cpus):
+        _set_cpus(monkeypatch, 1)
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.attention(*ts, 0.7, softmax=softmax)
+        _set_cpus(monkeypatch, backward_cpus)
+        blocks.clear()
+        out._backward(g.copy())   # the op's closure alone: no copy of the root gradient
+        return blocks.copy(), [out.data] + [t.grad for t in ts]
+
+    (one_cut, want), (two_cuts, got) = run(1), run(2)
+    assert (one_cut, two_cuts) == ([3], [4])
+    for a, ref in zip(got, want):
+        _assert_same_bytes(a, ref)
+
+
 def test_attention_never_holds_the_whole_weights_array():
     # P is 32 x 512 x 512 float32 = 32 MiB; the forward and backward together
     # stay below that
@@ -620,6 +657,9 @@ def test_reshape_transpose_concat_forward():
     x = np.arange(24.0).reshape(2, 3, 4)
     npt.assert_array_equal(T.reshape(Tensor(x), 6, 4).data, x.reshape(6, 4))
     npt.assert_array_equal(T.transpose(Tensor(x), 0, 2, 1).data, x.transpose(0, 2, 1))
+    npt.assert_array_equal(T.transpose(Tensor(x), 0, -1, -2).data, x.transpose(0, 2, 1))
+    npt.assert_array_equal(T.transpose(Tensor(x), (-1, 0, 1)).data, x.transpose(2, 0, 1))
+    npt.assert_array_equal(T.transpose(Tensor(x)).data, x.transpose())
     npt.assert_array_equal(
         T.concat([Tensor(x), Tensor(x)], axis=2).data, np.concatenate([x, x], axis=2))
 
@@ -629,13 +669,19 @@ def test_shape_op_grad_check(seed):
     rng = np.random.default_rng(seed)
     a = _param(rng, 2, 6)
     b = _param(rng, 2, 3)
+    c = _param(rng, 2, 2, 2)   # takes a wrong inverse permutation without an error
+    d = _param(rng, 2, 3, 4)
     w = Tensor(rng.normal(size=(2, 9)))
+    wc, wd, wr = (Tensor(rng.normal(size=s)) for s in ((2, 2, 2), (4, 2, 3), (4, 3, 2)))
 
     def f():
         joined = T.concat([T.reshape(a, 2, 6), b], axis=1)
-        return T.reduce_sum(joined * w) + T.reduce_sum(T.transpose(a, 1, 0))
+        return (T.reduce_sum(joined * w) + T.reduce_sum(T.transpose(a, 1, 0))
+                + T.reduce_sum(T.transpose(c, 0, -1, -2) * wc)
+                + T.reduce_sum(T.transpose(d, -1, 0, -2) * wd)
+                + T.reduce_sum(T.transpose(d) * wr))
 
-    assert grad_check(f, [a, b]) < 1e-4
+    assert grad_check(f, [a, b, c, d]) < 1e-4
 
 
 # ---------------------------------------------------------------------
@@ -793,9 +839,10 @@ BLOCKED_CONV_CASES = [   # cin, cout, kernel, stride, padding, length
 ]
 
 # rows per block of conv1d's cut of five batch rows, by (CPUs, the rows that
-# BATCH_BLOCK holds): on two CPUs a count of blocks rounds up to an even one
+# BATCH_BLOCK holds): a batch that fits in one block runs inline, and on two
+# CPUs a count of more blocks rounds up to an even one
 CONV_CUTS = {(1, 1): [1] * 5, (1, 2): [2, 2, 1], (1, 5): [5],
-             (2, 1): [1] * 5, (2, 2): [2, 2, 1], (2, 5): [3, 2]}
+             (2, 1): [1] * 5, (2, 2): [2, 2, 1], (2, 4): [3, 2], (2, 5): [5]}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -859,10 +906,9 @@ def _counting_over_batch(monkeypatch):
     """Patch ``T._over_batch`` to record the number of blocks of each call."""
     over_batch, blocks = T._over_batch, []
 
-    def counted(fn, batch, row_bytes, limit=None, parts=1):
-        limit = T.BATCH_BLOCK if limit is None else limit
-        blocks.append(len(T._batch_blocks(batch, row_bytes, limit, parts)))
-        return over_batch(fn, batch, row_bytes, limit, parts)
+    def counted(fn, cut):
+        blocks.append(len(cut))
+        return over_batch(fn, cut)
 
     monkeypatch.setattr(T, "_over_batch", counted)
     return blocks
@@ -994,8 +1040,6 @@ def test_max_pool_gradient_matches_naive_with_ties(window, stride, padding, dtyp
 ])
 def test_over_batch_runs_every_row_once_and_reraises(batch, row_bytes, block, want,
                                                      monkeypatch):
-    monkeypatch.setattr(T, "BATCH_BLOCK", block)
-
     def fail_on_last(rows):
         if rows.stop >= batch:
             raise RuntimeError("block failed")
@@ -1010,10 +1054,11 @@ def test_over_batch_runs_every_row_once_and_reraises(batch, row_bytes, block, wa
             return span
 
         # each block's result comes back in block order, whatever order they ran in
-        assert T._over_batch(run, batch, row_bytes) == want
+        blocks = T._batch_blocks(batch, row_bytes, block)
+        assert T._over_batch(run, blocks) == want
         assert sorted(seen) == want
         with pytest.raises(RuntimeError, match="block failed"):
-            T._over_batch(fail_on_last, batch, row_bytes)
+            T._over_batch(fail_on_last, blocks)
 
 
 def _max_pool_bytes(x):
@@ -1572,6 +1617,9 @@ ROWWISE_CASES = {
     "relu": ([ROW_L2], T.relu, lambda x, g: list(_relu_of(x, g))),
     "transpose": ([ROW_L2], lambda x: T.transpose(x, 0, 2, 1),
                   lambda x, g: [x.transpose(0, 2, 1).copy(), g.transpose(0, 2, 1).copy()]),
+    "transpose, negative axes": ([ROW_L2], lambda x: T.transpose(x, 0, -1, -2),
+                                 lambda x, g: [x.transpose(0, 2, 1).copy(),
+                                               g.transpose(0, 2, 1).copy()]),
     "transpose, heads": ([(ROW_B, ROW_L, 2, ROW_L // 2)], lambda x: T.transpose(x, 0, 2, 1, 3),
                          lambda x, g: [x.transpose(0, 2, 1, 3).copy(),
                                        g.transpose(0, 2, 1, 3).copy()]),
@@ -1638,6 +1686,21 @@ def test_rowwise_first_gradient_casts_like_a_whole_copy(monkeypatch):
     monkeypatch.setattr(T, "BATCH_BLOCK", ROW_L * ROW_L * 8)   # one row a block
     T.add(x, Tensor(c)).backward(g)
     _assert_same_bytes(x.grad, np.array(g, dtype=np.float32))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rowwise_blocks_hold_the_widest_row_of_arrays_and_temporaries(cpus, monkeypatch):
+    # rows of 32 bytes (x) and 16 bytes (y); the temporaries, when given,
+    # take 64 bytes a row.  A batch that fits in one block runs inline on
+    # any CPU count; more blocks round up to a multiple of the CPUs.
+    x, y = np.ones((7, 4)), np.ones((7, 2))
+    _set_cpus(monkeypatch, cpus)
+    for block, temp, want in [(64, 0, [2, 2, 2, 1]), (64, 64, [1] * 7), (224, 0, [7]),
+                              (96, 0, [3, 3, 1] if cpus == 1 else [2, 2, 2, 1])]:
+        monkeypatch.setattr(T, "BATCH_BLOCK", block)
+        seen = []
+        T._rowwise(lambda xr, yr: seen.append(len(xr)), y.shape, x, y, temp_bytes=temp)
+        assert sorted(seen, reverse=True) == want, (block, temp)
 
 
 def test_rowwise_passes_broadcast_operands_whole(monkeypatch):
