@@ -140,9 +140,7 @@ class Tensor:
         if dtype is None and not (isinstance(data, (np.ndarray, np.generic))
                                   and data.dtype in (np.float32, np.float64)):
             dtype = _DEFAULT_DTYPE
-        arr = np.asarray(data, dtype=dtype)
-        # ascontiguousarray promotes 0-d to 1-d; reshape restores scalar shape
-        self.data = np.ascontiguousarray(arr).reshape(arr.shape)
+        self.data = np.asarray(data, dtype=dtype, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -649,61 +647,53 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 # reductions and shape ops
 # ---------------------------------------------------------------------
 
-def _norm_axes(axis, ndim) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def _expand_reduced(g: np.ndarray, shape, axes, keepdims: bool) -> np.ndarray:
-    if not keepdims:
-        g = g.reshape(tuple(1 if ax in axes else s for ax, s in enumerate(shape)))
+def _expand_reduced(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
+    if not keepdims and axis is not None:
+        g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
-    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
+    """Sum over ``axis``: an int, a tuple, or None for all.  Axes follow numpy:
+    a negative one counts from the end, one out of range raises ``AxisError``."""
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.shape, axes, keepdims))
+            a._accumulate(_expand_reduced(g, a.shape, axis, keepdims))
 
     return out._record((a,), "sum", backward)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
-    count = math.prod(a.shape[ax] for ax in axes)
-    return _unary(a, a.data.mean(axis=axes, keepdims=keepdims), "mean",
-                  lambda g, x, y: _expand_reduced(g, x.shape, axes, keepdims) / count)
+    """Mean over ``axis``: an int, a tuple, or None for all.  Axes follow numpy:
+    a negative one counts from the end, one out of range raises ``AxisError``."""
+    data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.size // max(data.size, 1)
+    return _unary(a, data, "mean",
+                  lambda g, x, y: _expand_reduced(g, x.shape, axis, keepdims) / count)
 
 
 def reduce_max(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    """Max reduction; gradient flows to the first occurrence of the max."""
+    """Max over ``axis``: an int, or None for all; the gradient flows to the
+    first occurrence of the max.  Axes follow numpy: a negative one counts
+    from the end, one out of range raises ``AxisError``."""
     if axis is None:
-        flat = a.reshape(a.size)
-        out = reduce_max(flat, axis=0, keepdims=False)
-        return out if not keepdims else reshape(out, *([1] * a.ndim))
-    ax = axis % a.ndim
-    idx = np.argmax(a.data, axis=ax)  # first occurrence on ties
-    out_data = np.take_along_axis(a.data, np.expand_dims(idx, ax), axis=ax)
+        out = reduce_max(a.reshape(a.size), axis=0)
+        return reshape(out, (1,) * a.ndim) if keepdims else out
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)  # first occurrence on ties
+    out_data = np.take_along_axis(a.data, idx, axis=axis)
 
     def grad(g, x, y):
         buf = np.zeros_like(x)
-        np.put_along_axis(buf, np.expand_dims(idx, ax),
-                          g if keepdims else np.expand_dims(g, ax), axis=ax)
+        np.put_along_axis(buf, idx, g if keepdims else np.expand_dims(g, axis), axis=axis)
         return buf
 
-    return _unary(a, out_data if keepdims else out_data.squeeze(ax), "max", grad)
+    return _unary(a, out_data if keepdims else out_data.squeeze(axis), "max", grad)
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return _unary(a, a.data.reshape(shape), "reshape",
+    return _unary(a, a.data.reshape(*shape), "reshape",
                   lambda g, x, y: g.reshape(x.shape))
 
 
@@ -711,7 +701,7 @@ def transpose(a: Tensor, *axes) -> Tensor:
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
         axes = tuple(axes[0])
     view = a.data.transpose(*axes)   # numpy checks the axes; none reverses them all
-    inverse = np.argsort(_norm_axes(axes, a.ndim)) if axes else None
+    inverse = np.argsort(np.arange(a.ndim)[list(axes)]) if axes else None
     data = np.empty(view.shape, dtype=view.dtype)
     _rowwise(np.copyto, data.shape, data, view)
     out = Tensor(data)
@@ -724,7 +714,9 @@ def transpose(a: Tensor, *axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors along ``axis``, holding each recorded input once.
+    """Join tensors along ``axis``, holding each recorded input once.  Axes
+    follow numpy: a negative one counts from the end, one out of range raises
+    ``AxisError``.
 
     Every recorded input (one with parents, not a leaf) of the output's
     dtype is rebound to its slice of the output: its ``data`` becomes a
@@ -733,19 +725,16 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     it is created, except for leaves, which keep their own arrays.
     """
     tensors = tuple(tensors)
-    ax = axis % tensors[0].ndim
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
-    offsets = np.cumsum([0] + [t.shape[ax] for t in tensors])
-    slices = [(slice(None),) * ax + (slice(start, stop),)
-              for start, stop in zip(offsets[:-1], offsets[1:])]
-    for t, sl in zip(tensors, slices):
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    splits = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    for t, part in zip(tensors, np.split(out.data, splits, axis=axis)):
         if t._parents and t.dtype == out.dtype:
-            t.data = out.data[sl]
+            t.data = part
 
     def backward(g):
-        for t, sl in zip(tensors, slices):
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
-                t._accumulate(g[sl])
+                t._accumulate(part)
 
     return out._record(tensors, "concat", backward)
 
@@ -1132,7 +1121,8 @@ LN_EPS = 1e-5       # added to layer_norm's variance
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
                 training: bool, relu: bool = False) -> Tensor:
-    """Per-channel batch normalization over [B,C,L].
+    """Per-channel batch normalization over [B,C,L]; ``gamma``, ``beta`` and
+    the running buffers are each [C], and any other shape raises ShapeError.
 
     Train mode normalizes by batch statistics (biased variance) and updates
     the running buffers in place: new = BN_MOMENTUM*old + (1-BN_MOMENTUM)*batch.
@@ -1151,6 +1141,11 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if x.ndim != 3:
         raise ShapeError(f"batchnorm1d expects [B,C,L], got {x.shape}")
     B, C, L = x.shape
+    for name, p in (("gamma", gamma), ("beta", beta),
+                    ("running_mean", running_mean), ("running_var", running_var)):
+        if p.shape != (C,):
+            raise ShapeError(f"batchnorm1d {name} shape {p.shape} does not match "
+                             f"input {x.shape}: expected ({C},)")
     n = B * L
     row_bytes = C * L * x.dtype.itemsize
     if training:

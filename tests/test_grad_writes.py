@@ -5,7 +5,9 @@ handed-over array may be shared with nothing but its owner: so no code in
 op is recorded through ``_unary``, which states what it may hand over,
 except the two that hand views through ``_accumulate``.  And only the two
 block helpers, ``_rowwise`` and ``_sum_partials``, run ``_over_batch``, so
-no op cuts its batch rows by a rule of its own."""
+no op cuts its batch rows by a rule of its own.  And the tensor core takes
+no axis modulo its ``ndim`` and has no ``_norm_axes``: numpy resolves and
+checks every axis."""
 
 import ast
 from pathlib import Path
@@ -165,3 +167,43 @@ def test_only_the_block_helpers_run_over_batch():
             for path in sorted(SRC.rglob("*.py"))
             for where, _ in _calls_of(ast.parse(path.read_text()), "_over_batch")}
     assert seen == BLOCK_CUTTERS
+
+
+def _ndim_modulos(tree: ast.AST) -> list[int]:
+    """Lines of every ``%`` or ``%=`` with an operand named ``ndim``, as a
+    name (``ndim``) or an attribute (``x.ndim``), and of every mention of
+    ``_norm_axes``."""
+
+    def named(node, name):
+        return name in (getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+            operands = (node.target, node.value)
+        else:
+            operands = ()
+        if any(named(o, "ndim") for o in operands) or named(node, "_norm_axes"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_axis_guard_sees_each_ndim_modulo():
+    code = """
+def _norm_axes(axis, ndim):
+    return tuple(ax % ndim for ax in axis)
+
+def op(a, axis, n):
+    ax = axis % a.ndim
+    axis %= ndim
+    k = axis % n + a.ndim - 1
+    return T._norm_axes(axis, a.ndim)
+"""
+    assert _ndim_modulos(ast.parse(code)) == [2, 3, 6, 7, 9]
+
+
+def test_the_tensor_core_leaves_every_axis_to_numpy():
+    assert _ndim_modulos(ast.parse((SRC / "physiobench/core/tensor.py").read_text())) == []

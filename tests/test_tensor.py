@@ -684,6 +684,55 @@ def test_shape_op_grad_check(seed):
     assert grad_check(f, [a, b, c, d]) < 1e-4
 
 
+def _concat_with_a_recorded_input(x, axis):
+    h = x * 2.0   # recorded: concat rebinds it to a view of the output
+    out = T.concat([h, x], axis=axis)
+    assert np.shares_memory(h.data, out.data)
+    return out
+
+
+def _reduction(op, keepdims):
+    return lambda x, axis: op(x, axis=axis, keepdims=keepdims)
+
+
+# (op on a [2, 3, 4] input, out-of-range axes, (negative, positive) spellings)
+SUM_AXES = ([3, -4, (0, 3), (-4, 1)],
+            [(-1, 2), (-3, 0), ((0, -1), (0, 2)), ((-2, 2), (1, 2)),
+             ((-3, -2, -1), (0, 1, 2))])
+ONE_AXIS = ([3, -4], [(-1, 2), (-2, 1), (-3, 0)])
+AXIS_CASES = {
+    **{f"{op.__name__}-keepdims={k}": (_reduction(op, k), *SUM_AXES)
+       for op in (T.reduce_sum, T.reduce_mean) for k in (False, True)},
+    **{f"reduce_max-keepdims={k}": (_reduction(T.reduce_max, k), *ONE_AXIS)
+       for k in (False, True)},
+    "concat": (_concat_with_a_recorded_input, *ONE_AXIS),
+    "softmax": (T.softmax, [3, -4, (0, 3)], ONE_AXIS[1] + [((0, -1), (0, 2))]),
+    "transpose": (lambda x, axes: T.transpose(x, *axes), [(0, 1, 3), (-4, 0, 1)],
+                  [((0, -1, -2), (0, 2, 1)), ((-1, 0, 1), (2, 0, 1))]),
+}
+
+
+@pytest.mark.parametrize("case", list(AXIS_CASES))
+def test_axes_follow_numpy(case):
+    """An out-of-range axis raises numpy's AxisError (a ValueError and an
+    IndexError; ``np.AxisError`` is gone in numpy 2), and a negative axis
+    gives the values and gradients of its positive spelling, bit for bit."""
+    op, bad_axes, spellings = AXIS_CASES[case]
+    x = np.random.default_rng(5).normal(size=(2, 3, 4))
+    for axis in bad_axes:
+        with pytest.raises(ValueError) as err:
+            op(Tensor(x), axis)
+        assert isinstance(err.value, IndexError), axis
+    for negative, positive in spellings:
+        runs = []
+        for axis in (negative, positive):
+            p = nn.Parameter(x.copy())
+            out = op(p, axis)
+            out.backward(np.random.default_rng(6).normal(size=out.shape))
+            runs.append((out.shape, out.data.tobytes(), p.grad.tobytes()))
+        assert runs[0] == runs[1], (negative, positive)
+
+
 # ---------------------------------------------------------------------
 # conv1d against a naive sliding-window loop
 # ---------------------------------------------------------------------
@@ -1300,6 +1349,24 @@ def test_batchnorm_train_needs_two_samples():
     with pytest.raises(ValueError):
         T.batchnorm1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones(2)),
                       Tensor(np.zeros(2)), np.zeros(2), np.ones(2), training=True)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("bad", [(1,), (4,), (3, 1)])
+@pytest.mark.parametrize("name", ["gamma", "beta", "running_mean", "running_var"])
+def test_batchnorm_rejects_parameters_and_statistics_not_of_the_channel_width(
+        name, bad, training):
+    args = {"gamma": np.ones(3), "beta": np.zeros(3),
+            "running_mean": np.zeros(3), "running_var": np.ones(3)}
+    args[name] = np.ones(bad)
+    stats = (args["running_mean"].copy(), args["running_var"].copy())
+    x = Tensor(np.random.default_rng(2).normal(size=(4, 3, 5)), requires_grad=True)
+    with pytest.raises(ShapeError) as err:
+        T.batchnorm1d(x, Tensor(args["gamma"]), Tensor(args["beta"]),
+                      args["running_mean"], args["running_var"], training=training)
+    assert str(bad) in str(err.value) and "(4, 3, 5)" in str(err.value)
+    npt.assert_array_equal(args["running_mean"], stats[0])
+    npt.assert_array_equal(args["running_var"], stats[1])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
